@@ -22,8 +22,8 @@ from . import period as periodmod
 from . import signals as sig
 from . import transform as tr
 from .foccpt import complexity_table, foccpt, predicted_counts
-from .matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT
-from .numtheory import divisors, half_residues
+from .matrices import FAMILIES, OCCPT
+from .transform import band_filter
 
 __all__ = ["main"]
 
@@ -127,40 +127,6 @@ def _parse_band(text):
         return float(lo), float(hi)
     except ValueError:
         raise ValueError(f"band must be LO:HI, got {text!r}") from None
-
-
-def band_filter(coeffs: tr.CoefficientSet, fs: float, low_hz: float, high_hz: float) -> tr.CoefficientSet:
-    """Zero every component whose frequency k*fs/p lies outside [low, high]
-    and return the filtered coefficient set. DC survives only when the band
-    includes 0."""
-    if not 0.0 <= low_hz <= high_hz:
-        raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
-    if high_hz > fs / 2 + 1e-12:
-        raise ValueError(f"band edge {high_hz} Hz exceeds the Nyquist rate {fs / 2} Hz")
-    flat = np.array(coeffs.flat)
-    N = coeffs.N
-    if coeffs.family == OCCPT:
-        for p in divisors(N):
-            for k in half_residues(p):
-                f = (0.0 if p == 1 else k / p) * fs
-                if low_hz <= f <= high_hz:
-                    continue
-                flat[(N * k // p) % N] = 0.0
-                if p >= 3:
-                    flat[N - N * k // p] = 0.0
-    else:
-        for i, (col, _) in enumerate(coeffs.items()):
-            ratio = 0.0 if col.p == 1 else min(col.k, col.p - col.k) / col.p
-            if col.kind == "ram":
-                # Ramanujan columns mix every coprime frequency of p; keep the
-                # subspace when any of its lines falls in the band
-                ratios = [k / col.p for k in half_residues(col.p)] if col.p > 1 else [0.0]
-                keep = any(low_hz <= r * fs <= high_hz for r in ratios)
-            else:
-                keep = low_hz <= ratio * fs <= high_hz
-            if not keep:
-                flat[i] = 0.0
-    return tr.CoefficientSet(N=N, family=coeffs.family, flat=flat)
 
 
 def cmd_filter_band(args) -> int:

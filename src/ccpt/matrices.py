@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,8 +42,8 @@ MAX_DIRECT_N = 4096
 
 __all__ = [
     "DFT_NPM", "RPT", "CCPT1", "CCPT2", "OCCPT", "FAMILIES",
-    "SubspaceIndex", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
-    "subspace_block", "build_matrix", "cached_matrix",
+    "SubspaceIndex", "ColumnLayout", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
+    "subspace_block", "column_layout", "build_matrix", "cached_matrix",
     "build_dft_npm", "build_rpt", "build_ccpt1", "build_ccpt2", "build_occpt",
     "validate_npm", "matrix_rank", "minimal_period",
     "export_matrix_csv", "matrix_metadata", "export_matrix_metadata",
@@ -67,6 +67,24 @@ def _tiled(pattern: np.ndarray, length: int, shift: int) -> np.ndarray:
     return pattern[idx]
 
 
+def _block_columns(family: str, p: int) -> list[SubspaceIndex]:
+    """Column addresses of the period-p block in canonical order."""
+    if family == DFT_NPM:
+        return [SubspaceIndex(p, k, EXP) for k in residue_sets(p).full]
+    if family == RPT:
+        return [SubspaceIndex(p, 0, RAM, shift=j) for j in range(totient(p))]
+    # ccpt1/ccpt2: one generator kind with downshifts 0 and 1; occpt: the
+    # type-1/type-2 pair. Periods 1 and 2 keep the first column alone.
+    if family == OCCPT:
+        variants = ((COS, 0), (SIN, 0))
+    else:
+        kind = COS if family == CCPT1 else SIN
+        variants = ((kind, 0), (kind, 1))
+    return [SubspaceIndex(p, k, kind, shift)
+            for k in half_residues(p)
+            for kind, shift in variants[:1 if p <= 2 else 2]]
+
+
 def subspace_block(family: str, p: int, length: int):
     """Basis block for the period-p subspace, tiled/truncated to `length`.
 
@@ -76,36 +94,63 @@ def subspace_block(family: str, p: int, length: int):
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    cols: list[np.ndarray] = []
-    meta: list[SubspaceIndex] = []
+    meta = _block_columns(family, p)
     if family == DFT_NPM:
         n = np.arange(length)
-        for k in residue_sets(p).full:
-            cols.append(np.exp(2j * np.pi * k * (n % p) / p))
-            meta.append(SubspaceIndex(p, k, EXP))
+        cols = [np.exp(2j * np.pi * c.k * (n % p) / p) for c in meta]
     elif family == RPT:
         pattern = ramanujan_sum(p)
-        for j in range(totient(p)):
-            cols.append(_tiled(pattern, length, j))
-            meta.append(SubspaceIndex(p, 0, RAM, shift=j))
-    elif family in (CCPT1, CCPT2):
-        gen = ccps1 if family == CCPT1 else ccps2
-        kind = COS if family == CCPT1 else SIN
-        for k in half_residues(p):
-            pattern = gen(p, k)
-            cols.append(_tiled(pattern, length, 0))
-            meta.append(SubspaceIndex(p, k, kind, shift=0))
-            if p >= 3:
-                cols.append(_tiled(pattern, length, 1))
-                meta.append(SubspaceIndex(p, k, kind, shift=1))
-    else:  # occpt: type-1/type-2 pair per conjugate subspace, type-1 alone for p <= 2
-        for k in half_residues(p):
-            cols.append(_tiled(ccps1(p, k), length, 0))
-            meta.append(SubspaceIndex(p, k, COS))
-            if p >= 3:
-                cols.append(_tiled(ccps2(p, k), length, 0))
-                meta.append(SubspaceIndex(p, k, SIN))
+        cols = [_tiled(pattern, length, c.shift) for c in meta]
+    else:
+        gen = {COS: ccps1, SIN: ccps2}
+        cols = [_tiled(gen[c.kind](p, c.k), length, c.shift) for c in meta]
     return np.column_stack(cols), meta
+
+
+@dataclass(frozen=True)
+class ColumnLayout:
+    """Canonical column addresses of one family at size N, without the
+    matrix entries: what coefficient indexing needs at any N."""
+
+    N: int
+    family: str
+    columns: tuple[SubspaceIndex, ...]
+
+    @cached_property
+    def _index(self) -> dict:
+        return {c: i for i, c in enumerate(self.columns)}
+
+    @cached_property
+    def periods(self) -> np.ndarray:
+        """Period p of every column, in column order (read-only)."""
+        out = np.array([c.p for c in self.columns])
+        out.setflags(write=False)
+        return out
+
+    def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
+        """0-based position of the column addressed by (p, k, kind, shift)."""
+        key = SubspaceIndex(p, k, kind, shift)
+        try:
+            return self._index[key]
+        except KeyError:
+            raise KeyError(f"no column {key} in {self.family} matrix of size {self.N}") from None
+
+
+def _check_family_size(family: str, N: int) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if N < 1:
+        raise ValueError(f"matrix size must be >= 1, got {N}")
+
+
+@lru_cache(maxsize=64)
+def column_layout(family: str, N: int) -> ColumnLayout:
+    """Column addresses of the size-N matrix of `family`: divisors ascending,
+    then each block's residues, kinds and shifts. Builds no entries, so it
+    has no size cap."""
+    _check_family_size(family, N)
+    return ColumnLayout(N=N, family=family,
+                        columns=tuple(c for p in divisors(N) for c in _block_columns(family, p)))
 
 
 @dataclass(frozen=True)
@@ -126,13 +171,7 @@ class PeriodicBasisMatrix:
         self.entries.setflags(write=False)
         self._index.update({c: i for i, c in enumerate(self.columns)})
 
-    def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
-        """0-based position of the column addressed by (p, k, kind, shift)."""
-        key = SubspaceIndex(p, k, kind, shift)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"no column {key} in {self.family} matrix of size {self.N}") from None
+    column_index = ColumnLayout.column_index
 
     def subspace_columns(self, p: int) -> range:
         """Contiguous column range of the period-p block."""
@@ -147,19 +186,12 @@ class PeriodicBasisMatrix:
 
 
 def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if N < 1:
-        raise ValueError(f"matrix size must be >= 1, got {N}")
+    _check_family_size(family, N)
     if N > MAX_DIRECT_N:
         raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
-    blocks, meta = [], []
-    for p in divisors(N):
-        block, cols = subspace_block(family, p, N)
-        blocks.append(block)
-        meta.extend(cols)
-    entries = np.hstack(blocks)
-    return PeriodicBasisMatrix(N=N, family=family, entries=entries, columns=tuple(meta))
+    entries = np.hstack([subspace_block(family, p, N)[0] for p in divisors(N)])
+    return PeriodicBasisMatrix(N=N, family=family, entries=entries,
+                               columns=column_layout(family, N).columns)
 
 
 @lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import atan2, gcd
+from math import gcd
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -77,9 +77,8 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    strengths: dict[int, float] = {p: 0.0 for p in divisors(c.N)}
-    for idx, v in c.items():
-        strengths[idx.p] += float(np.abs(v) ** 2)
+    sums = np.bincount(c.flat_periods(), weights=np.abs(c.flat) ** 2, minlength=c.N + 1)
+    strengths: dict[int, float] = {p: float(sums[p]) for p in divisors(c.N)}
     if normalized:
         strengths = {p: s / totient(p) for p, s in strengths.items()}
     peak = max(strengths.values())
@@ -109,18 +108,19 @@ class FrequencyComponent:
                 "freq_hz": self.freq_hz, "magnitude": self.magnitude, "phase": self.phase}
 
 
-def _component(p: int, k: int, b0: float, b1: float, fs: float | None) -> FrequencyComponent:
-    if p <= 2:
-        mag = abs(b0)
-        phase = 0.0 if b0 >= 0 else np.pi
-        freq = 0.0 if p == 1 else 0.5
-    else:
-        mag = 2.0 * float(np.hypot(b0, b1))
-        phase = atan2(-b1, b0)
-        freq = k / p
-    return FrequencyComponent(p=p, k=k, freq=freq,
-                              freq_hz=None if fs is None else freq * fs,
-                              magnitude=mag, phase=phase)
+def _components(p, k, b0, b1, fs: float | None,
+                min_magnitude: float) -> list[FrequencyComponent]:
+    """Components of the subspaces (p[i], k[i]) with cosine/sine pairs
+    (b0[i], b1[i]) whose magnitude reaches the floor."""
+    degenerate = p <= 2
+    mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
+    phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
+    freq = np.where(p == 1, 0.0, k / p)
+    i = np.flatnonzero(mag >= min_magnitude)
+    freq_hz = [None] * len(i) if fs is None else (freq[i] * fs).tolist()
+    return [FrequencyComponent(p=per, k=res, freq=f, freq_hz=fh, magnitude=mg, phase=ph)
+            for per, res, f, fh, mg, ph in zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(),
+                                               freq_hz, mag[i].tolist(), phase[i].tolist())]
 
 
 def frequency_components(c: CoefficientSet, fs: float | None = None,
@@ -135,15 +135,8 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
         raise ValueError("frequency components require orthogonal-family coefficients")
     if c.is_complex:
         raise ValueError("frequency components are defined for real signals")
-    out = []
-    for idx, _ in c.items():
-        if idx.kind != COS:
-            continue
-        b0, b1 = c.pair(idx.p, idx.k)
-        comp = _component(idx.p, idx.k, float(b0), float(b1), fs)
-        if comp.magnitude >= min_magnitude:
-            out.append(comp)
-    return out
+    p, k, b0, b1 = c.pairs()
+    return _components(p, k, b0, b1, fs, min_magnitude)
 
 
 def _penalty_fn(penalty):
@@ -252,12 +245,10 @@ class DictionarySolution:
         for idx, v in zip(self.dictionary.columns, self.b_hat):
             slot = pair.setdefault((idx.p, idx.k), [0.0, 0.0])
             slot[0 if idx.kind == COS else 1] = float(np.real(v))
-        out = []
-        for (p, k), (b0, b1) in sorted(pair.items()):
-            comp = _component(p, k, b0, b1, fs)
-            if comp.magnitude >= min_magnitude:
-                out.append(comp)
-        return out
+        keys = sorted(pair)
+        p, k = np.array(keys, dtype=int).reshape(-1, 2).T
+        b0, b1 = np.array([pair[key] for key in keys]).reshape(-1, 2).T
+        return _components(p, k, b0, b1, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
         d = self.dictionary

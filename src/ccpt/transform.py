@@ -1,13 +1,22 @@
 """Analysis/synthesis for the periodic transforms and their identities.
 
-The orthogonal transform is computed directly from its trigonometric sums in
-a frequency-ordered flat layout: coefficient K holds the cosine projection at
-K/N cycles per sample for K <= floor(N/2) and the (negated) sine projection
-above. Each conjugate subspace (p, k) owns the pair of slots N*k/p and
-N - N*k/p, which is also where its cosine/sine coefficient pair lives.
+The orthogonal transform's flat layout is a packed real DFT, FFTW's
+"halfcomplex" order scaled by 1/N: with X = DFT(x),
 
-The non-orthogonal transforms solve their full linear systems against a
-cached LU factorization with partial pivoting, one per (family, size).
+    slot K       holds  Re X[K] / N   for 0 <= K <= N/2  (cosine coefficients)
+    slot N - K   holds -Im X[K] / N   for 0 <  K <  N/2  (sine coefficients)
+
+Each conjugate subspace (p, k) owns the cosine slot N*k/p and, for p >= 3,
+the sine slot N - N*k/p. Analysis and synthesis are therefore one
+rfft/irfft plus O(N) packing at any N, and the identities (DFT bridge,
+circular shift, convolution, energy, band masks) are O(N) array operations
+on the (K, N-K) slot pairs.
+
+The dft-npm column (p, k) is the complex exponential of DFT bin k*N/p, so
+its analysis is the FFT scaled by 1/N and gathered into column order, and
+its synthesis the inverse. Only the rpt, ccpt1 and ccpt2 families solve
+their linear systems, against a cached LU factorization with partial
+pivoting, one per (family, size).
 
 Complex inputs run the real transform on real and imaginary parts and carry
 the coefficients as one complex flat array.
@@ -17,17 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, pi, sin
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .ccps import COS, SIN, ccps, pair_scale
-from .matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, cached_matrix
+from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RAM, cached_matrix,
+                       column_layout)
 from .numtheory import divisors, half_residues
-from .signals import Signal, samples_of
-
-_KERNEL_CACHE_MAX = 1024
+from .signals import samples_of
 
 __all__ = [
     "CoefficientSet",
@@ -35,9 +42,44 @@ __all__ = [
     "ccpt1_analysis", "ccpt2_analysis",
     "analyze", "synthesize",
     "dft_from_occpt", "shift_coefficients", "convolve_coefficients",
-    "parseval_energy", "coefficient_period_check",
+    "parseval_energy", "coefficient_period_check", "band_filter",
     "coefficients_to_dict",
 ]
+
+
+@dataclass(frozen=True)
+class _BinOrder:
+    """Per-N index arrays of the packed layout, shared read-only."""
+
+    period: np.ndarray       # N / gcd(K, N): period of the subspace owning bin or slot K
+    residue: np.ndarray      # K / gcd(K, N), with 1 for K = 0 as half_residues(1) has it
+    occpt_order: np.ndarray  # flat slots in canonical column order
+    cos_order: np.ndarray    # cosine slots in canonical order, one per conjugate subspace
+    dft_order: np.ndarray    # DFT bins in dft-npm column order
+
+
+@lru_cache(maxsize=64)
+def _bin_order(N: int) -> _BinOrder:
+    K = np.arange(N)
+    g = np.gcd(K, N)
+    period = N // g
+    residue = K // g
+    residue[0] = 1
+    sine = K > N // 2
+    # a sine slot K belongs to the subspace of its cosine partner N - K
+    lower = np.where(sine, period - residue, residue)
+    occpt_order = np.lexsort((sine, lower, period))
+    out = _BinOrder(period=period, residue=residue, occpt_order=occpt_order,
+                    cos_order=occpt_order[~sine[occpt_order]],
+                    dft_order=np.lexsort((residue, period)))
+    for a in vars(out).values():
+        a.setflags(write=False)
+    return out
+
+
+def _pair_count(N: int) -> int:
+    """Number of (K, N-K) slot pairs: the subspaces with period >= 3."""
+    return (N - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -69,7 +111,7 @@ class CoefficientSet:
                     raise KeyError(f"no sine coefficient for p={p}")
                 return self.N - self.N * k // p
             raise KeyError(f"no {kind!r} coefficients in the orthogonal family")
-        return cached_matrix(self.family, self.N).column_index(p, k, kind, shift)
+        return column_layout(self.family, self.N).column_index(p, k, kind, shift)
 
     def value(self, p: int, k: int, kind: str, shift: int = 0):
         return self.flat[self.flat_index(p, k, kind, shift)]
@@ -83,82 +125,58 @@ class CoefficientSet:
         b1 = self.flat[self.flat_index(p, k, SIN)] if p >= 3 else type(b0)(0)
         return b0, b1
 
+    def pairs(self):
+        """(p, k, b0, b1) arrays over the conjugate subspaces in canonical
+        order: period, residue, cosine and sine coefficients, the sine being
+        0 for the degenerate periods 1 and 2."""
+        if self.family != OCCPT:
+            raise ValueError("pair view requires the orthogonal family")
+        order = _bin_order(self.N)
+        K = order.cos_order
+        p = order.period[K]
+        b1 = np.where(p >= 3, self.flat[(self.N - K) % self.N], 0)
+        return p, order.residue[K], self.flat[K], b1
+
+    def flat_periods(self) -> np.ndarray:
+        """Period p of the subspace each flat entry belongs to."""
+        if self.family == OCCPT:
+            return _bin_order(self.N).period
+        return column_layout(self.family, self.N).periods
+
     def items(self):
         """(column address, coefficient) pairs in canonical column order."""
-        cols = cached_matrix(self.family, self.N).columns
-        if self.family == OCCPT:
-            return [(c, self.flat[self.flat_index(c.p, c.k, c.kind)]) for c in cols]
-        return list(zip(cols, self.flat))
+        return list(zip(column_layout(self.family, self.N).columns, self.column_values()))
 
     def column_values(self) -> np.ndarray:
         """Coefficients rearranged into matrix column order."""
-        return np.array([v for _, v in self.items()])
-
-
-def _half(N: int) -> int:
-    return N // 2
-
-
-@lru_cache(maxsize=32)
-def _analysis_kernel(N: int) -> np.ndarray:
-    n = np.arange(N)
-    W = np.empty((N, N))
-    for K in range(N):
-        if K <= _half(N):
-            W[K] = np.cos(2 * np.pi * K * n / N) / N
-        else:
-            W[K] = -np.sin(2 * np.pi * K * n / N) / N
-    return W
-
-
-def _synthesis_scales(N: int) -> np.ndarray:
-    m = np.ones(N)
-    m[0] = 0.5
-    if N % 2 == 0:
-        m[N // 2] = 0.5
-    return m
-
-
-@lru_cache(maxsize=32)
-def _synthesis_kernel(N: int) -> np.ndarray:
-    n = np.arange(N)
-    S = np.empty((N, N))
-    mhat = _synthesis_scales(N)
-    for K in range(N):
-        if K <= _half(N):
-            S[:, K] = 2 * mhat[K] * np.cos(2 * np.pi * K * n / N)
-        else:
-            S[:, K] = -2 * np.sin(2 * np.pi * K * n / N)
-    return S
+        if self.family == OCCPT:
+            return self.flat[_bin_order(self.N).occpt_order]
+        return np.array(self.flat)
 
 
 def _forward_real(x: np.ndarray) -> np.ndarray:
-    N = len(x)
-    if N <= _KERNEL_CACHE_MAX:
-        return _analysis_kernel(N) @ x
-    n = np.arange(N)
-    beta = np.empty(N)
-    for K in range(N):
-        if K <= _half(N):
-            beta[K] = np.dot(x, np.cos(2 * np.pi * K * n / N)) / N
-        else:
-            beta[K] = -np.dot(x, np.sin(2 * np.pi * K * n / N)) / N
-    return beta
+    """Packed real DFT of each row of x, scaled by 1/N."""
+    N = x.shape[-1]
+    h, m = N // 2, _pair_count(N)
+    R = np.fft.rfft(x) / N
+    flat = np.empty(x.shape)
+    flat[..., :h + 1] = R.real
+    flat[..., h + 1:] = -R.imag[..., m:0:-1]
+    return flat
 
 
-def _inverse_real(beta: np.ndarray) -> np.ndarray:
-    N = len(beta)
-    if N <= _KERNEL_CACHE_MAX:
-        return _synthesis_kernel(N) @ beta
-    n = np.arange(N)
-    mhat = _synthesis_scales(N)
-    x = np.zeros(N)
-    for K in range(N):
-        if K <= _half(N):
-            x += 2 * mhat[K] * beta[K] * np.cos(2 * np.pi * K * n / N)
-        else:
-            x += -2 * beta[K] * np.sin(2 * np.pi * K * n / N)
-    return x
+def _inverse_real(flat: np.ndarray) -> np.ndarray:
+    """Inverse of _forward_real, row by row."""
+    N = flat.shape[-1]
+    h, m = N // 2, _pair_count(N)
+    R = np.zeros(flat.shape[:-1] + (h + 1,), dtype=complex)
+    R.real = flat[..., :h + 1]
+    R.imag[..., 1:m + 1] = -flat[..., :h:-1]
+    return np.fft.irfft(R, n=N) * N
+
+
+def _parts(v: np.ndarray) -> np.ndarray:
+    return np.stack([v.real, v.imag])
 
 
 def occpt_analysis(x) -> CoefficientSet:
@@ -169,7 +187,8 @@ def occpt_analysis(x) -> CoefficientSet:
     """
     x = samples_of(x)
     if np.iscomplexobj(x):
-        flat = _forward_real(np.ascontiguousarray(x.real)) + 1j * _forward_real(np.ascontiguousarray(x.imag))
+        re, im = _forward_real(_parts(x))
+        flat = re + 1j * im
     else:
         flat = _forward_real(x.astype(float))
     return CoefficientSet(N=len(x), family=OCCPT, flat=flat)
@@ -180,7 +199,8 @@ def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
     if c.family != OCCPT:
         raise ValueError("occpt_synthesis requires orthogonal-family coefficients")
     if c.is_complex:
-        return _inverse_real(np.ascontiguousarray(c.flat.real)) + 1j * _inverse_real(np.ascontiguousarray(c.flat.imag))
+        re, im = _inverse_real(_parts(c.flat))
+        return re + 1j * im
     return _inverse_real(c.flat)
 
 
@@ -192,10 +212,9 @@ def _lu(family: str, N: int):
 
 def _solve_family(family: str, N: int, x: np.ndarray) -> np.ndarray:
     lu_piv = _lu(family, N)
-    real_matrix = family != DFT_NPM
-    if real_matrix and np.iscomplexobj(x):
+    if np.iscomplexobj(x):
         return lu_solve(lu_piv, x.real) + 1j * lu_solve(lu_piv, x.imag)
-    return lu_solve(lu_piv, x.astype(complex) if family == DFT_NPM else x.astype(float))
+    return lu_solve(lu_piv, x.astype(float))
 
 
 def ccpt1_analysis(x) -> CoefficientSet:
@@ -211,93 +230,95 @@ def ccpt2_analysis(x) -> CoefficientSet:
 
 
 def analyze(x, family: str) -> CoefficientSet:
-    """Family-dispatching analysis; the orthogonal family uses its direct
-    sums, every other family a cached LU solve."""
+    """Family-dispatching analysis: the orthogonal family and dft-npm go
+    through the FFT, every other family a cached LU solve."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family == OCCPT:
         return occpt_analysis(x)
     x = samples_of(x)
-    return CoefficientSet(N=len(x), family=family, flat=_solve_family(family, len(x), x))
+    N = len(x)
+    if family == DFT_NPM:
+        flat = np.fft.fft(x)[_bin_order(N).dft_order] / N
+    else:
+        flat = _solve_family(family, N, x)
+    return CoefficientSet(N=N, family=family, flat=flat)
 
 
 def synthesize(c: CoefficientSet) -> np.ndarray:
     if c.family == OCCPT:
         return occpt_synthesis(c)
-    m = cached_matrix(c.family, c.N)
-    out = m.entries @ c.flat
-    if c.family != DFT_NPM and not c.is_complex:
-        out = np.real(out) if np.iscomplexobj(out) else out
-    return out
+    if c.family == DFT_NPM:
+        bins = np.zeros(c.N, dtype=complex)
+        bins[_bin_order(c.N).dft_order] = c.flat
+        return np.fft.ifft(bins) * c.N
+    return cached_matrix(c.family, c.N).entries @ c.flat
+
+
+def _pairs(flat: np.ndarray):
+    """Views of the cosine slots K and sine slots N-K, K = 1..(N-1)//2,
+    aligned so that entry i of both belongs to one subspace."""
+    m = _pair_count(len(flat))
+    return flat[1:m + 1], flat[len(flat) - m:][::-1]
 
 
 def dft_from_occpt(c: CoefficientSet) -> np.ndarray:
     """DFT bins from orthogonal-transform coefficients.
 
-    Bin k belongs to the conjugate subspace (p, k/d) with d = gcd(k, N),
-    p = N/d; bin 0 is the DC coefficient (k = N case). Lower residues give
-    N*(b0 - j*b1), mirrored residues N*(b0 + j*b1) at the mirror pair.
+    Bin 0 (and bin N/2 for even N) is N times its cosine slot; bins K and
+    N - K of a slot pair are N*(b0 - j*b1) and N*(b0 + j*b1).
     """
     if c.family != OCCPT:
         raise ValueError("dft_from_occpt requires orthogonal-family coefficients")
     N, flat = c.N, c.flat
-    X = np.empty(N, dtype=complex)
-    X[0] = N * flat[0]
-    for k in range(1, N):
-        p = N // gcd(k, N)
-        ki = k // gcd(k, N)
-        if p <= 2:
-            X[k] = N * flat[k]
-        elif ki <= p // 2:
-            X[k] = N * (flat[k] - 1j * flat[N - k])
-        else:
-            X[k] = N * (flat[N - k] + 1j * flat[k])
+    X = N * flat.astype(complex)
+    b0, b1 = _pairs(flat)
+    lo, hi = _pairs(X)
+    lo[:] = N * (b0 - 1j * b1)
+    hi[:] = N * (b0 + 1j * b1)
     return X
 
 
 def shift_coefficients(c: CoefficientSet, m: int) -> CoefficientSet:
-    """Coefficients of the signal circularly delayed by m samples: each
-    conjugate-subspace pair rotates by 2*pi*k*((-m) mod N)/p; the degenerate
-    periods scale by the cosine alone."""
+    """Coefficients of the signal circularly delayed by m samples.
+
+    The pair of slot K rotates by 2*pi*K*delay/N with delay = (-m) mod N,
+    the product K*delay reduced mod N before scaling; the degenerate slots 0
+    and N/2 scale by the cosine alone."""
     if c.family != OCCPT:
         raise ValueError("shift_coefficients requires orthogonal-family coefficients")
     N = c.N
-    out = np.array(c.flat)
-    delay = (-m) % N
-    for p in divisors(N):
-        for k in half_residues(p):
-            theta = 2 * pi * k * delay / p
-            kc = (N * k // p) % N
-            if p <= 2:
-                out[kc] = c.flat[kc] * cos(theta)
-            else:
-                ks = N - kc
-                b0, b1 = c.flat[kc], c.flat[ks]
-                out[kc] = cos(theta) * b0 + sin(theta) * b1
-                out[ks] = -sin(theta) * b0 + cos(theta) * b1
+    K = np.arange(N // 2 + 1)
+    theta = (2 * np.pi / N) * ((K * ((-m) % N)) % N)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.empty_like(c.flat)
+    out[:N // 2 + 1] = cos_t * c.flat[:N // 2 + 1]
+    b0, b1 = _pairs(c.flat)
+    lo, hi = _pairs(out)
+    m_pairs = _pair_count(N)
+    cos_p, sin_p = cos_t[1:m_pairs + 1], sin_t[1:m_pairs + 1]
+    lo[:] = cos_p * b0 + sin_p * b1
+    hi[:] = cos_p * b1 - sin_p * b0
     return CoefficientSet(N=N, family=OCCPT, flat=out)
 
 
 def convolve_coefficients(a: CoefficientSet, b: CoefficientSet) -> CoefficientSet:
     """Coefficients of the circular convolution of the two underlying
-    signals; commutative in (a, b)."""
+    signals; commutative in (a, b).
+
+    Every slot pair multiplies as the complex numbers b0 - j*b1, scaled by
+    N; the degenerate slots 0 and N/2 multiply as reals."""
     if a.family != OCCPT or b.family != OCCPT:
         raise ValueError("convolve_coefficients requires orthogonal-family coefficients")
     if a.N != b.N:
         raise ValueError(f"size mismatch: {a.N} vs {b.N}")
     N = a.N
-    out = np.zeros(N, dtype=np.result_type(a.flat, b.flat))
-    for p in divisors(N):
-        for k in half_residues(p):
-            kc = (N * k // p) % N
-            if p <= 2:
-                out[kc] = N * a.flat[kc] * b.flat[kc]
-            else:
-                ks = N - kc
-                a0, a1 = a.flat[kc], a.flat[ks]
-                b0, b1 = b.flat[kc], b.flat[ks]
-                out[kc] = N * (a0 * b0 - a1 * b1)
-                out[ks] = N * (a1 * b0 + a0 * b1)
+    out = N * a.flat * b.flat
+    a0, a1 = _pairs(a.flat)
+    b0, b1 = _pairs(b.flat)
+    lo, hi = _pairs(out)
+    lo[:] = N * (a0 * b0 - a1 * b1)
+    hi[:] = N * (a1 * b0 + a0 * b1)
     return CoefficientSet(N=N, family=OCCPT, flat=out)
 
 
@@ -308,12 +329,8 @@ def parseval_energy(c: CoefficientSet) -> float:
         raise ValueError("parseval_energy requires orthogonal-family coefficients")
     N = c.N
     sq = np.abs(c.flat) ** 2
-    energy = N * sq[0]
-    rest = sq[1:]
-    if N % 2 == 0:
-        energy += N * sq[N // 2]
-        rest = np.concatenate([sq[1:N // 2], sq[N // 2 + 1:]])
-    return float(energy + 2 * N * np.sum(rest))
+    edges = sq[0] + (sq[N // 2] if N % 2 == 0 else 0.0)
+    return float(N * (2 * np.sum(sq) - edges))
 
 
 def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float = 1e-12) -> bool:
@@ -340,20 +357,55 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
     return True
 
 
-def _num(v):
-    if np.iscomplexobj(np.asarray(v)):
-        return {"re": float(np.real(v)), "im": float(np.imag(v))}
-    return float(v)
+def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float) -> CoefficientSet:
+    """Zero every component whose frequency k*fs/p lies outside [low, high]
+    and return the filtered coefficient set. DC survives only when the band
+    includes 0."""
+    if not 0.0 <= low_hz <= high_hz:
+        raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
+    if high_hz > fs / 2 + 1e-12:
+        raise ValueError(f"band edge {high_hz} Hz exceeds the Nyquist rate {fs / 2} Hz")
+    flat = np.array(coeffs.flat)
+    N = coeffs.N
+    if coeffs.family == OCCPT:
+        # cosine slot K of subspace (p, k) has K/N == k/p as rationals, so
+        # the correctly rounded quotients are the same float
+        f = np.arange(N // 2 + 1) / N * fs
+        keep = np.empty(N, dtype=bool)
+        keep[:N // 2 + 1] = (low_hz <= f) & (f <= high_hz)
+        lo, hi = _pairs(keep)
+        hi[:] = lo
+        flat[~keep] = 0.0
+    else:
+        for i, (col, _) in enumerate(coeffs.items()):
+            ratio = 0.0 if col.p == 1 else min(col.k, col.p - col.k) / col.p
+            if col.kind == RAM:
+                # Ramanujan columns mix every coprime frequency of p; keep the
+                # subspace when any of its lines falls in the band
+                ratios = [k / col.p for k in half_residues(col.p)] if col.p > 1 else [0.0]
+                keep = any(low_hz <= r * fs <= high_hz for r in ratios)
+            else:
+                keep = low_hz <= ratio * fs <= high_hz
+            if not keep:
+                flat[i] = 0.0
+    return CoefficientSet(N=N, family=coeffs.family, flat=flat)
+
+
+def _nums(values: np.ndarray) -> list:
+    if np.iscomplexobj(values):
+        return [{"re": re, "im": im} for re, im in zip(values.real.tolist(), values.imag.tolist())]
+    return values.astype(float).tolist()
 
 
 def coefficients_to_dict(c: CoefficientSet) -> dict:
     """JSON-ready view carrying both layouts."""
+    columns = column_layout(c.family, c.N).columns
     return {
         "N": c.N,
         "family": c.family,
-        "flat": [_num(v) for v in c.flat],
+        "flat": _nums(c.flat),
         "indexed": [
-            {"p": idx.p, "k": idx.k, "kind": idx.kind, "shift": idx.shift, "value": _num(v)}
-            for idx, v in c.items()
+            {"p": idx.p, "k": idx.k, "kind": idx.kind, "shift": idx.shift, "value": v}
+            for idx, v in zip(columns, _nums(c.column_values()))
         ],
     }

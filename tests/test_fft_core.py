@@ -1,0 +1,165 @@
+"""The packed real-FFT core of the orthogonal transform and dft-npm against
+the brute-force oracles, at sizes on both sides of the dense-matrix cap.
+
+Tolerances are absolute on the coefficient scale (1/N times the DFT), where
+every value here is O(1); DFT bins are compared after dividing by N.
+"""
+
+import numpy as np
+import pytest
+
+from ccpt.matrices import DFT_NPM, OCCPT, build_matrix, column_layout
+from ccpt.period import frequency_components, period_strengths
+from ccpt.transform import (CoefficientSet, analyze, band_filter,
+                            coefficients_to_dict, convolve_coefficients,
+                            dft_from_occpt, occpt_analysis, occpt_synthesis,
+                            parseval_energy, shift_coefficients, synthesize)
+
+from oracles import (brute_circular_convolution, brute_dft,
+                     direct_occpt_flat)
+
+SIZES = (1, 2, 3, 4, 5, 12, 54, 64, 625, 1025, 4096, 5000)
+TOL = 1e-12
+
+
+def _err(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - np.asarray(want)), initial=0.0))
+
+
+def _circular_convolution(a, b):
+    """Circular convolution by explicit summation; above 625 samples one
+    output sample per dot product, as brute_circular_convolution is a pure
+    Python double loop."""
+    N = len(a)
+    if N <= 625:
+        return brute_circular_convolution(a, b)
+    idx = np.arange(N)
+    return np.array([np.dot(a, b[(n - idx) % N]) for n in range(N)])
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_packed_core_against_oracles(N):
+    rng = np.random.default_rng(N)
+    x, y = rng.standard_normal(N), rng.standard_normal(N)
+    z = x + 1j * y
+
+    c = occpt_analysis(x)
+    assert _err(c.flat, direct_occpt_flat(x)) <= TOL
+    assert _err(occpt_synthesis(c), x) <= TOL
+
+    # complex input is transformed part by part
+    cz = occpt_analysis(z)
+    np.testing.assert_array_equal(cz.flat, c.flat + 1j * occpt_analysis(y).flat)
+    assert _err(occpt_synthesis(cz), z) <= TOL
+    # brute_dft evaluates N complex exponentials per bin; above 1025 samples
+    # the bridge is checked against numpy's FFT instead
+    if N <= 1025:
+        assert _err(dft_from_occpt(cz) / N, brute_dft(z) / N) <= TOL
+        assert _err(dft_from_occpt(c) / N, brute_dft(x) / N) <= TOL
+    else:
+        assert _err(dft_from_occpt(cz) / N, np.fft.fft(z) / N) <= TOL
+
+    for m in (1, -3, N + 5, -(2 * N + 1)):
+        want = np.roll(x, m)  # want[n] = x[(n - m) mod N]
+        assert _err(occpt_synthesis(shift_coefficients(c, m)), want) <= TOL
+        assert _err(occpt_synthesis(shift_coefficients(cz, m)), np.roll(z, m)) <= TOL
+        if N <= 64:
+            assert _err(shift_coefficients(c, m).flat, direct_occpt_flat(want)) <= TOL
+
+    conv = _circular_convolution(x, y)
+    cy = occpt_analysis(y)
+    scale = max(1.0, float(np.max(np.abs(conv))))
+    assert _err(occpt_synthesis(convolve_coefficients(c, cy)), conv) <= TOL * scale
+    if N <= 64:
+        assert _err(convolve_coefficients(c, cy).flat, direct_occpt_flat(conv)) <= TOL * scale
+        w = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        cc = _circular_convolution
+        want = (cc(z.real, w.real) - cc(z.imag, w.imag)
+                + 1j * (cc(z.real, w.imag) + cc(z.imag, w.real)))
+        got = occpt_synthesis(convolve_coefficients(cz, occpt_analysis(w)))
+        assert _err(got, want) <= TOL * max(1.0, float(np.max(np.abs(want))))
+
+    energy = float(np.dot(x, x))
+    assert abs(parseval_energy(c) - energy) <= TOL * max(1.0, energy)
+    energy_z = float(np.sum(np.abs(z) ** 2))
+    assert abs(parseval_energy(cz) - energy_z) <= TOL * max(1.0, energy_z)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_canonical_column_order_matches_slot_addresses(N):
+    c = occpt_analysis(np.random.default_rng(N + 1).standard_normal(N))
+    columns = column_layout(OCCPT, N).columns
+    slots = [c.flat_index(col.p, col.k, col.kind) for col in columns]
+    assert sorted(slots) == list(range(N))
+    np.testing.assert_array_equal(c.column_values(), c.flat[slots])
+    p, k, b0, b1 = c.pairs()
+    cos_cols = [col for col in columns if col.kind == "cos"]
+    assert [(col.p, col.k) for col in cos_cols] == list(zip(p.tolist(), k.tolist()))
+    for col, v0, v1 in zip(cos_cols, b0, b1):
+        assert (v0, v1) == c.pair(col.p, col.k)
+
+
+def test_random_slots_at_65536_by_direct_summation():
+    N = 2 ** 16
+    rng = np.random.default_rng(65536)
+    x = rng.standard_normal(N)
+    c = occpt_analysis(x)
+    n = np.arange(N, dtype=np.int64)
+    for K in rng.choice(N, size=64, replace=False):
+        angle = (2 * np.pi / N) * ((int(K) * n) % N)
+        want = np.dot(x, np.cos(angle)) / N if K <= N // 2 else -np.dot(x, np.sin(angle)) / N
+        assert abs(c.flat[K] - want) <= TOL
+    assert _err(occpt_synthesis(c), x) <= TOL
+
+
+@pytest.mark.parametrize("N, P", [(5000, 40), (2 ** 16, 64)])
+def test_record_pipeline_beyond_the_dense_cap(N, P):
+    """Every call of the divisor-period record pipeline runs past the 4096
+    cap of the dense builders."""
+    rng = np.random.default_rng(N)
+    n = np.arange(N)
+    tone = np.cos(2 * np.pi * n / P + 0.3)
+    x = tone + 0.1 * rng.standard_normal(N)
+    c = occpt_analysis(x)
+    assert period_strengths(c).estimated_period == P
+    comps = frequency_components(c, fs=1.0)
+    top = max(comps, key=lambda comp: comp.magnitude)
+    assert (top.p, top.k) == (P, 1)
+    assert top.phase == pytest.approx(0.3, abs=0.05)
+    X = dft_from_occpt(c)
+    assert _err(X / N, np.fft.fft(x) / N) <= TOL
+    assert _err(occpt_synthesis(shift_coefficients(c, 17)), np.roll(x, 17)) <= TOL
+    assert parseval_energy(c) == pytest.approx(float(np.dot(x, x)), rel=TOL)
+    kept = occpt_synthesis(band_filter(c, 1.0, 0.9 / P, 1.1 / P))
+    assert _err(kept, tone) <= 0.05
+    if N == 5000:
+        d = coefficients_to_dict(c)
+        assert len(d["indexed"]) == N
+        assert [e["value"] for e in d["indexed"]] == c.column_values().tolist()
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 6, 12, 54, 64, 360))
+def test_dft_npm_fft_path_matches_dense_solve(N):
+    rng = np.random.default_rng(N)
+    F = build_matrix(DFT_NPM, N).entries
+    for x in (rng.standard_normal(N), rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+        c = analyze(x, DFT_NPM)
+        assert _err(c.flat, np.linalg.solve(F, x)) <= TOL
+        assert _err(synthesize(c), F @ c.flat) <= TOL * N
+    # a unit coefficient on any column synthesizes that column
+    j = int(rng.integers(N))
+    e = np.zeros(N, dtype=complex)
+    e[j] = 1.0
+    assert _err(synthesize(CoefficientSet(N=N, family=DFT_NPM, flat=e)), F[:, j]) <= TOL * N
+
+
+def test_band_filter_occpt_mask_shares_pairs():
+    """Each sine slot follows its cosine slot, and the mask equals the band
+    test on k*fs/p per subspace."""
+    N, fs = 60, 360.0
+    c = occpt_analysis(np.random.default_rng(60).standard_normal(N))
+    out = band_filter(c, fs, 30.0, 120.0)
+    for col in column_layout(OCCPT, N).columns:
+        f = (0.0 if col.p == 1 else col.k / col.p) * fs
+        want = c.value(col.p, col.k, col.kind) if 30.0 <= f <= 120.0 else 0.0
+        assert out.value(col.p, col.k, col.kind) == want
