@@ -13,7 +13,7 @@ from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                        matrix_metadata, subspace_block, validate_npm)
 from .numtheory import divisors, gcd, lcm_list, residue_sets, totient
 from .period import (FAREY, CandidateReport, DictionarySolution,
-                     FrequencyComponent, PeriodicDictionary, PeriodReport,
+                     FrequencyComponent, GramFactor, PeriodicDictionary, PeriodReport,
                      build_dictionary, candidate_matrix_solve,
                      dictionary_solve, frequency_components, min_data_length,
                      period_strengths)

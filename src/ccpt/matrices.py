@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ccps import COS, SIN, ccps1, ccps2, pair_scale, ramanujan_sum
+from .ccps import COS, SIN, pair_scale, ramanujan_sum
 from .numtheory import divisors, half_residues, residue_sets, totient
 
 DFT_NPM = "dft-npm"
@@ -61,12 +61,6 @@ class SubspaceIndex:
     shift: int = 0
 
 
-def _tiled(pattern: np.ndarray, length: int, shift: int) -> np.ndarray:
-    p = len(pattern)
-    idx = (np.arange(length) - shift) % p
-    return pattern[idx]
-
-
 def _block_columns(family: str, p: int) -> list[SubspaceIndex]:
     """Column addresses of the period-p block in canonical order."""
     if family == DFT_NPM:
@@ -95,16 +89,23 @@ def subspace_block(family: str, p: int, length: int):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     meta = _block_columns(family, p)
+    # sample n of a column downshifted by `shift` is its pattern at (n - shift) mod p
+    m = (np.arange(length)[:, None] - np.array([c.shift for c in meta])) % p
+    if family == RPT:
+        return ramanujan_sum(p)[m], meta
+    k = np.array([c.k for c in meta])
+    i = np.arange(p)[:, None]
     if family == DFT_NPM:
-        n = np.arange(length)
-        cols = [np.exp(2j * np.pi * c.k * (n % p) / p) for c in meta]
-    elif family == RPT:
-        pattern = ramanujan_sum(p)
-        cols = [_tiled(pattern, length, c.shift) for c in meta]
+        patterns = np.exp(2j * np.pi * k * i / p)
+    elif p <= 2:
+        # both pair sums collapse to the constant (p = 1) and (-1)^n (p = 2)
+        return np.where(m == 0, 1.0, -1.0), meta
     else:
-        gen = {COS: ccps1, SIN: ccps2}
-        cols = [_tiled(gen[c.kind](p, c.k), length, c.shift) for c in meta]
-    return np.column_stack(cols), meta
+        # k*i reduced mod p before scaling, as in the pair-sum generators
+        angles = (2.0 * np.pi / p) * ((k * i) % p)
+        is_sin = np.array([c.kind == SIN for c in meta])
+        patterns = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
+    return patterns[m, np.arange(len(meta))], meta
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,17 @@ estimate is their least common multiple.
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max. The representation x = F b is resolved by the
 weighted minimum-norm program min ||T b|| s.t. x = F b, whose closed form
-is b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column. The Gram
-matrix is factorized once per dictionary and reused across solves.
+is b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
+
+Each dictionary is factored once, by an economic QR of A^H = (F T^-1)^H =
+Q R. Then R^H R = F T^-2 F^H, so R is the Cholesky factor of the Gram and
+the Gram is never formed; a solve is one triangular solve and one product,
+b = T^-1 Q R^-H x. A dictionary without full row rank (numerically, by the
+cutoff eps * max(M, N) * sigma_max that least squares uses; always when it
+has fewer columns M than samples N) takes the least-squares branch instead:
+b = T^-1 Q pinv(R^H) x with a truncated pseudo-inverse computed once from
+the same QR, the minimum-norm least-squares solution. The cached Q costs
+one more N x M array per dictionary.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import pinv, qr, solve_triangular, svdvals
 
 from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, SubspaceIndex,
@@ -30,11 +39,9 @@ from .transform import CoefficientSet
 
 FAREY = "farey"
 
-GRAM_CONDITION_LIMIT = 1e12
-
 __all__ = [
-    "PeriodReport", "FrequencyComponent", "PeriodicDictionary", "DictionarySolution",
-    "CandidateReport", "FAREY",
+    "PeriodReport", "FrequencyComponent", "PeriodicDictionary", "GramFactor",
+    "DictionarySolution", "CandidateReport", "FAREY",
     "period_strengths", "frequency_components", "build_dictionary",
     "dictionary_solve", "min_data_length", "candidate_matrix_solve",
 ]
@@ -149,6 +156,29 @@ def _penalty_fn(penalty):
     raise ValueError(f"penalty must be 'p2', 'phi' or a callable, got {penalty!r}")
 
 
+@dataclass(frozen=True)
+class GramFactor:
+    """Economic QR of (F T^-1)^H = Q R for a dictionary with M columns and
+    N rows: Q is M x K with orthonormal columns and R is K x N upper
+    triangular (Fortran order, so triangular solves use it in place), with
+    K = min(M, N). R^H R is the Gram F T^-2 F^H."""
+
+    Q: np.ndarray
+    R: np.ndarray
+    singular_values: np.ndarray     # of R, descending
+    rank: int
+    pinv: np.ndarray | None         # truncated pinv(R^H) without full row rank
+
+    @property
+    def condition(self) -> float:
+        """2-norm condition of the Gram, (sigma_max / sigma_min)^2 of R;
+        infinite when the Gram is singular."""
+        s = self.singular_values
+        if len(s) < self.R.shape[1] or s[-1] == 0.0:
+            return float("inf")
+        return float((s[0] / s[-1]) ** 2)
+
+
 @dataclass
 class PeriodicDictionary:
     """Fat dictionary of subspace bases for periods 1..p_max, tiled to N."""
@@ -160,23 +190,29 @@ class PeriodicDictionary:
     entries: np.ndarray
     columns: tuple[SubspaceIndex, ...]
     penalties: np.ndarray
-    _gram: tuple | None = field(default=None, repr=False)
-    _gram_cond: float | None = field(default=None, repr=False)
+    periods: np.ndarray             # period of each column
+    _factor: GramFactor | None = field(default=None, repr=False)
 
     @property
     def n_columns(self) -> int:
         return self.entries.shape[1]
 
-    def gram(self):
-        """Cholesky factorization of F T^-2 F^H and its condition number,
-        built once and cached."""
-        if self._gram_cond is None:
-            w = 1.0 / self.penalties ** 2
-            G = (self.entries * w) @ self.entries.conj().T
-            self._gram_cond = float(np.linalg.cond(G))
-            if self._gram_cond <= GRAM_CONDITION_LIMIT:
-                self._gram = cho_factor(G)
-        return self._gram, self._gram_cond
+    def gram(self) -> GramFactor:
+        """QR factorization of the penalty-scaled dictionary, built once and
+        cached; see the module docstring."""
+        if self._factor is None:
+            # (F T^-1)^H comes out Fortran-ordered, so QR overwrites it in place
+            Q, R = qr(self.entries.conj().T / self.penalties[:, None], mode="economic",
+                      overwrite_a=True)
+            R = np.asfortranarray(R)
+            s = svdvals(R, check_finite=False)
+            cutoff = np.finfo(float).eps * max(self.n_columns, self.N) * s[0]
+            rank = int(np.count_nonzero(s > cutoff))
+            P = None
+            if rank < self.N:
+                P = pinv(R.conj().T, atol=cutoff, rtol=0.0, check_finite=False)
+            self._factor = GramFactor(Q=Q, R=R, singular_values=s, rank=rank, pinv=P)
+        return self._factor
 
 
 def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> PeriodicDictionary:
@@ -203,7 +239,7 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
         pens.extend([float(fn(p))] * block.shape[1])
     return PeriodicDictionary(N=N, p_max=p_max, family=family, penalty_name=name,
                               entries=np.hstack(blocks), columns=tuple(meta),
-                              penalties=np.array(pens))
+                              penalties=np.array(pens), periods=np.array([c.p for c in meta]))
 
 
 @dataclass(frozen=True)
@@ -211,8 +247,8 @@ class DictionarySolution:
     b_hat: np.ndarray
     strengths: dict
     residual: float
-    gram_condition: float
-    used_fallback: bool
+    gram_condition: float       # GramFactor.condition; infinite for a singular Gram
+    used_fallback: bool         # the least-squares branch ran (no full row rank)
     dictionary: PeriodicDictionary
 
     def significant_periods(self, rel_threshold: float = 0.01) -> tuple[int, ...]:
@@ -268,7 +304,8 @@ class DictionarySolution:
             "significant": list(self.significant_periods()),
             "estimated_period": self.estimated_period(),
             "residual": self.residual,
-            "gram_condition": self.gram_condition,
+            # JSON has no infinity: a singular Gram reports null
+            "gram_condition": self.gram_condition if np.isfinite(self.gram_condition) else None,
             "used_fallback": self.used_fallback,
         }
 
@@ -279,30 +316,31 @@ class DictionarySolution:
 def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     """Weighted minimum-norm coefficients of x against the dictionary.
 
-    Uses the cached Cholesky factorization of the Gram matrix; if its
-    condition exceeds 1e12 the solve falls back to a minimum-norm least
-    squares on the penalty-substituted system (u = T b).
+    Uses the dictionary's cached QR factorization (`PeriodicDictionary.gram`):
+    one triangular solve when the dictionary has full row rank, otherwise the
+    minimum-norm least-squares solution through the cached truncated
+    pseudo-inverse (`used_fallback`). x must be a finite 1-D signal of the
+    dictionary's length.
     """
     x = samples_of(x)
+    if x.ndim != 1:
+        raise ValueError(f"dictionary_solve needs a 1-D signal, got shape {x.shape}")
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
-    factor, cond = d.gram()
-    w = 1.0 / d.penalties ** 2
-    if factor is not None:
-        y = cho_solve(factor, x.astype(d.entries.dtype if np.iscomplexobj(d.entries) else float))
-        b = w * (d.entries.conj().T @ y)
-        fallback = False
+    if not np.all(np.isfinite(x)):
+        raise ValueError("dictionary_solve needs finite samples; the signal has NaN or inf")
+    f = d.gram()
+    if f.pinv is None:
+        u = f.Q @ solve_triangular(f.R, x, trans=2, check_finite=False)
     else:
-        scaled = d.entries / d.penalties
-        u, *_ = np.linalg.lstsq(scaled, x, rcond=None)
-        b = u / d.penalties
-        fallback = True
-    strengths: dict[int, float] = {}
-    for idx, v in zip(d.columns, b):
-        strengths[idx.p] = strengths.get(idx.p, 0.0) + float(np.abs(v) ** 2)
+        u = f.Q @ (f.pinv @ x)
+    b = u / d.penalties
+    sums = np.bincount(d.periods, weights=np.abs(b) ** 2, minlength=d.p_max + 1)
+    strengths = {p: float(sums[p]) for p in range(1, d.p_max + 1)}
     residual = float(np.linalg.norm(d.entries @ b - x))
     return DictionarySolution(b_hat=b, strengths=strengths, residual=residual,
-                              gram_condition=cond, used_fallback=fallback, dictionary=d)
+                              gram_condition=f.condition, used_fallback=f.pinv is not None,
+                              dictionary=d)
 
 
 def min_data_length(candidates) -> int:

@@ -94,6 +94,31 @@ def test_periods_fixture_x2_matrix_vs_dictionary(tmp_path):
     assert payload["method"] == "dictionary"
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_periods_dictionary_singular_gram(tmp_path):
+    # P_max 5 gives 10 columns for 54 samples: the Gram is singular, the
+    # least-squares branch runs and the condition is reported as null
+    path = _write(tmp_path, "x2.csv", make_x2().samples)
+    out = tmp_path / "d.json"
+    assert main(["periods", "--input", path, "--method", "dictionary",
+                 "--pmax", "5", "--out", str(out)]) == EXIT_OK
+    payload = _strict_json(out.read_text())
+    assert payload["used_fallback"] is True
+    assert payload["gram_condition"] is None
+    assert sorted(payload["strengths"]) == ["1", "2", "3", "4", "5"]
+
+    assert main(["periods", "--input", path, "--method", "dictionary",
+                 "--pmax", "50", "--out", str(out)]) == EXIT_OK
+    payload = _strict_json(out.read_text())
+    assert payload["used_fallback"] is False
+    assert 1.0 <= payload["gram_condition"] < 1e12
+
+
 def test_periods_constant_input(tmp_path):
     path = _write(tmp_path, "c.csv", np.ones(12))
     out = tmp_path / "r.json"

@@ -1,0 +1,129 @@
+"""The dictionary solve through the cached QR factorization, against an
+lstsq oracle on a dictionary built from the column definitions."""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+import ccpt.period as period
+from ccpt.period import build_dictionary, dictionary_solve
+from ccpt.signals import hidden_periodic_component
+
+from oracles import dictionary_oracle, weighted_min_norm
+
+
+def _mixture(N, seed):
+    """Two hidden periods, 5 and 8 (lcm 40), plus white noise."""
+    rng = np.random.default_rng(seed)
+    return (hidden_periodic_component(5, N, seed) + hidden_periodic_component(8, N, seed + 1)
+            + 0.3 * rng.standard_normal(N))
+
+
+def _oracle_solution(d, x):
+    F, periods = dictionary_oracle(d.family, d.N, d.p_max)
+    b = weighted_min_norm(F, d.penalties, x)
+    sums = np.bincount(periods, weights=np.abs(b) ** 2, minlength=d.p_max + 1)
+    return F, b, {p: float(sums[p]) for p in range(1, d.p_max + 1)}
+
+
+def _rel(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("family", ["occpt", "ccpt1", "ccpt2", "rpt", "farey"])
+@pytest.mark.parametrize("N,p_max", [(54, 50), (7, 9), (1, 3)])
+def test_dictionary_entries_match_definitions(family, N, p_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p_max beyond N warns
+        d = build_dictionary(N, p_max, family=family)
+    F, periods = dictionary_oracle(family, N, p_max)
+    np.testing.assert_allclose(d.entries, F, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(d.periods, periods)
+
+
+@pytest.mark.parametrize("family,N,p_max", [("occpt", 512, 64), ("farey", 360, 48)])
+def test_ill_conditioned_dictionary_matches_oracle(family, N, p_max):
+    d = build_dictionary(N, p_max, family=family)
+    x = _mixture(N, 7)
+    sol = dictionary_solve(x, d)
+    F, b, strengths = _oracle_solution(d, x)
+    # the Gram condition is far past what a Cholesky of the formed Gram survives
+    assert sol.gram_condition > 1e20 and np.isfinite(sol.gram_condition)
+    assert not sol.used_fallback
+    assert _rel(sol.b_hat, b) <= 1e-4
+    assert sol.residual <= 1e-6 * np.linalg.norm(x)
+    assert np.linalg.norm(F @ sol.b_hat - x) <= 1e-6 * np.linalg.norm(x)
+    assert sol.strengths.keys() == strengths.keys()
+    peak = max(strengths.values())
+    assert max(abs(sol.strengths[p] - s) for p, s in strengths.items()) <= 1e-4 * peak
+    ranked = sorted((p for p in strengths if p >= 2), key=lambda p: -strengths[p])
+    assert sol.top_periods(2) == tuple(sorted(ranked[:2]))
+
+
+@pytest.mark.parametrize("family,N,p_max,full_rank", [
+    ("occpt", 54, 50, True), ("rpt", 54, 50, True), ("farey", 24, 10, True),
+    ("occpt", 54, 5, False), ("occpt", 100, 12, False), ("farey", 60, 7, False)])
+def test_dictionary_solve_matches_oracle(family, N, p_max, full_rank):
+    d = build_dictionary(N, p_max, family=family)
+    x = _mixture(N, 3)
+    sol = dictionary_solve(x, d)
+    F, b, strengths = _oracle_solution(d, x)
+    assert _rel(sol.b_hat, b) <= 1e-10
+    assert sol.used_fallback is not full_rank
+    assert bool(np.isfinite(sol.gram_condition)) == full_rank
+    assert sol.residual == pytest.approx(np.linalg.norm(F @ b - x), rel=1e-8, abs=1e-12)
+    for p, s in strengths.items():
+        assert sol.strengths[p] == pytest.approx(s, rel=1e-9, abs=1e-12 * max(strengths.values()))
+
+
+def test_fat_rank_deficient_dictionary_takes_least_squares_branch():
+    # every row twice: 46 columns, 24 rows, rank 12
+    d = build_dictionary(12, 12, family="occpt")
+    d = dataclasses.replace(d, N=24, entries=np.vstack([d.entries, d.entries]))
+    x = np.random.default_rng(5).standard_normal(24)
+    sol = dictionary_solve(x, d)
+    assert d.gram().rank == 12
+    assert sol.used_fallback
+    assert _rel(sol.b_hat, weighted_min_norm(d.entries, d.penalties, x)) <= 1e-10
+
+
+def test_r_is_the_cholesky_factor_of_the_gram():
+    d = build_dictionary(54, 50, family="occpt")
+    f = d.gram()
+    gram = (d.entries / d.penalties ** 2) @ d.entries.T
+    np.testing.assert_allclose(f.R.T @ f.R, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
+    np.testing.assert_allclose(f.Q.T @ f.Q, np.eye(54), atol=1e-12)
+    assert f.R.flags.f_contiguous
+    assert f.rank == 54 and f.pinv is None
+
+
+def test_repeated_solves_factor_once(monkeypatch):
+    calls = []
+    real_qr = period.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(period, "qr", counting_qr)
+    d = build_dictionary(54, 50, family="occpt")
+    first = d.gram()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        dictionary_solve(rng.standard_normal(54), d)
+    assert d.gram() is first
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p_max", [50, 5])
+@pytest.mark.parametrize("bad,match", [
+    (np.full(54, np.nan), "finite"),
+    (np.where(np.arange(54) == 3, np.inf, 1.0), "finite"),
+    (np.ones((54, 1)), "1-D"),
+])
+def test_dictionary_solve_rejects_bad_input(p_max, bad, match):
+    d = build_dictionary(54, p_max, family="occpt")
+    with pytest.raises(ValueError, match=match):
+        dictionary_solve(bad, d)
