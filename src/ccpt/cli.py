@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from . import period as periodmod
 from . import signals as sig
 from . import transform as tr
 from .foccpt import complexity_table, foccpt, predicted_counts
-from .matrices import FAMILIES, OCCPT
+from .matrices import FAMILIES, OCCPT, column_layout
 from .transform import band_filter
 
 __all__ = ["main"]
@@ -34,8 +36,8 @@ EXIT_NUMERIC = 3
 
 
 class CsvParseError(Exception):
-    def __init__(self, path, line_no, text):
-        super().__init__(f"{path}:{line_no}: cannot parse sample value {text!r}")
+    def __init__(self, path, line_no, text, reason="cannot parse sample value"):
+        super().__init__(f"{path}:{line_no}: {reason} {text!r}")
         self.line_no = line_no
 
 
@@ -56,28 +58,78 @@ def read_signal_csv(path) -> np.ndarray:
             if line_no == 1 and text.lower() == "value":
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise CsvParseError(path, line_no, text) from None
+            # float() also accepts nan, inf and overflowing literals like 1e999
+            if not math.isfinite(value):
+                raise CsvParseError(path, line_no, text, "non-finite sample value")
+            values.append(value)
     if not values:
         raise CsvParseError(path, 1, "<empty file>")
     return np.array(values)
 
 
 def write_signal_csv(path, samples) -> None:
+    values = np.asarray(samples, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write("value\n")
-        for v in np.asarray(samples):
-            fh.write(format(float(v), ".12g") + "\n")
+        fh.write("value\n" + "".join([format(v, ".12g") + "\n" for v in values]))
 
 
-def _dump_json(obj, path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats_json(values: np.ndarray) -> list[str]:
+    """json.dumps's spelling of each float of a real array."""
+    out = list(map(float.__repr__, values.tolist()))
+    if not np.all(np.isfinite(values)):
+        out = [_NONFINITE_JSON.get(v, v) for v in out]
+    return out
+
+
+# complex entries as json.dumps indents them in the flat list and in a row
+_COMPLEX_FLAT = '{\n      "im": %s,\n      "re": %s\n    }'
+_COMPLEX_ROW = '{\n        "im": %s,\n        "re": %s\n      }'
+
+
+def _numbers_json(c: tr.CoefficientSet) -> tuple[list[str], list[str]]:
+    """json.dumps's text of each entry of `_nums(c.flat)` and of
+    `_nums(c.column_values())`, spelling each float once."""
+    order = c.column_order().tolist()
+    if not c.is_complex:
+        flat = _floats_json(c.flat.astype(float))
+        return flat, [flat[i] for i in order]
+    pairs = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
+    return [_COMPLEX_FLAT % v for v in pairs], [_COMPLEX_ROW % pairs[i] for i in order]
+
+
+# column kinds are plain identifiers, so "%s" spells them as json.dumps does
+_INDEXED_ROW = ('    {\n      "k": %d,\n      "kind": "%s",\n      "p": %d,\n'
+                '      "shift": %d,\n      "value": %s\n    }')
+
+
+def _coefficients_json(c: tr.CoefficientSet) -> str:
+    """The text of json.dumps(coefficients_to_dict(c), sort_keys=True,
+    indent=2), built from the arrays without the pure-Python encoder that
+    json.dumps falls back to whenever it indents."""
+    flat, values = _numbers_json(c)
+    flat = ",\n    ".join(flat)
+    rows = ",\n".join([_INDEXED_ROW % (col.k, col.kind, col.p, col.shift, v)
+                       for col, v in zip(column_layout(c.family, c.N).columns, values)])
+    return (f'{{\n  "N": {c.N:d},\n  "family": {json.dumps(c.family)},\n'
+            f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
+
+
+def _emit(text, path) -> None:
     if path is None:
         print(text)
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+
+
+def _dump_json(obj, path) -> None:
+    _emit(json.dumps(obj, sort_keys=True, indent=2), path)
 
 
 def _write_strength_csv(rows, path) -> None:
@@ -97,7 +149,7 @@ def cmd_transform(args) -> int:
         coeffs, _ = foccpt(x)
     else:
         coeffs = tr.analyze(x, args.family)
-    _dump_json(tr.coefficients_to_dict(coeffs), args.out)
+    _emit(_coefficients_json(coeffs), args.out)
     return EXIT_OK
 
 
@@ -218,9 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CsvParseError as exc:

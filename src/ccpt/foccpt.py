@@ -1,6 +1,11 @@
 """Radix-2 decimation-in-time fast transform with exact operation counters.
 
 The input is permuted to bit-reversed order and combined stage by stage.
+One stage is one pass of array operations over all of its blocks: each
+butterfly kind (the K = 0 and K = M/4 edges, the 1 <= K < M/4 interior)
+runs for every block at once, with the scalar equations' operations in the
+same order, so the output is bit-identical to one butterfly at a time. The
+counters add the size of every array multiplied or added.
 A size-M block is kept packed the same way the flat coefficient layout
 works: slot K holds the cosine accumulator X(K) for 0 <= K <= M/2 and slot
 M-K holds the sine accumulator Y(K) for 1 <= K <= M/2-1 (all scaled by M
@@ -49,66 +54,78 @@ def _twiddles(M: int):
 
 
 @lru_cache(maxsize=16)
-def _bit_reversed(N: int) -> tuple[int, ...]:
+def _bit_reversed(N: int) -> np.ndarray:
+    """Bit-reversal permutation of 0..N-1 for N = 2^v (read-only)."""
     v = N.bit_length() - 1
-    return tuple(int(format(i, f"0{v}b")[::-1], 2) for i in range(N)) if v else (0,)
+    i = np.arange(N)
+    out = np.zeros(N, dtype=np.intp)
+    for b in range(v):
+        out |= ((i >> b) & 1) << (v - 1 - b)
+    out.setflags(write=False)
+    return out
 
 
-def _combine(buf: np.ndarray, base: int, M: int, ctr: OpCounter) -> None:
+def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:
+    """Combine every pair of adjacent size-M/2 blocks of buf into a size-M
+    block, in place: one array operation per butterfly kind, over all
+    blocks of the stage at once."""
+    B = buf.reshape(-1, M)
     L = M // 2
-    h = base
-    g = base + L
+    h = B[:, :L]
+    g = B[:, L:]
     if M == 2:
-        t = 1.0 * buf[g]
-        ctr.real_mults += 1
-        a = buf[h]
-        buf[h] = a + t
-        buf[g] = a - t
-        ctr.real_adds += 2
+        t = 1.0 * g[:, 0]
+        ctr.real_mults += t.size
+        a = h[:, 0].copy()
+        B[:, 0] = a + t
+        B[:, 1] = a - t
+        ctr.real_adds += 2 * t.size
         return
     Q = M // 4
     cosv, sinv = _twiddles(M)
-    out = np.empty(M)
+    c, s = cosv[1:Q], sinv[1:Q]
+    # K runs 1..Q-1 along the columns; the mirrored index L-K runs downwards
+    hK, hLK = h[:, 1:Q], h[:, L - 1:L - Q:-1]
+    gK, gLK = g[:, 1:Q], g[:, L - 1:L - Q:-1]
+    out = np.empty_like(B)
     # cosine side, K = 0: twiddle cos(0) = 1
-    t = cosv[0] * buf[g]
-    ctr.real_mults += 1
-    out[0] = buf[h] + t
-    out[L] = buf[h] - t
-    ctr.real_adds += 2
+    t = cosv[0] * g[:, 0]
+    ctr.real_mults += t.size
+    out[:, 0] = h[:, 0] + t
+    out[:, L] = h[:, 0] - t
+    ctr.real_adds += 2 * t.size
     # cosine side, 1 <= K <= Q-1
-    for K in range(1, Q):
-        t1 = cosv[K] * buf[g + K]
-        t2 = sinv[K] * buf[g + L - K]
-        ctr.real_mults += 2
-        out[K] = buf[h + K] + t1 - t2
-        out[L - K] = buf[h + K] - t1 + t2
-        ctr.real_adds += 4
+    t1 = c * gK
+    t2 = s * gLK
+    ctr.real_mults += t1.size + t2.size
+    out[:, 1:Q] = hK + t1 - t2
+    out[:, L - 1:L - Q:-1] = hK - t1 + t2
+    ctr.real_adds += 4 * t1.size
     # cosine side, K = Q: twiddle cos(pi/2) = 0
-    t = cosv[Q] * buf[g + Q]
-    ctr.real_mults += 1
-    out[Q] = buf[h + Q] + t
-    ctr.real_adds += 1
+    t = cosv[Q] * g[:, Q]
+    ctr.real_mults += t.size
+    out[:, Q] = h[:, Q] + t
+    ctr.real_adds += t.size
     # sine side, 1 <= K <= Q-1
-    for K in range(1, Q):
-        u1 = cosv[K] * buf[g + L - K]
-        u2 = sinv[K] * buf[g + K]
-        ctr.real_mults += 2
-        out[M - K] = buf[h + L - K] + u1 + u2
-        out[L + K] = -buf[h + L - K] + u1 + u2
-        ctr.real_adds += 4
+    u1 = c * gLK
+    u2 = s * gK
+    ctr.real_mults += u1.size + u2.size
+    out[:, M - 1:M - Q:-1] = hLK + u1 + u2
+    out[:, L + 1:L + Q] = -hLK + u1 + u2
+    ctr.real_adds += 4 * u1.size
     # sine side, K = Q: twiddle sin(pi/2) = 1
-    out[M - Q] = sinv[Q] * buf[g + Q]
-    ctr.real_mults += 1
-    buf[base:base + M] = out
+    t = sinv[Q] * g[:, Q]
+    ctr.real_mults += t.size
+    out[:, M - Q] = t
+    B[:] = out
 
 
 def _foccpt_real(x: np.ndarray, ctr: OpCounter) -> np.ndarray:
     N = len(x)
-    buf = x[list(_bit_reversed(N))].astype(float)
+    buf = np.asarray(x, dtype=float)[_bit_reversed(N)]
     M = 2
     while M <= N:
-        for base in range(0, N, M):
-            _combine(buf, base, M, ctr)
+        _combine(buf, M, ctr)
         M *= 2
     return buf / N
 
@@ -119,18 +136,22 @@ def foccpt(x):
     Returns (coefficients, counter); the coefficients equal occpt_analysis
     bit for bit up to rounding, the counter holds the exact butterfly
     arithmetic (final 1/N scaling and twiddle tables excluded). Complex
-    input runs two real passes on one shared counter.
+    input runs two real passes on one shared counter. x must be a finite
+    1-D signal.
     """
     x = samples_of(x)
+    if x.ndim != 1:
+        raise ValueError(f"fast transform needs a 1-D signal, got shape {x.shape}")
     N = len(x)
     if N < 2 or not _is_pow2(N):
         raise ValueError(f"fast transform requires a power-of-two length >= 2, got {N}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("fast transform needs finite samples; the signal has NaN or inf")
     ctr = OpCounter()
     if np.iscomplexobj(x):
-        flat = _foccpt_real(np.ascontiguousarray(x.real), ctr) \
-            + 1j * _foccpt_real(np.ascontiguousarray(x.imag), ctr)
+        flat = _foccpt_real(x.real, ctr) + 1j * _foccpt_real(x.imag, ctr)
     else:
-        flat = _foccpt_real(x.astype(float), ctr)
+        flat = _foccpt_real(x, ctr)
     return CoefficientSet(N=N, family=OCCPT, flat=flat), ctr
 
 

@@ -147,11 +147,15 @@ class CoefficientSet:
         """(column address, coefficient) pairs in canonical column order."""
         return list(zip(column_layout(self.family, self.N).columns, self.column_values()))
 
+    def column_order(self) -> np.ndarray:
+        """Flat index of each coefficient in matrix column order."""
+        if self.family == OCCPT:
+            return _bin_order(self.N).occpt_order
+        return np.arange(self.N)
+
     def column_values(self) -> np.ndarray:
         """Coefficients rearranged into matrix column order."""
-        if self.family == OCCPT:
-            return self.flat[_bin_order(self.N).occpt_order]
-        return np.array(self.flat)
+        return self.flat[self.column_order()]
 
 
 def _forward_real(x: np.ndarray) -> np.ndarray:

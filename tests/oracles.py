@@ -1,12 +1,15 @@
 """Independent brute-force oracles shared across the test suite.
 
 Everything here is written from definitions (explicit summation), not by
-calling the library's own transform paths.
+calling the library's own transform paths. `butterfly_foccpt` is the one
+loop reference: the fast transform one butterfly at a time.
 """
 
 from math import gcd
 
 import numpy as np
+
+from ccpt.foccpt import OpCounter
 
 
 def brute_dft(x):
@@ -99,3 +102,78 @@ def weighted_min_norm(F, penalties, x):
     T = diag(penalties): numpy's lstsq on F T^-1."""
     u, *_ = np.linalg.lstsq(F / penalties, x, rcond=None)
     return u / penalties
+
+
+def butterfly_foccpt(x):
+    """(flat, OpCounter) of the radix-2 fast transform, one butterfly at a
+    time: the per-block, per-K loop the stage-vectorised `foccpt` must
+    reproduce bit for bit, counters included."""
+    x = np.asarray(x)
+    ctr = OpCounter()
+    if np.iscomplexobj(x):
+        flat = _butterfly_real(x.real, ctr) + 1j * _butterfly_real(x.imag, ctr)
+    else:
+        flat = _butterfly_real(x, ctr)
+    return flat, ctr
+
+
+def _butterfly_real(x, ctr):
+    N = len(x)
+    v = N.bit_length() - 1
+    order = [int(format(i, f"0{v}b")[::-1], 2) for i in range(N)] if v else [0]
+    buf = np.asarray(x, dtype=float)[order]
+    M = 2
+    while M <= N:
+        for base in range(0, N, M):
+            _butterfly_block(buf, base, M, ctr)
+        M *= 2
+    return buf / N
+
+
+def _butterfly_block(buf, base, M, ctr):
+    L = M // 2
+    h = base
+    g = base + L
+    if M == 2:
+        t = 1.0 * buf[g]
+        ctr.real_mults += 1
+        a = buf[h]
+        buf[h] = a + t
+        buf[g] = a - t
+        ctr.real_adds += 2
+        return
+    Q = M // 4
+    K = np.arange(Q + 1)
+    cosv, sinv = np.cos(2 * np.pi * K / M), np.sin(2 * np.pi * K / M)
+    out = np.empty(M)
+    # cosine side, K = 0: twiddle cos(0) = 1
+    t = cosv[0] * buf[g]
+    ctr.real_mults += 1
+    out[0] = buf[h] + t
+    out[L] = buf[h] - t
+    ctr.real_adds += 2
+    # cosine side, 1 <= K <= Q-1
+    for K in range(1, Q):
+        t1 = cosv[K] * buf[g + K]
+        t2 = sinv[K] * buf[g + L - K]
+        ctr.real_mults += 2
+        out[K] = buf[h + K] + t1 - t2
+        out[L - K] = buf[h + K] - t1 + t2
+        ctr.real_adds += 4
+    # cosine side, K = Q: twiddle cos(pi/2) = 0
+    t = cosv[Q] * buf[g + Q]
+    ctr.real_mults += 1
+    out[Q] = buf[h + Q] + t
+    ctr.real_adds += 1
+    # sine side, 1 <= K <= Q-1
+    for K in range(1, Q):
+        u1 = cosv[K] * buf[g + L - K]
+        u2 = sinv[K] * buf[g + K]
+        ctr.real_mults += 2
+        out[M - K] = buf[h + L - K] + u1 + u2
+        out[L + K] = -buf[h + L - K] + u1 + u2
+        ctr.real_adds += 4
+    # sine side, K = Q: twiddle sin(pi/2) = 1
+    out[M - Q] = sinv[Q] * buf[g + Q]
+    ctr.real_mults += 1
+    buf[base:base + M] = out

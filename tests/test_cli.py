@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from ccpt.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
-                      band_filter, main, read_signal_csv, write_signal_csv)
+from ccpt.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, CsvParseError,
+                      _coefficients_json, band_filter, main, read_signal_csv,
+                      write_signal_csv)
+from ccpt.foccpt import foccpt
+from ccpt.matrices import FAMILIES
 from ccpt.signals import make_x1, make_x2, synthetic_ecg, tone
-from ccpt.transform import analyze, coefficients_to_dict, occpt_analysis, synthesize
+from ccpt.transform import (CoefficientSet, analyze, coefficients_to_dict, occpt_analysis,
+                            synthesize)
 
 from oracles import brute_dft
 
@@ -30,6 +34,85 @@ def test_csv_parse_error_reports_line(tmp_path):
         read_signal_csv(path)
     assert "3" in str(exc_info.value)
     assert main(["transform", "--input", str(path)]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"])
+def test_csv_rejects_non_finite_samples(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"value\n1.0\n2.0\n{text}\n3.0\n")
+    with pytest.raises(CsvParseError, match="non-finite") as exc_info:
+        read_signal_csv(path)
+    assert exc_info.value.line_no == 4
+    commands = {
+        "transform": [],
+        "periods": ["--strengths-csv", str(tmp_path / "s.csv")],
+        "filter-band": ["--fs", "10", "--band", "0:5"],
+    }
+    for command, extra in commands.items():
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--input", str(path), "--out", str(out), *extra]) == EXIT_PARSE
+        assert not out.exists()
+    assert not (tmp_path / "s.csv").exists()
+
+
+def _per_line_csv(path, samples):
+    with open(path, "w") as fh:
+        fh.write("value\n")
+        for v in np.asarray(samples):
+            fh.write(format(float(v), ".12g") + "\n")
+
+
+@pytest.mark.parametrize("length", [625, 4096])
+def test_write_signal_csv_matches_per_line_writer(tmp_path, length):
+    x = synthetic_ecg(length=length).samples
+    write_signal_csv(tmp_path / "a.csv", x)
+    _per_line_csv(tmp_path / "b.csv", x)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _dumps(c):
+    return json.dumps(coefficients_to_dict(c), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_coefficients_json_equals_json_dumps(family):
+    rng = np.random.default_rng(11)
+    for N in (1, 2, 3, 7, 8, 12, 54, 625, 1024):
+        x = rng.standard_normal(N)
+        c = analyze(x, family)
+        assert _coefficients_json(c) == _dumps(c), N
+        c = analyze(x + 1j * rng.standard_normal(N), family)
+        assert _coefficients_json(c) == _dumps(c), N
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, 1e300, -2.5])
+    mixed = np.empty(8, dtype=complex)
+    mixed.real, mixed.imag = special, special[::-1]
+    for flat in (special, mixed, np.arange(8)):
+        c = CoefficientSet(N=8, family=family, flat=flat)
+        assert _coefficients_json(c) == _dumps(c)
+
+
+@pytest.mark.parametrize("name, samples", [
+    ("x1", make_x1().samples),
+    ("ecg", synthetic_ecg().samples),
+    ("ecg4096", synthetic_ecg(length=4096).samples),
+])
+def test_transform_output_is_json_dumps_text(tmp_path, capsys, name, samples):
+    path = _write(tmp_path, f"{name}.csv", samples)
+    x = read_signal_csv(path)
+    # occpt takes the fast transform at 4096 and `analyze` below; rpt has
+    # the matrix column layout (a dense LU, so not at 4096)
+    for family in ("occpt",) if len(x) == 4096 else ("occpt", "rpt"):
+        if len(x) == 4096:
+            expected = _dumps(foccpt(x)[0]) + "\n"
+        else:
+            expected = _dumps(analyze(x, family)) + "\n"
+        out = tmp_path / f"{family}.json"
+        assert main(["transform", "--input", path, "--family", family,
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == expected
+        capsys.readouterr()
+        assert main(["transform", "--input", path, "--family", family]) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
 
 def test_transform_wrapper_matches_library(tmp_path):

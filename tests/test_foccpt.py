@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ccpt.foccpt import (OpCounter, _combine, complexity_table, foccpt,
-                         predicted_counts)
+from ccpt.foccpt import (OpCounter, _bit_reversed, _combine, complexity_table,
+                         foccpt, predicted_counts)
 from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, OCCPT, RPT
 from ccpt.transform import occpt_analysis
 
-from oracles import direct_occpt_flat
+from oracles import butterfly_foccpt, direct_occpt_flat
 
 
 def test_two_point_base_case():
@@ -63,6 +63,40 @@ def test_input_validation():
         predicted_counts(8, "quaternion")
 
 
+def test_stages_reproduce_butterfly_reference():
+    """Each stage as one array pass performs the per-butterfly loop's
+    operations in the same order: bit-identical output, equal counters."""
+    rng = np.random.default_rng(7)
+    for v in range(1, 15):
+        N = 2 ** v
+        x = rng.standard_normal(N)
+        coeffs, ctr = foccpt(x)
+        flat, expected = butterfly_foccpt(x)
+        assert np.array_equal(coeffs.flat, flat), N
+        assert ctr == expected, N
+    for v in range(1, 11):
+        N = 2 ** v
+        z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        coeffs, ctr = foccpt(z)
+        flat, expected = butterfly_foccpt(z)
+        assert np.array_equal(coeffs.flat, flat), N
+        assert ctr == expected, N
+    np.testing.assert_array_equal(_bit_reversed(8), [0, 4, 2, 6, 1, 5, 3, 7])
+    assert not _bit_reversed(8).flags.writeable
+
+
+@pytest.mark.parametrize("x", [
+    np.ones((4, 4)),
+    np.ones((8, 1)),
+    np.array([1.0, np.nan, 2.0, 3.0]),
+    np.array([1.0, 2.0, np.inf, 3.0, 0.0, 0.0, 0.0, -np.inf]),
+    np.array([1.0, 2.0j, complex(np.nan, 0.0), 3.0]),
+], ids=["4x4", "8x1", "nan", "inf", "complex-nan"])
+def test_rejects_non_signal_input(x):
+    with pytest.raises(ValueError, match="1-D signal|finite samples"):
+        foccpt(x)
+
+
 def _pack(x):
     """Packed block from definition sums: slot K = X(K) for K <= M/2,
     slot M-K = Y(K) for 1 <= K <= M/2-1."""
@@ -84,7 +118,7 @@ def test_combine_reproduces_stage_equations():
         h = rng.standard_normal(M // 2)
         g = rng.standard_normal(M // 2)
         buf = np.concatenate([_pack(h), _pack(g)])
-        _combine(buf, 0, M, OpCounter())
+        _combine(buf, M, OpCounter())
         x = np.empty(M)
         x[0::2] = h
         x[1::2] = g
