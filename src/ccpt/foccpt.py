@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrices import CCPT1, CCPT2, DFT_NPM, OCCPT, RPT
-from .signals import samples_of
+from .signals import _checked_samples
 from .transform import CoefficientSet
 
 __all__ = ["OpCounter", "foccpt", "predicted_counts", "complexity_table"]
@@ -139,14 +139,10 @@ def foccpt(x):
     input runs two real passes on one shared counter. x must be a finite
     1-D signal.
     """
-    x = samples_of(x)
-    if x.ndim != 1:
-        raise ValueError(f"fast transform needs a 1-D signal, got shape {x.shape}")
+    x = _checked_samples(x, "fast transform")
     N = len(x)
     if N < 2 or not _is_pow2(N):
         raise ValueError(f"fast transform requires a power-of-two length >= 2, got {N}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("fast transform needs finite samples; the signal has NaN or inf")
     ctr = OpCounter()
     if np.iscomplexobj(x):
         flat = _foccpt_real(x.real, ctr) + 1j * _foccpt_real(x.imag, ctr)

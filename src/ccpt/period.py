@@ -19,13 +19,20 @@ has fewer columns M than samples N) takes the least-squares branch instead:
 b = T^-1 Q pinv(R^H) x with a truncated pseudo-inverse computed once from
 the same QR, the minimum-norm least-squares solution. The cached Q costs
 one more N x M array per dictionary.
+
+Frequency components are named tuples (p, k, freq, freq_hz, magnitude,
+phase), one per conjugate subspace above a magnitude floor. The list is
+built in one pass over the coefficient arrays, each tuple straight from its
+zipped row; a component compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import pinv, qr, solve_triangular, svdvals
@@ -34,7 +41,7 @@ from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, SubspaceIndex,
                        matrix_rank, subspace_block)
 from .numtheory import divisors, lcm_list, totient
-from .signals import samples_of
+from .signals import _checked_samples, samples_of
 from .transform import CoefficientSet
 
 FAREY = "farey"
@@ -101,8 +108,9 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
                         normalized=normalized)
 
 
-@dataclass(frozen=True)
-class FrequencyComponent:
+class FrequencyComponent(NamedTuple):
+    """Frequency, magnitude and phase of one conjugate subspace (p, k)."""
+
     p: int
     k: int
     freq: float                 # cycles per sample
@@ -125,9 +133,10 @@ def _components(p, k, b0, b1, fs: float | None,
     freq = np.where(p == 1, 0.0, k / p)
     i = np.flatnonzero(mag >= min_magnitude)
     freq_hz = [None] * len(i) if fs is None else (freq[i] * fs).tolist()
-    return [FrequencyComponent(p=per, k=res, freq=f, freq_hz=fh, magnitude=mg, phase=ph)
-            for per, res, f, fh, mg, ph in zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(),
-                                               freq_hz, mag[i].tolist(), phase[i].tolist())]
+    # tuple.__new__ on each zipped row skips the per-field keyword call
+    rows = zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(), freq_hz, mag[i].tolist(),
+               phase[i].tolist())
+    return list(map(tuple.__new__, repeat(FrequencyComponent), rows))
 
 
 def frequency_components(c: CoefficientSet, fs: float | None = None,
@@ -277,14 +286,18 @@ class DictionarySolution:
         (orthogonal-family dictionaries only)."""
         if self.dictionary.family != OCCPT:
             raise ValueError("component recovery requires an orthogonal-family dictionary")
-        pair: dict[tuple[int, int], list[float]] = {}
-        for idx, v in zip(self.dictionary.columns, self.b_hat):
-            slot = pair.setdefault((idx.p, idx.k), [0.0, 0.0])
-            slot[0 if idx.kind == COS else 1] = float(np.real(v))
-        keys = sorted(pair)
-        p, k = np.array(keys, dtype=int).reshape(-1, 2).T
-        b0, b1 = np.array([pair[key] for key in keys]).reshape(-1, 2).T
-        return _components(p, k, b0, b1, fs, min_magnitude)
+        cols = self.dictionary.columns
+        p = self.dictionary.periods
+        k = np.array([c.k for c in cols])
+        cos = np.array([c.kind == COS for c in cols])
+        # cosine and sine columns, each sorted by (p, k); only p >= 3 has a sine
+        i0, i1 = np.flatnonzero(cos), np.flatnonzero(~cos)
+        i0 = i0[np.lexsort((k[i0], p[i0]))]
+        i1 = i1[np.lexsort((k[i1], p[i1]))]
+        b = self.b_hat.real
+        b1 = np.zeros(len(i0))
+        b1[p[i0] >= 3] = b[i1]
+        return _components(p[i0], k[i0], b[i0], b1, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
         d = self.dictionary
@@ -322,13 +335,9 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     pseudo-inverse (`used_fallback`). x must be a finite 1-D signal of the
     dictionary's length.
     """
-    x = samples_of(x)
-    if x.ndim != 1:
-        raise ValueError(f"dictionary_solve needs a 1-D signal, got shape {x.shape}")
+    x = _checked_samples(x, "dictionary_solve")
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("dictionary_solve needs finite samples; the signal has NaN or inf")
     f = d.gram()
     if f.pinv is None:
         u = f.Q @ solve_triangular(f.R, x, trans=2, check_finite=False)

@@ -58,6 +58,19 @@ def samples_of(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def _checked_samples(x, caller: str) -> np.ndarray:
+    """samples_of(x), required to be a nonempty, finite 1-D sequence; the
+    error names the caller."""
+    x = samples_of(x)
+    if x.ndim != 1:
+        raise ValueError(f"{caller} needs a 1-D signal, got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"{caller} needs at least one sample")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{caller} needs finite samples; the signal has NaN or inf")
+    return x
+
+
 def hidden_periodic_component(period: int, length: int, seed: int) -> np.ndarray:
     """One period of standard-normal data, tiled (and truncated) to length."""
     one = np.random.default_rng(seed).standard_normal(period)

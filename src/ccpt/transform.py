@@ -34,7 +34,7 @@ from .ccps import COS, SIN, ccps, pair_scale
 from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RAM, cached_matrix,
                        column_layout)
 from .numtheory import divisors, half_residues
-from .signals import samples_of
+from .signals import _checked_samples
 
 __all__ = [
     "CoefficientSet",
@@ -88,7 +88,8 @@ class CoefficientSet:
 
     For the orthogonal family `flat` is frequency-ordered (see module
     docstring); for the other families it follows the matrix column order.
-    Both views read the same array.
+    Both views read the same array. `flat` must be 1-D of length N; the set
+    keeps a read-only view of it, so the caller's array stays writable.
     """
 
     N: int
@@ -96,7 +97,11 @@ class CoefficientSet:
     flat: np.ndarray
 
     def __post_init__(self):
-        self.flat.setflags(write=False)
+        flat = np.asarray(self.flat).view()
+        if flat.shape != (self.N,):
+            raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {flat.shape}")
+        flat.setflags(write=False)
+        object.__setattr__(self, "flat", flat)
 
     @property
     def is_complex(self) -> bool:
@@ -189,7 +194,10 @@ def occpt_analysis(x) -> CoefficientSet:
     Real input gives a real flat array; complex input is transformed part by
     part and combined as beta = beta_re + 1j*beta_im.
     """
-    x = samples_of(x)
+    return _occpt(_checked_samples(x, "occpt_analysis"))
+
+
+def _occpt(x: np.ndarray) -> CoefficientSet:
     if np.iscomplexobj(x):
         re, im = _forward_real(_parts(x))
         flat = re + 1j * im
@@ -223,24 +231,28 @@ def _solve_family(family: str, N: int, x: np.ndarray) -> np.ndarray:
 
 def ccpt1_analysis(x) -> CoefficientSet:
     """Coefficients against the type-1 basis (full linear solve)."""
-    x = samples_of(x)
+    x = _checked_samples(x, "ccpt1_analysis")
     return CoefficientSet(N=len(x), family=CCPT1, flat=_solve_family(CCPT1, len(x), x))
 
 
 def ccpt2_analysis(x) -> CoefficientSet:
     """Coefficients against the type-2 basis (full linear solve)."""
-    x = samples_of(x)
+    x = _checked_samples(x, "ccpt2_analysis")
     return CoefficientSet(N=len(x), family=CCPT2, flat=_solve_family(CCPT2, len(x), x))
 
 
 def analyze(x, family: str) -> CoefficientSet:
     """Family-dispatching analysis: the orthogonal family and dft-npm go
-    through the FFT, every other family a cached LU solve."""
+    through the FFT, every other family a cached LU solve.
+
+    Every analysis entry point takes a Signal or array-like of finite
+    samples, nonempty and 1-D, and raises ValueError otherwise.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    x = _checked_samples(x, "analyze")
     if family == OCCPT:
-        return occpt_analysis(x)
-    x = samples_of(x)
+        return _occpt(x)
     N = len(x)
     if family == DFT_NPM:
         flat = np.fft.fft(x)[_bin_order(N).dft_order] / N

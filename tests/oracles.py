@@ -3,13 +3,16 @@
 Everything here is written from definitions (explicit summation), not by
 calling the library's own transform paths. `butterfly_foccpt` is the one
 loop reference: the fast transform one butterfly at a time.
+`component_loop` reads coefficients through the scalar `pair(p, k)`
+accessors and applies the component formulas one subspace at a time.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from ccpt.foccpt import OpCounter
+from ccpt.numtheory import half_residues
 
 
 def brute_dft(x):
@@ -47,6 +50,16 @@ def direct_occpt_flat(x):
         else:
             beta[K] = -np.sum(x * np.sin(2 * np.pi * K * n / N)) / N
     return beta
+
+
+def shifted_inner_products(a, b, shifts=5):
+    """Direct sums D[la, lb] = np.dot(np.roll(A, la), np.roll(B, lb)) for
+    shifts 0..shifts-1 on each side, where A and B tile the one-period
+    sequences a and b to their common period: all shifts at once, as one
+    product of the stacked rolls."""
+    L = lcm(len(a), len(b))
+    n = np.arange(L) - np.arange(shifts)[:, None]
+    return np.asarray(a)[n % len(a)] @ np.asarray(b)[n % len(b)].T
 
 
 def tile_to(pattern, length):
@@ -177,3 +190,24 @@ def _butterfly_block(buf, base, M, ctr):
     out[M - Q] = sinv[Q] * buf[g + Q]
     ctr.real_mults += 1
     buf[base:base + M] = out
+
+
+def component_loop(pair, periods, fs=None, min_magnitude=1e-8):
+    """(p, k, freq, freq_hz, magnitude, phase) tuples of every subspace
+    (p, k), p in `periods`, k in half_residues(p), whose magnitude reaches
+    the floor, from the cosine/sine pair `pair(p, k)` one subspace at a
+    time: the reference for `frequency_components` and
+    `DictionarySolution.components`."""
+    out = []
+    for p in periods:
+        for k in half_residues(p):
+            b0, b1 = pair(p, k)
+            if p <= 2:
+                mag, phase = abs(b0), (0.0 if b0 >= 0 else np.pi)
+            else:
+                mag, phase = 2.0 * np.hypot(b0, b1), np.arctan2(-b1, b0)
+            if mag >= min_magnitude:
+                freq = 0.0 if p == 1 else k / p
+                out.append((p, k, freq, None if fs is None else freq * fs,
+                            float(mag), float(phase)))
+    return out

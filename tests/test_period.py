@@ -3,14 +3,15 @@ import pytest
 
 from ccpt.ccps import COS, SIN, ccps1, ccps2
 from ccpt.matrices import CCPT1, CCPT2, OCCPT, RPT
-from ccpt.numtheory import totient
-from ccpt.period import (FAREY, build_dictionary, candidate_matrix_solve,
-                         dictionary_solve, frequency_components,
-                         min_data_length, period_strengths)
+from ccpt.numtheory import divisors, totient
+from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
+                         candidate_matrix_solve, dictionary_solve,
+                         frequency_components, min_data_length,
+                         period_strengths)
 from ccpt.signals import make_x1, make_x2, tone, x1_clean
 from ccpt.transform import analyze, occpt_analysis
 
-from oracles import tile_to
+from oracles import component_loop, tile_to
 
 
 def test_single_subspace_signal():
@@ -91,6 +92,33 @@ def test_frequency_components_sine():
     assert comp.phase == pytest.approx(-np.pi / 2, abs=1e-9)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 12, 54, 625, 1024, 4096, 5000])
+def test_frequency_components_match_loop(N):
+    """Every field equals the one-subspace-at-a-time formulas exactly, for a
+    noise record (the 0.05 floor drops some subspaces) and a two-line record
+    (the 1e-8 floor drops the rounding-level ones)."""
+    rng = np.random.default_rng(N)
+    n = np.arange(N)
+    for x in (rng.standard_normal(N), 0.7 + np.cos(2 * np.pi * 3 * n / N + 1.0)):
+        c = occpt_analysis(x)
+        for fs in (None, 360.0):
+            for floor in (1e-8, 0.05):
+                comps = frequency_components(c, fs=fs, min_magnitude=floor)
+                assert comps == component_loop(c.pair, divisors(N), fs, floor), (N, fs, floor)
+                assert all(type(comp) is FrequencyComponent for comp in comps)
+                assert all(type(comp.magnitude) is float for comp in comps)
+
+
+def test_frequency_component_is_a_read_only_record():
+    comp = frequency_components(occpt_analysis(tone(0.6, 100.0, 360.0, 54, np.pi / 3)),
+                                fs=360.0, min_magnitude=1e-6)[0]
+    with pytest.raises(AttributeError):
+        comp.p = 3
+    assert list(comp.to_dict()) == ["p", "k", "freq", "freq_hz", "magnitude", "phase"]
+    assert comp.to_dict() == dict(zip(FrequencyComponent._fields, comp))
+    assert comp == (18, 5, comp.freq, comp.freq_hz, comp.magnitude, comp.phase)
+
+
 def test_frequency_components_constant():
     comps = frequency_components(occpt_analysis(np.ones(12) * 2.5), min_magnitude=1e-6)
     assert len(comps) == 1
@@ -151,6 +179,13 @@ def test_dictionary_x2_reproduction():
     assert phase == pytest.approx(np.pi / 4, abs=0.1)
     comps = sol.components(fs=360.0, min_magnitude=0.05)
     assert any(c.p == 8 and c.k == 1 and abs(c.freq_hz - 45.0) < 1e-9 for c in comps)
+
+
+def test_dictionary_components_match_loop():
+    sol = dictionary_solve(make_x2().samples, build_dictionary(54, 50, family=OCCPT))
+    for fs in (None, 360.0):
+        for floor in (1e-8, 0.05):
+            assert sol.components(fs, floor) == component_loop(sol.pair, range(1, 51), fs, floor)
 
 
 def test_dictionary_families_build():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,53 @@ def test_coefficients_to_dict_views_agree():
     for entry in d["indexed"]:
         assert entry["value"] == pytest.approx(
             float(c.value(entry["p"], entry["k"], entry["kind"], entry["shift"])))
+
+
+def test_coefficient_set_keeps_a_read_only_view():
+    a = np.arange(8.0)
+    c = CoefficientSet(N=8, family=RPT, flat=a)
+    assert a.flags.writeable
+    assert not c.flat.flags.writeable
+    assert np.shares_memory(c.flat, a)
+    a[0] = 5.0
+    assert c.flat[0] == 5.0
+    with pytest.raises(ValueError):
+        c.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("flat", [np.ones(5), np.ones((2, 4))], ids=["length-5", "2x4"])
+def test_coefficient_set_rejects_wrong_shape(flat):
+    with pytest.raises(ValueError, match="1-D of length N=8"):
+        CoefficientSet(N=8, family=RPT, flat=flat)
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.ones((4, 4)), "1-D signal"),
+    (np.ones((8, 1)), "1-D signal"),
+    (np.array([1.0, np.nan, 2.0, 3.0]), "finite samples"),
+    (np.array([1.0, 2.0, np.inf, 3.0, 0.0, 0.0, 0.0, -np.inf]), "finite samples"),
+    (np.array([1.0, 2.0j, complex(np.nan, 0.0), 3.0]), "finite samples"),
+    (np.array([]), "at least one sample"),
+], ids=["4x4", "8x1", "nan", "inf", "complex-nan", "empty"])
+@pytest.mark.parametrize("analysis", [
+    occpt_analysis, ccpt1_analysis, ccpt2_analysis,
+    *(partial(analyze, family=f) for f in FAMILIES),
+], ids=["occpt_analysis", "ccpt1_analysis", "ccpt2_analysis",
+        *(f"analyze-{f}" for f in FAMILIES)])
+def test_analysis_rejects_non_signal_input(analysis, x, match):
+    with pytest.raises(ValueError, match=match):
+        analysis(x)
+
+
+def test_analyze_checks_input_once(monkeypatch):
+    import ccpt.transform as tr
+    calls = []
+    check = tr._checked_samples
+
+    def counting_check(x, caller):
+        calls.append(caller)
+        return check(x, caller)
+
+    monkeypatch.setattr(tr, "_checked_samples", counting_check)
+    analyze(np.ones(8), OCCPT)
+    assert calls == ["analyze"]
