@@ -20,6 +20,12 @@ b = T^-1 Q pinv(R^H) x with a truncated pseudo-inverse computed once from
 the same QR, the minimum-norm least-squares solution. The cached Q costs
 one more N x M array per dictionary.
 
+Candidate-set scoring solves one square system against the stacked bases
+of every divisor of every candidate. As with dictionaries, each candidate
+set's basis is built once per family and cached with its rank and LU factor
+(the 64 most recent sets), so a solve is one LU back-substitution; a
+rank-deficient basis takes least squares and warns on every call.
+
 Frequency components are named tuples (p, k, freq, freq_hz, magnitude,
 phase), one per conjugate subspace above a magnitude floor. The list is
 built in one pass over the coefficient arrays, each tuple straight from its
@@ -30,18 +36,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import pinv, qr, solve_triangular, svdvals
+from scipy.linalg import get_lapack_funcs, pinv, qr, svdvals
 
 from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, SubspaceIndex,
                        matrix_rank, subspace_block)
 from .numtheory import divisors, lcm_list, totient
-from .signals import _checked_samples, samples_of
+from .signals import _checked_samples
 from .transform import CoefficientSet
 
 FAREY = "farey"
@@ -206,6 +213,10 @@ class PeriodicDictionary:
     def n_columns(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def _column_index(self) -> dict:
+        return {c: i for i, c in enumerate(self.columns)}
+
     def gram(self) -> GramFactor:
         """QR factorization of the penalty-scaled dictionary, built once and
         cached; see the module docstring."""
@@ -300,11 +311,17 @@ class DictionarySolution:
         return _components(p[i0], k[i0], b[i0], b1, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
-        d = self.dictionary
-        i0 = d.columns.index(SubspaceIndex(p, k, COS))
-        if p <= 2:
-            return self.b_hat[i0], 0.0
-        i1 = d.columns.index(SubspaceIndex(p, k, SIN))
+        """(cosine, sine) coefficients of subspace (p, k); the sine is 0.0
+        for p <= 2."""
+        index = self.dictionary._column_index
+        try:
+            i0 = index[SubspaceIndex(p, k, COS)]
+            if p <= 2:
+                return self.b_hat[i0], 0.0
+            i1 = index[SubspaceIndex(p, k, SIN)]
+        except KeyError:
+            raise ValueError(f"no subspace ({p}, {k}) in the "
+                             f"{self.dictionary.family} dictionary") from None
         return self.b_hat[i0], self.b_hat[i1]
 
     def to_dict(self) -> dict:
@@ -340,7 +357,13 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
     f = d.gram()
     if f.pinv is None:
-        u = f.Q @ solve_triangular(f.R, x, trans=2, check_finite=False)
+        # the LAPACK routine under solve_triangular, without its wrapper;
+        # picked from both dtypes, so a complex x also solves against a real R
+        trtrs, = get_lapack_funcs(("trtrs",), (f.R, x))
+        y, info = trtrs(f.R, x, lower=0, trans=2)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
+        u = f.Q @ y
     else:
         u = f.Q @ (f.pinv @ x)
     b = u / d.penalties
@@ -390,6 +413,42 @@ class CandidateReport:
         }
 
 
+class _CandidateBasis(NamedTuple):
+    """The square basis of one candidate set, built once per set and family."""
+
+    periods: tuple[int, ...]        # every divisor of every candidate, ascending
+    width: int
+    H: np.ndarray                   # read-only, width x width
+    rank: int
+    lu: tuple | None                # (LU, pivots, getrs) when H has full rank
+    column_periods: np.ndarray      # period of each column of H
+
+
+@lru_cache(maxsize=64)
+def _candidate_basis(cand: tuple[int, ...], family: str, n: int) -> _CandidateBasis:
+    """Basis, rank and LU factor of a sorted candidate set for data length
+    n; a length other than the basis dimension is rejected before anything
+    is built, and the error is not cached."""
+    periods = tuple(sorted({d for p in cand for d in divisors(p)}))
+    width = sum(totient(p) for p in periods)
+    if n != width:
+        raise ValueError(
+            f"data length {n} does not match the basis dimension {width} "
+            f"of candidate set {cand}; this construction needs a square system")
+    blocks = [subspace_block(family, p, width) for p in periods]
+    H = np.hstack([block for block, _ in blocks])
+    H.setflags(write=False)
+    rank = matrix_rank(H)
+    lu = None
+    if rank == width:
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (H,))
+        LU, piv, _ = getrf(H)
+        LU.setflags(write=False)
+        lu = (LU, piv, getrs)
+    column_periods = np.array([c.p for _, cols in blocks for c in cols])
+    return _CandidateBasis(periods, width, H, rank, lu, column_periods)
+
+
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:
     """Square-system period scoring over an explicit candidate set.
 
@@ -399,33 +458,21 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     data length, as with the minimum data length of a two-candidate set;
     other candidate sets are rejected.
     """
-    x = samples_of(x)
+    x = _checked_samples(x, "candidate_matrix_solve")
     cand = tuple(sorted(set(int(p) for p in candidates)))
     if not cand:
         raise ValueError("need at least one candidate period")
-    basis_periods = tuple(sorted({d for p in cand for d in divisors(p)}))
-    width = sum(totient(p) for p in basis_periods)
-    if len(x) != width:
-        raise ValueError(
-            f"data length {len(x)} does not match the basis dimension {width} "
-            f"of candidate set {cand}; this construction needs a square system")
-    blocks, meta = [], []
-    for p in basis_periods:
-        block, cols = subspace_block(family, p, width)
-        blocks.append(block)
-        meta.extend(cols)
-    H = np.hstack(blocks)
-    rank = matrix_rank(H)
-    full = rank == width
-    if full:
-        z = np.linalg.solve(H, x.astype(H.dtype if np.iscomplexobj(H) else float))
+    basis = _candidate_basis(cand, family, len(x))
+    if basis.lu is not None:
+        LU, piv, getrs = basis.lu
+        z, _ = getrs(LU, piv, x)
     else:
-        warnings.warn(f"candidate basis for {cand} is rank deficient ({rank}/{width}); "
-                      "falling back to least squares")
-        z, *_ = np.linalg.lstsq(H, x, rcond=None)
-    strengths: dict[int, float] = {p: 0.0 for p in basis_periods}
-    for idx, v in zip(meta, z):
-        strengths[idx.p] += float(np.abs(v) ** 2)
-    return CandidateReport(candidates=cand, basis_periods=basis_periods, width=width,
-                           rank=rank, full_rank=full, strengths=strengths,
+        warnings.warn(f"candidate basis for {cand} is rank deficient "
+                      f"({basis.rank}/{basis.width}); falling back to least squares")
+        z, *_ = np.linalg.lstsq(basis.H, x, rcond=None)
+    sums = np.bincount(basis.column_periods, weights=np.abs(z) ** 2)
+    strengths = {p: float(sums[p]) for p in basis.periods}
+    return CandidateReport(candidates=cand, basis_periods=basis.periods, width=basis.width,
+                           rank=basis.rank, full_rank=basis.lu is not None,
+                           strengths=strengths,
                            candidate_strengths={p: strengths[p] for p in cand})

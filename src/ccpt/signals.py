@@ -43,9 +43,7 @@ class Signal:
     sample_rate: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples))
-        if self.samples.ndim != 1 or len(self.samples) < 1:
-            raise ValueError("a signal is a nonempty 1-D sample sequence")
+        object.__setattr__(self, "samples", _checked_samples(self.samples, "Signal"))
 
     def __len__(self) -> int:
         return len(self.samples)

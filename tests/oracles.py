@@ -72,7 +72,7 @@ def _coprime(p):
     return [k for k in range(1, p + 1) if gcd(k, p) == 1]
 
 
-def _dictionary_column(kind, p, k, shift, N):
+def column(kind, p, k, shift, N):
     """One dictionary column of period p, delayed by `shift` samples, tiled
     and truncated to N samples."""
     m = (np.arange(N) - shift) % p
@@ -87,7 +87,7 @@ def _dictionary_column(kind, p, k, shift, N):
     return 2.0 * wave(2 * np.pi * k * m / p)
 
 
-def _block_addresses(family, p):
+def block_addresses(family, p):
     """(kind, k, shift) of the period-p columns in canonical order."""
     if family == "farey":
         return [("exp", k, 0) for k in _coprime(p)]
@@ -104,8 +104,8 @@ def dictionary_oracle(family, N, p_max):
     order, every column written from its defining sum."""
     cols, periods = [], []
     for p in range(1, p_max + 1):
-        for kind, k, shift in _block_addresses(family, p):
-            cols.append(_dictionary_column(kind, p, k, shift, N))
+        for kind, k, shift in block_addresses(family, p):
+            cols.append(column(kind, p, k, shift, N))
             periods.append(p)
     return np.column_stack(cols), np.array(periods)
 

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 import ccpt.period as period
 from ccpt.period import build_dictionary, dictionary_solve
@@ -115,6 +116,19 @@ def test_repeated_solves_factor_once(monkeypatch):
         dictionary_solve(rng.standard_normal(54), d)
     assert d.gram() is first
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family,N,p_max", [("occpt", 54, 50), ("occpt", 512, 64),
+                                             ("farey", 360, 48)])
+def test_triangular_solve_matches_solve_triangular(family, N, p_max):
+    d = build_dictionary(N, p_max, family=family)
+    f = d.gram()
+    assert f.pinv is None
+    x = _mixture(N, 31)
+    # a complex signal against a real R takes the complex routine, as before
+    for signal in (x, x + 0.5j * _mixture(N, 32)):
+        want = f.Q @ solve_triangular(f.R, signal, trans=2, check_finite=False) / d.penalties
+        assert np.array_equal(dictionary_solve(signal, d).b_hat, want)
 
 
 @pytest.mark.parametrize("p_max", [50, 5])

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
-from ccpt.matrices import CCPT1, CCPT2, OCCPT, RPT
+from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, SubspaceIndex
 from ccpt.numtheory import divisors, totient
 from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
@@ -11,7 +14,7 @@ from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
 from ccpt.signals import make_x1, make_x2, tone, x1_clean
 from ccpt.transform import analyze, occpt_analysis
 
-from oracles import component_loop, tile_to
+from oracles import block_addresses, column, component_loop, tile_to
 
 
 def test_single_subspace_signal():
@@ -188,6 +191,23 @@ def test_dictionary_components_match_loop():
             assert sol.components(fs, floor) == component_loop(sol.pair, range(1, 51), fs, floor)
 
 
+def test_dictionary_pair_is_the_column_lookup():
+    d = build_dictionary(54, 50, family=OCCPT)
+    sol = dictionary_solve(make_x2().samples, d)
+    for c in d.columns:
+        if c.kind != COS:
+            continue
+        b0, b1 = sol.pair(c.p, c.k)
+        assert b0 == sol.b_hat[d.columns.index(c)]
+        if c.p <= 2:
+            assert b1 == 0.0 and type(b1) is float
+        else:
+            assert b1 == sol.b_hat[d.columns.index(SubspaceIndex(c.p, c.k, SIN))]
+    for p, k in ((51, 1), (8, 2), (0, 1)):
+        with pytest.raises(ValueError, match="no subspace"):
+            sol.pair(p, k)
+
+
 def test_dictionary_families_build():
     for family in (CCPT1, CCPT2, RPT, FAREY):
         d = build_dictionary(24, 10, family=family)
@@ -249,3 +269,93 @@ def test_candidate_matrix_identifies_planted_period():
         x = block @ weights
         report = candidate_matrix_solve(x, [6, 8])
         assert max(report.candidate_strengths, key=report.candidate_strengths.get) == 8
+
+
+@pytest.mark.parametrize("bad", [
+    np.where(np.arange(12) == 4, np.nan, 1.0),
+    np.where(np.arange(12) == 4, np.inf, 1.0),
+    np.ones((12, 1)),
+    np.ones((3, 4)),
+    np.array([]),
+], ids=["nan", "inf", "12x1", "3x4", "empty"])
+def test_candidate_matrix_rejects_bad_input(bad):
+    with pytest.raises(ValueError, match="candidate_matrix_solve"):
+        candidate_matrix_solve(bad, [5, 8])
+
+
+def _definition_strengths(family, cand, x):
+    """Per-period strengths of the square solve against a basis written
+    column by column from the defining sums."""
+    fam = FAREY if family == DFT_NPM else family
+    addresses = [(q, a) for q in sorted({d for p in cand for d in divisors(p)})
+                 for a in block_addresses(fam, q)]
+    H = np.column_stack([column(kind, q, k, shift, len(x)) for q, (kind, k, shift) in addresses])
+    z = np.linalg.solve(H, x)
+    out = {}
+    for (q, _), v in zip(addresses, z):
+        out[q] = out.get(q, 0.0) + abs(v) ** 2
+    return out
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("cand", [(6, 8), (5, 8), (3, 4), (7,)])
+def test_candidate_strengths_match_definition(family, cand):
+    rng = np.random.default_rng(sum(cand))
+    width = sum(totient(d) for d in {d for p in cand for d in divisors(p)})
+    for _ in range(3):
+        x = rng.standard_normal(width)
+        got = candidate_matrix_solve(x, cand, family=family)
+        want = _definition_strengths(family, cand, x)
+        assert got.full_rank and got.rank == width
+        assert got.strengths.keys() == want.keys()
+        for q, s in want.items():
+            assert got.strengths[q] == pytest.approx(s, rel=1e-10, abs=1e-10 * max(want.values()))
+
+
+def test_candidate_basis_is_built_once(monkeypatch):
+    calls = []
+    real_block = period.subspace_block
+
+    def counting_block(*args, **kwargs):
+        calls.append(args)
+        return real_block(*args, **kwargs)
+
+    monkeypatch.setattr(period, "subspace_block", counting_block)
+    period._candidate_basis.cache_clear()
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="square system"):
+        candidate_matrix_solve(np.zeros(11), [5, 8])
+    assert calls == []
+    reports = [candidate_matrix_solve(rng.standard_normal(12), [8, 5, 8]) for _ in range(4)]
+    assert [p for _, p, _ in calls] == [1, 2, 4, 5, 8]
+    info = period._candidate_basis.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
+    assert all(r.basis_periods == (1, 2, 4, 5, 8) and r.full_rank for r in reports)
+
+
+def test_candidate_basis_is_read_only():
+    basis = period._candidate_basis((5, 8), OCCPT, 12)
+    for a in (basis.H, basis.lu[0]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
+    x = np.random.default_rng(6).standard_normal(6)
+    want = candidate_matrix_solve(x, [3, 4], family=CCPT2).strengths
+    monkeypatch.setattr(period, "matrix_rank", lambda a: a.shape[1] - 1)
+    period._candidate_basis.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = [candidate_matrix_solve(x, [3, 4], family=CCPT2) for _ in range(2)]
+    finally:
+        period._candidate_basis.cache_clear()
+    assert [str(w.message) for w in caught] == [
+        "candidate basis for (3, 4) is rank deficient (5/6); falling back to least squares"] * 2
+    for r in reports:
+        assert not r.full_rank and r.rank == 5
+        # the basis really has full rank, so least squares solves it exactly
+        for q, s in want.items():
+            assert r.strengths[q] == pytest.approx(s, rel=1e-10, abs=1e-12)

@@ -14,6 +14,18 @@ def test_signal_container():
     np.testing.assert_array_equal(samples_of([1, 2, 3]), [1, 2, 3])
 
 
+@pytest.mark.parametrize("bad,match", [
+    ([1.0, np.nan], "Signal needs finite samples"),
+    ([np.inf, 1.0], "Signal needs finite samples"),
+    ([1.0, complex(0.0, np.nan)], "Signal needs finite samples"),
+    ([], "Signal needs at least one sample"),
+    (np.zeros((2, 2)), "Signal needs a 1-D signal"),
+])
+def test_signal_rejects_non_signal_samples(bad, match):
+    with pytest.raises(ValueError, match=match):
+        Signal(bad, 360.0)
+
+
 def test_hidden_component_is_periodic_and_seeded():
     a = hidden_periodic_component(9, 54, 99)
     b = hidden_periodic_component(9, 54, 99)
