@@ -19,10 +19,10 @@ from .period import (FAREY, CandidateReport, DictionarySolution,
                      period_strengths)
 from .signals import (Signal, make_x1, make_x2, samples_of, synthetic_ecg,
                       x1_clean, x2_clean)
-from .transform import (CoefficientSet, analyze, band_filter, ccpt1_analysis,
-                        ccpt2_analysis, coefficient_period_check,
-                        coefficients_to_dict, convolve_coefficients,
-                        dft_from_occpt, occpt_analysis, occpt_synthesis,
-                        parseval_energy, shift_coefficients, synthesize)
+from .transform import (CoefficientSet, analyze, band_filter,
+                        coefficient_period_check, coefficients_to_dict,
+                        convolve_coefficients, dft_from_occpt, occpt_analysis,
+                        occpt_synthesis, parseval_energy, shift_coefficients,
+                        synthesize)
 
 __version__ = "0.1.0"

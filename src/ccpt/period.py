@@ -463,13 +463,19 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     if not cand:
         raise ValueError("need at least one candidate period")
     basis = _candidate_basis(cand, family, len(x))
+    # a real basis solves a complex signal's real and imaginary parts as two
+    # right-hand sides
+    split = np.iscomplexobj(x) and not np.iscomplexobj(basis.H)
+    rhs = np.column_stack([x.real, x.imag]) if split else x
     if basis.lu is not None:
         LU, piv, getrs = basis.lu
-        z, _ = getrs(LU, piv, x)
+        z, _ = getrs(LU, piv, rhs)
     else:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({basis.rank}/{basis.width}); falling back to least squares")
-        z, *_ = np.linalg.lstsq(basis.H, x, rcond=None)
+        z, *_ = np.linalg.lstsq(basis.H, rhs, rcond=None)
+    if split:
+        z = z[:, 0] + 1j * z[:, 1]
     sums = np.bincount(basis.column_periods, weights=np.abs(z) ** 2)
     strengths = {p: float(sums[p]) for p in basis.periods}
     return CandidateReport(candidates=cand, basis_periods=basis.periods, width=basis.width,

@@ -14,12 +14,27 @@ on the (K, N-K) slot pairs.
 
 The dft-npm column (p, k) is the complex exponential of DFT bin k*N/p, so
 its analysis is the FFT scaled by 1/N and gathered into column order, and
-its synthesis the inverse. Only the rpt, ccpt1 and ccpt2 families solve
-their linear systems, against a cached LU factorization with partial
-pivoting, one per (family, size).
+its synthesis the inverse.
 
-Complex inputs run the real transform on real and imaginary parts and carry
-the coefficients as one complex flat array.
+The rpt, ccpt1 and ccpt2 columns span the same period-p subspaces as the
+orthogonal ones, and in canonical column order each of their columns sits
+at the position of an orthogonal column of the same subspace. Their
+coefficients are a real block-diagonal change of basis of the packed
+orthogonal coefficients, applied in place:
+
+  ccpt1, ccpt2  per slot pair (K, N-K), with theta = 2*pi*K/N, the shifted
+                column is a rotation of the unshifted pair, so a 2 x 2 map
+                (the sine of theta being its determinant)
+  rpt           per divisor p >= 3, the phi(p) Ramanujan-sum columns
+                against the pairs of block p, a small cached inverse
+
+Periods 1 and 2 share their single column with the orthogonal family. No
+path builds the dense N x N basis or has a size cap (rpt's largest block,
+p = N, is phi(N) square); dense matrices serve only validation and export.
+
+Complex inputs run the real FFT on real and imaginary parts and carry the
+coefficients as one complex flat array; the maps above are real, so they
+apply to that array as it is.
 """
 
 from __future__ import annotations
@@ -28,18 +43,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .ccps import COS, SIN, ccps, pair_scale
-from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RAM, cached_matrix,
-                       column_layout)
+from .matrices import CCPT1, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
+# unused here; the benchmark's tracer wraps this module attribute by name
+from .matrices import cached_matrix  # noqa: F401
 from .numtheory import divisors, half_residues
 from .signals import _checked_samples
 
 __all__ = [
     "CoefficientSet",
     "occpt_analysis", "occpt_synthesis",
-    "ccpt1_analysis", "ccpt2_analysis",
     "analyze", "synthesize",
     "dft_from_occpt", "shift_coefficients", "convolve_coefficients",
     "parseval_energy", "coefficient_period_check", "band_filter",
@@ -188,62 +202,127 @@ def _parts(v: np.ndarray) -> np.ndarray:
     return np.stack([v.real, v.imag])
 
 
+def _packed(x: np.ndarray) -> np.ndarray:
+    """Packed orthogonal coefficients of a real or complex signal."""
+    if np.iscomplexobj(x):
+        re, im = _forward_real(_parts(x))
+        return re + 1j * im
+    return _forward_real(x.astype(float))
+
+
+def _unpacked(flat: np.ndarray) -> np.ndarray:
+    """Signal of packed orthogonal coefficients, real or complex."""
+    if np.iscomplexobj(flat):
+        re, im = _inverse_real(_parts(flat))
+        return re + 1j * im
+    return _inverse_real(flat)
+
+
 def occpt_analysis(x) -> CoefficientSet:
     """Orthogonal-transform coefficients of a length-N signal.
 
     Real input gives a real flat array; complex input is transformed part by
     part and combined as beta = beta_re + 1j*beta_im.
     """
-    return _occpt(_checked_samples(x, "occpt_analysis"))
-
-
-def _occpt(x: np.ndarray) -> CoefficientSet:
-    if np.iscomplexobj(x):
-        re, im = _forward_real(_parts(x))
-        flat = re + 1j * im
-    else:
-        flat = _forward_real(x.astype(float))
-    return CoefficientSet(N=len(x), family=OCCPT, flat=flat)
+    x = _checked_samples(x, "occpt_analysis")
+    return CoefficientSet(N=len(x), family=OCCPT, flat=_packed(x))
 
 
 def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
     """Exact inverse of occpt_analysis."""
     if c.family != OCCPT:
         raise ValueError("occpt_synthesis requires orthogonal-family coefficients")
-    if c.is_complex:
-        re, im = _inverse_real(_parts(c.flat))
-        return re + 1j * im
-    return _inverse_real(c.flat)
+    return _unpacked(c.flat)
+
+
+@lru_cache(maxsize=64)
+def _pair_angles(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of theta = 2*pi*K/N for the slot pairs K = 1..(N-1)//2."""
+    theta = (2 * np.pi / N) * np.arange(1, _pair_count(N) + 1)
+    out = np.cos(theta), np.sin(theta)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=32)
-def _lu(family: str, N: int):
-    m = cached_matrix(family, N)
-    return lu_factor(m.entries)
+def _ramanujan_blocks(N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(slots, B, inverse) per divisor p >= 3: `slots` holds the packed slots
+    of the block's (cosine, sine) pairs in canonical column order, which are
+    also the positions of its rpt columns; B maps the block's rpt
+    coefficients to those pairs, B[(k, cos|sin), j] =
+    cos|sin(2*pi*(k*j mod p)/p), and `inverse` undoes it."""
+    # column j of block p is c_p(n - j) = sum over k of 2*cos(theta_k*(n - j)),
+    # theta_k = 2*pi*k/p, k over the half residues: cos(theta_k*j) times the
+    # cosine column of (p, k) plus sin(theta_k*j) times its sine column
+    order = _bin_order(N)
+    periods = order.period[order.occpt_order]
+    blocks = []
+    for p in divisors(N):
+        if p <= 2:
+            continue
+        start, stop = np.searchsorted(periods, [p, p + 1])
+        k = np.array(half_residues(p))
+        angles = (2 * np.pi / p) * ((k[:, None] * np.arange(stop - start)) % p)
+        B = np.empty((stop - start, stop - start))
+        B[0::2], B[1::2] = np.cos(angles), np.sin(angles)
+        inverse = np.linalg.inv(B)
+        B.setflags(write=False)
+        inverse.setflags(write=False)
+        blocks.append((order.occpt_order[start:stop], B, inverse))
+    return tuple(blocks)
 
 
-def _solve_family(family: str, N: int, x: np.ndarray) -> np.ndarray:
-    lu_piv = _lu(family, N)
-    if np.iscomplexobj(x):
-        return lu_solve(lu_piv, x.real) + 1j * lu_solve(lu_piv, x.imag)
-    return lu_solve(lu_piv, x.astype(float))
+def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
+    """rpt/ccpt1/ccpt2 coefficients in column order from packed orthogonal
+    coefficients b, which the map overwrites."""
+    N = len(b)
+    if family == RPT:
+        for slots, _, inverse in _ramanujan_blocks(N):
+            b[slots] = inverse @ b[slots]
+    else:
+        cos_t, sin_t = _pair_angles(N)
+        b0, b1 = _pairs(b)
+        if family == CCPT1:
+            # b0 = a0 + a1*cos, b1 = a1*sin
+            a1 = b1 / sin_t
+            b0 -= a1 * cos_t
+        else:
+            # b0 = -a1*sin, b1 = a0 + a1*cos
+            a1 = -b0 / sin_t
+            b0[:] = b1 - a1 * cos_t
+        b1[:] = a1
+    return b[_bin_order(N).occpt_order]
 
 
-def ccpt1_analysis(x) -> CoefficientSet:
-    """Coefficients against the type-1 basis (full linear solve)."""
-    x = _checked_samples(x, "ccpt1_analysis")
-    return CoefficientSet(N=len(x), family=CCPT1, flat=_solve_family(CCPT1, len(x), x))
-
-
-def ccpt2_analysis(x) -> CoefficientSet:
-    """Coefficients against the type-2 basis (full linear solve)."""
-    x = _checked_samples(x, "ccpt2_analysis")
-    return CoefficientSet(N=len(x), family=CCPT2, flat=_solve_family(CCPT2, len(x), x))
+def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
+    """Packed orthogonal coefficients of rpt/ccpt1/ccpt2 coefficients a in
+    column order: the inverse of _from_packed."""
+    N = len(a)
+    b = np.empty(N, dtype=np.result_type(a, float))
+    b[_bin_order(N).occpt_order] = a
+    if family == RPT:
+        for slots, B, _ in _ramanujan_blocks(N):
+            b[slots] = B @ b[slots]
+        return b
+    cos_t, sin_t = _pair_angles(N)
+    a0, a1 = _pairs(b)
+    if family == CCPT1:
+        a0 += a1 * cos_t
+        a1 *= sin_t
+    else:
+        b0 = -a1 * sin_t
+        a1 *= cos_t
+        a1 += a0
+        a0[:] = b0
+    return b
 
 
 def analyze(x, family: str) -> CoefficientSet:
-    """Family-dispatching analysis: the orthogonal family and dft-npm go
-    through the FFT, every other family a cached LU solve.
+    """Family-dispatching analysis through the FFT: the orthogonal family is
+    the packed real FFT, dft-npm the gathered complex FFT, and rpt, ccpt1
+    and ccpt2 a block-diagonal map of the packed coefficients (see the
+    module docstring). Any length N.
 
     Every analysis entry point takes a Signal or array-like of finite
     samples, nonempty and 1-D, and raises ValueError otherwise.
@@ -251,24 +330,25 @@ def analyze(x, family: str) -> CoefficientSet:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     x = _checked_samples(x, "analyze")
-    if family == OCCPT:
-        return _occpt(x)
     N = len(x)
     if family == DFT_NPM:
         flat = np.fft.fft(x)[_bin_order(N).dft_order] / N
+    elif family == OCCPT:
+        flat = _packed(x)
     else:
-        flat = _solve_family(family, N, x)
+        flat = _from_packed(_packed(x), family)
     return CoefficientSet(N=N, family=family, flat=flat)
 
 
 def synthesize(c: CoefficientSet) -> np.ndarray:
+    """Signal of a coefficient set of any family: the inverse of analyze."""
     if c.family == OCCPT:
         return occpt_synthesis(c)
     if c.family == DFT_NPM:
         bins = np.zeros(c.N, dtype=complex)
         bins[_bin_order(c.N).dft_order] = c.flat
         return np.fft.ifft(bins) * c.N
-    return cached_matrix(c.family, c.N).entries @ c.flat
+    return _unpacked(_to_packed(c.flat, c.family))
 
 
 def _pairs(flat: np.ndarray):
@@ -381,29 +461,28 @@ def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
     if high_hz > fs / 2 + 1e-12:
         raise ValueError(f"band edge {high_hz} Hz exceeds the Nyquist rate {fs / 2} Hz")
-    flat = np.array(coeffs.flat)
     N = coeffs.N
-    if coeffs.family == OCCPT:
-        # cosine slot K of subspace (p, k) has K/N == k/p as rationals, so
-        # the correctly rounded quotients are the same float
-        f = np.arange(N // 2 + 1) / N * fs
-        keep = np.empty(N, dtype=bool)
-        keep[:N // 2 + 1] = (low_hz <= f) & (f <= high_hz)
-        lo, hi = _pairs(keep)
-        hi[:] = lo
-        flat[~keep] = 0.0
-    else:
-        for i, (col, _) in enumerate(coeffs.items()):
-            ratio = 0.0 if col.p == 1 else min(col.k, col.p - col.k) / col.p
-            if col.kind == RAM:
-                # Ramanujan columns mix every coprime frequency of p; keep the
-                # subspace when any of its lines falls in the band
-                ratios = [k / col.p for k in half_residues(col.p)] if col.p > 1 else [0.0]
-                keep = any(low_hz <= r * fs <= high_hz for r in ratios)
-            else:
-                keep = low_hz <= ratio * fs <= high_hz
-            if not keep:
-                flat[i] = 0.0
+    # cosine slot K of subspace (p, k) has K/N == k/p as rationals, so the
+    # correctly rounded quotients are the same float
+    f = np.arange(N // 2 + 1) / N * fs
+    keep = np.empty(N, dtype=bool)
+    keep[:N // 2 + 1] = (low_hz <= f) & (f <= high_hz)
+    lo, hi = _pairs(keep)
+    hi[:] = lo
+    order = _bin_order(N)
+    if coeffs.family == DFT_NPM:
+        # bins K and N - K share the frequency of cosine slot K, and so do
+        # slots K and N - K: the slot mask is also the bin mask
+        keep = keep[order.dft_order]
+    elif coeffs.family != OCCPT:
+        keep = keep[order.occpt_order]
+    if coeffs.family == RPT:
+        # Ramanujan columns mix every coprime frequency of p; keep the
+        # subspace when any of its lines falls in the band
+        periods = column_layout(RPT, N).periods
+        keep = (np.bincount(periods, weights=keep, minlength=N + 1) > 0)[periods]
+    flat = np.array(coeffs.flat)
+    flat[~keep] = 0.0
     return CoefficientSet(N=N, family=coeffs.family, flat=flat)
 
 

@@ -4,7 +4,8 @@ Everything here is written from definitions (explicit summation), not by
 calling the library's own transform paths. `butterfly_foccpt` is the one
 loop reference: the fast transform one butterfly at a time.
 `component_loop` reads coefficients through the scalar `pair(p, k)`
-accessors and applies the component formulas one subspace at a time.
+accessors and applies the component formulas one subspace at a time, and
+`band_filter_loop` applies the band test one column at a time.
 """
 
 from math import gcd, lcm
@@ -211,3 +212,23 @@ def component_loop(pair, periods, fs=None, min_magnitude=1e-8):
                 out.append((p, k, freq, None if fs is None else freq * fs,
                             float(mag), float(phase)))
     return out
+
+
+def band_filter_loop(coeffs, fs, low_hz, high_hz):
+    """Flat coefficients of `coeffs` with every column outside the band
+    zeroed, deciding one column at a time from its address: the reference
+    for `band_filter`. A column of subspace (p, k) has frequency
+    min(k, p - k)/p * fs (0 for p = 1); a Ramanujan column of period p is
+    kept when any line k/p * fs, k over the half residues, is in the band."""
+    flat = np.array(coeffs.flat)
+    lines = {}
+    for i, (col, _) in zip(coeffs.column_order(), coeffs.items()):
+        if col.kind == "ram":
+            if col.p not in lines:
+                lines[col.p] = [k / col.p for k in half_residues(col.p)] if col.p > 1 else [0.0]
+            ratios = lines[col.p]
+        else:
+            ratios = [0.0 if col.p == 1 else min(col.k, col.p - col.k) / col.p]
+        if not any(low_hz <= r * fs <= high_hz for r in ratios):
+            flat[i] = 0.0
+    return flat

@@ -1,25 +1,30 @@
-"""The packed real-FFT core of the orthogonal transform and dft-npm against
-the brute-force oracles, at sizes on both sides of the dense-matrix cap.
+"""The packed real-FFT core of the orthogonal transform, dft-npm and the
+block maps of rpt, ccpt1 and ccpt2 against the brute-force oracles and
+dense solves, at sizes on both sides of the dense-matrix cap.
 
 Tolerances are absolute on the coefficient scale (1/N times the DFT), where
-every value here is O(1); DFT bins are compared after dividing by N.
+every orthogonal and dft-npm value here is O(1); DFT bins are compared after
+dividing by N. The other bases are compared relative to their largest
+coefficient.
 """
 
 import numpy as np
 import pytest
 
-from ccpt.matrices import DFT_NPM, OCCPT, build_matrix, column_layout
+from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_matrix, column_layout
 from ccpt.period import frequency_components, period_strengths
 from ccpt.transform import (CoefficientSet, analyze, band_filter,
                             coefficients_to_dict, convolve_coefficients,
                             dft_from_occpt, occpt_analysis, occpt_synthesis,
                             parseval_energy, shift_coefficients, synthesize)
 
-from oracles import (brute_circular_convolution, brute_dft,
+from oracles import (band_filter_loop, brute_circular_convolution, brute_dft,
                      direct_occpt_flat)
 
 SIZES = (1, 2, 3, 4, 5, 12, 54, 64, 625, 1025, 4096, 5000)
 TOL = 1e-12
+# relative to the largest coefficient, for the non-orthogonal bases
+RTOL = 1e-11
 
 
 def _err(got, want) -> float:
@@ -138,19 +143,50 @@ def test_record_pipeline_beyond_the_dense_cap(N, P):
         assert [e["value"] for e in d["indexed"]] == c.column_values().tolist()
 
 
-@pytest.mark.parametrize("N", (1, 2, 3, 6, 12, 54, 64, 360))
-def test_dft_npm_fft_path_matches_dense_solve(N):
+@pytest.mark.parametrize("N, P", [(4097, 17), (5000, 40)])
+@pytest.mark.parametrize("family", (RPT, CCPT1, CCPT2))
+def test_nonorthogonal_families_beyond_the_dense_cap(family, N, P):
+    """rpt, ccpt1 and ccpt2 analysis has no size cap: a round trip, and the
+    divisor estimate of a planted period."""
     rng = np.random.default_rng(N)
-    F = build_matrix(DFT_NPM, N).entries
-    for x in (rng.standard_normal(N), rng.standard_normal(N) + 1j * rng.standard_normal(N)):
-        c = analyze(x, DFT_NPM)
-        assert _err(c.flat, np.linalg.solve(F, x)) <= TOL
-        assert _err(synthesize(c), F @ c.flat) <= TOL * N
-    # a unit coefficient on any column synthesizes that column
+    x = rng.standard_normal(N)
+    assert _err(synthesize(analyze(x, family)), x) <= RTOL
+    tone = np.cos(2 * np.pi * np.arange(N) / P + 0.3)
+    assert period_strengths(analyze(tone, family)).estimated_period == P
+
+
+@pytest.mark.parametrize("N", (1, 2, 3, 6, 12, 54, 64, 360, 625, 2310))
+def test_dft_npm_fft_path_matches_dense_solve(N):
+    """Every family's FFT path against a dense solve, real and complex
+    input. The rpt, ccpt1 and ccpt2 coefficients are compared relative to
+    their largest, as ccpt coefficients grow as 1/sin(2*pi*K/N); rpt's
+    largest block condition, near 7e2, is at p = 2310."""
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N)
+    z = x + 1j * rng.standard_normal(N)
     j = int(rng.integers(N))
-    e = np.zeros(N, dtype=complex)
-    e[j] = 1.0
-    assert _err(synthesize(CoefficientSet(N=N, family=DFT_NPM, flat=e)), F[:, j]) <= TOL * N
+    for family in (DFT_NPM, RPT, CCPT1, CCPT2):
+        F = build_matrix(family, N).entries
+        if family == DFT_NPM:
+            want = np.linalg.solve(F, np.column_stack([x, z])).T
+        else:
+            # a real basis solves the parts of z as two more right-hand sides
+            r, zr, zi = np.linalg.solve(F, np.column_stack([x, z.real, z.imag])).T
+            want = r, zr + 1j * zi
+        for v, ref in zip((x, z), want):
+            c = analyze(v, family)
+            assert np.iscomplexobj(c.flat) == (family == DFT_NPM or np.iscomplexobj(v))
+            if family == DFT_NPM:
+                assert _err(c.flat, ref) <= TOL
+                assert _err(synthesize(c), F @ c.flat) <= TOL * N
+            else:
+                scale = np.max(np.abs(ref))
+                assert _err(c.flat, ref) <= RTOL * scale, family
+                assert _err(synthesize(c), F @ c.flat) <= RTOL * scale, family
+        # a unit coefficient on any column synthesizes that column
+        e = np.zeros(N, dtype=F.dtype)
+        e[j] = 1.0
+        assert _err(synthesize(CoefficientSet(N=N, family=family, flat=e)), F[:, j]) <= TOL * N
 
 
 def test_band_filter_occpt_mask_shares_pairs():
@@ -163,3 +199,17 @@ def test_band_filter_occpt_mask_shares_pairs():
         f = (0.0 if col.p == 1 else col.k / col.p) * fs
         want = c.value(col.p, col.k, col.kind) if 30.0 <= f <= 120.0 else 0.0
         assert out.value(col.p, col.k, col.kind) == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_band_filter_matches_column_loop(family):
+    """The vectorised mask of every family equals the per-column band test,
+    bands with edges on component frequencies included."""
+    bands = ((0.0, 0.0), (0.0, 0.5), (0.1, 0.25), (1 / 3, 0.5), (0.2, 0.2), (1 / 6, 1 / 3))
+    for N in (*range(1, 41), 54, 60, 360, 625):
+        c = analyze(np.random.default_rng(N).standard_normal(N), family)
+        for fs in (1.0, 360.0, 1000.0):
+            for lo, hi in bands:
+                got = band_filter(c, fs, lo * fs, hi * fs).flat
+                np.testing.assert_array_equal(got, band_filter_loop(c, fs, lo * fs, hi * fs),
+                                              err_msg=f"N={N} fs={fs} band=({lo}, {hi})")

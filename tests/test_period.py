@@ -359,3 +359,27 @@ def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
         # the basis really has full rank, so least squares solves it exactly
         for q, s in want.items():
             assert r.strengths[q] == pytest.approx(s, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("branch", ["lu", "least-squares"])
+@pytest.mark.parametrize("family", [OCCPT, RPT, CCPT1, CCPT2])
+def test_candidate_solve_of_complex_signal_against_real_basis(monkeypatch, family, branch):
+    """A real basis solves the real and imaginary parts, so the strengths of
+    x + 1j*y are those of x plus those of y, on either solve branch."""
+    if branch == "least-squares":
+        monkeypatch.setattr(period, "matrix_rank", lambda a: a.shape[1] - 1)
+    period._candidate_basis.cache_clear()
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal(12), np.cos(np.arange(12)) + 0.1 * rng.standard_normal(12)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            got = candidate_matrix_solve(x + 1j * y, (5, 8), family=family)
+            sx = candidate_matrix_solve(x, (5, 8), family=family).strengths
+            sy = candidate_matrix_solve(y, (5, 8), family=family).strengths
+    finally:
+        period._candidate_basis.cache_clear()
+    assert got.full_rank == (branch == "lu")
+    for q in got.strengths:
+        assert got.strengths[q] == pytest.approx(sx[q] + sy[q], rel=1e-12)

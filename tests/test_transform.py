@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from ccpt.ccps import COS, SIN, ccps1, ccps2, pair_scale
-from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, cached_matrix
+from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT
 from ccpt.numtheory import divisors, residue_sets
 from ccpt.signals import Signal, tone
-from ccpt.transform import (CoefficientSet, analyze, ccpt1_analysis,
-                            ccpt2_analysis, coefficient_period_check,
+from ccpt.transform import (CoefficientSet, analyze, coefficient_period_check,
                             coefficients_to_dict, convolve_coefficients,
                             dft_from_occpt, occpt_analysis, occpt_synthesis,
                             parseval_energy, shift_coefficients, synthesize)
@@ -66,7 +65,7 @@ def test_occpt_synthesis_examples():
 
 def test_ccpt1_basis_vector():
     x = tile_to(ccps1(3, 1, 3), 6)
-    c = ccpt1_analysis(x)
+    c = analyze(x, CCPT1)
     expected = np.zeros(6)
     expected[c.flat_index(3, 1, COS, 0)] = 1.0
     np.testing.assert_allclose(c.flat, expected, atol=1e-10)
@@ -75,7 +74,7 @@ def test_ccpt1_basis_vector():
 def test_ccpt2_shifted_basis_vector():
     pattern = ccps2(4, 1, 4)
     x = tile_to(pattern[(np.arange(4) - 1) % 4], 8)
-    c = ccpt2_analysis(x)
+    c = analyze(x, CCPT2)
     expected = np.zeros(8)
     expected[c.flat_index(4, 1, SIN, 1)] = 1.0
     np.testing.assert_allclose(c.flat, expected, atol=1e-10)
@@ -85,8 +84,8 @@ def test_ccpt_roundtrip_n18():
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.standard_normal(18)
-        for fn in (ccpt1_analysis, ccpt2_analysis):
-            c = fn(x)
+        for family in (CCPT1, CCPT2):
+            c = analyze(x, family)
             assert np.max(np.abs(synthesize(c) - x)) <= 1e-9
 
 
@@ -238,7 +237,7 @@ def test_appendix_shift_identities_pointwise():
 
 
 def test_family_guards():
-    c = ccpt1_analysis(np.ones(6))
+    c = analyze(np.ones(6), CCPT1)
     with pytest.raises(ValueError):
         occpt_synthesis(c)
     with pytest.raises(ValueError):
@@ -289,10 +288,8 @@ def test_coefficient_set_rejects_wrong_shape(flat):
     (np.array([]), "at least one sample"),
 ], ids=["4x4", "8x1", "nan", "inf", "complex-nan", "empty"])
 @pytest.mark.parametrize("analysis", [
-    occpt_analysis, ccpt1_analysis, ccpt2_analysis,
-    *(partial(analyze, family=f) for f in FAMILIES),
-], ids=["occpt_analysis", "ccpt1_analysis", "ccpt2_analysis",
-        *(f"analyze-{f}" for f in FAMILIES)])
+    occpt_analysis, *(partial(analyze, family=f) for f in FAMILIES),
+], ids=["occpt_analysis", *(f"analyze-{f}" for f in FAMILIES)])
 def test_analysis_rejects_non_signal_input(analysis, x, match):
     with pytest.raises(ValueError, match=match):
         analysis(x)
