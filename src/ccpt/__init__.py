@@ -6,8 +6,7 @@ from .ccps import (COS, SIN, CcpsSpec, ccps, ccps1, ccps2, ccps_inner_product,
 from .foccpt import OpCounter, complexity_table, foccpt, predicted_counts
 from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                        ColumnLayout, PeriodicBasisMatrix, SubspaceIndex,
-                       ValidationReport, build_ccpt1, build_ccpt2,
-                       build_dft_npm, build_matrix, build_occpt, build_rpt,
+                       ValidationReport, build_matrix, build_occpt,
                        cached_matrix, column_layout,
                        export_matrix_csv, export_matrix_metadata,
                        matrix_metadata, subspace_block, validate_npm)

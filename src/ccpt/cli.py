@@ -114,8 +114,9 @@ def _coefficients_json(c: tr.CoefficientSet) -> str:
     json.dumps falls back to whenever it indents."""
     flat, values = _numbers_json(c)
     flat = ",\n    ".join(flat)
-    rows = ",\n".join([_INDEXED_ROW % (col.k, col.kind, col.p, col.shift, v)
-                       for col, v in zip(column_layout(c.family, c.N).columns, values)])
+    lay = column_layout(c.family, c.N)
+    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
+        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(), values)])
     return (f'{{\n  "N": {c.N:d},\n  "family": {json.dumps(c.family)},\n'
             f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
 

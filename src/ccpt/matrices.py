@@ -13,19 +13,23 @@ block generator:
 Column order is canonical and fixed: divisors ascending, residues ascending,
 cos before sin, downshift 0 before downshift 1. Coefficient indices therefore
 mean the same thing across runs.
+
+A `ColumnLayout` holds the addresses as arrays over any ascending set of
+block periods (divisors of N, or 1..P_max for a dictionary), and
+`build_columns` is the one builder of entries for every basis.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .ccps import COS, SIN, pair_scale, ramanujan_sum
-from .numtheory import divisors, half_residues, residue_sets, totient
+from .numtheory import divisors, totient
 
 DFT_NPM = "dft-npm"
 RPT = "rpt"
@@ -43,9 +47,8 @@ MAX_DIRECT_N = 4096
 __all__ = [
     "DFT_NPM", "RPT", "CCPT1", "CCPT2", "OCCPT", "FAMILIES",
     "SubspaceIndex", "ColumnLayout", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
-    "subspace_block", "column_layout", "build_matrix", "cached_matrix",
-    "build_dft_npm", "build_rpt", "build_ccpt1", "build_ccpt2", "build_occpt",
-    "validate_npm", "matrix_rank", "minimal_period",
+    "block_layout", "build_columns", "subspace_block", "column_layout", "build_matrix",
+    "cached_matrix", "build_occpt", "validate_npm", "matrix_rank",
     "export_matrix_csv", "matrix_metadata", "export_matrix_metadata",
 ]
 
@@ -61,80 +64,117 @@ class SubspaceIndex:
     shift: int = 0
 
 
-def _block_columns(family: str, p: int) -> list[SubspaceIndex]:
-    """Column addresses of the period-p block in canonical order."""
+@dataclass(frozen=True, eq=False)
+class ColumnLayout:
+    """Canonical column addresses of one family over an ascending set of
+    block periods, without the matrix entries. Column i is (periods[i],
+    k[i], kind[i], shift[i]); the arrays are read-only, and `kind` is a
+    "<U3" array of the strings exp, ram, cos and sin."""
+
+    family: str
+    periods: np.ndarray
+    k: np.ndarray
+    kind: np.ndarray
+    shift: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.periods, self.k, self.kind, self.shift):
+            a.setflags(write=False)
+
+    def _rows(self):
+        return self.periods.tolist(), self.k.tolist(), self.kind.tolist(), self.shift.tolist()
+
+    @cached_property
+    def columns(self) -> tuple[SubspaceIndex, ...]:
+        """The addresses as SubspaceIndex objects, built on first use."""
+        return tuple(map(SubspaceIndex, *self._rows()))
+
+    @cached_property
+    def _position(self) -> dict:
+        return {address: i for i, address in enumerate(zip(*self._rows()))}
+
+    def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
+        """0-based position of the column addressed by (p, k, kind, shift)."""
+        try:
+            return self._position[p, k, kind, shift]
+        except KeyError:
+            raise KeyError(f"no column {SubspaceIndex(p, k, kind, shift)} "
+                           f"in this {self.family} layout") from None
+
+
+def block_layout(family: str, periods) -> ColumnLayout:
+    """Column addresses of the blocks of `periods` (positive, ascending):
+    per block, residues ascending, cos before sin, downshift 0 before
+    downshift 1. Each block has phi(p) columns."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    periods = np.array(periods, dtype=int)
+    if periods.size == 0 or periods[0] < 1 or np.any(np.diff(periods) <= 0):
+        raise ValueError(f"block periods must be positive and ascending, got {periods.tolist()}")
+    # candidate residues 1..top of each period: the full residue system, or
+    # its lower half (just 1 for periods 1 and 2)
+    top = periods if family in (DFT_NPM, RPT) else np.maximum(periods // 2, 1)
+    p = np.repeat(periods, top)
+    k = np.arange(1, len(p) + 1) - np.repeat(np.cumsum(top) - top, top)
+    coprime = np.gcd(k, p) == 1
+    p, k = p[coprime], k[coprime]
     if family == DFT_NPM:
-        return [SubspaceIndex(p, k, EXP) for k in residue_sets(p).full]
+        return ColumnLayout(family, p, k, np.full(len(p), EXP), np.zeros_like(p))
     if family == RPT:
-        return [SubspaceIndex(p, 0, RAM, shift=j) for j in range(totient(p))]
-    # ccpt1/ccpt2: one generator kind with downshifts 0 and 1; occpt: the
-    # type-1/type-2 pair. Periods 1 and 2 keep the first column alone.
+        # phi(p) downshifts of the Ramanujan sum c_p; no single residue
+        shift = np.arange(len(p)) - np.searchsorted(p, p)
+        return ColumnLayout(family, p, np.zeros_like(p), np.full(len(p), RAM), shift)
+    # a cos/sin (occpt) or shift 0/1 (ccpt1, ccpt2) pair per residue;
+    # periods 1 and 2 keep the first column alone
+    p, k, second = np.repeat(p, 2), np.repeat(k, 2), np.tile([False, True], len(p))
+    keep = ~second | (p >= 3)
+    p, k, second = p[keep], k[keep], second[keep]
     if family == OCCPT:
-        variants = ((COS, 0), (SIN, 0))
+        return ColumnLayout(family, p, k, np.where(second, SIN, COS), np.zeros_like(p))
+    kind = COS if family == CCPT1 else SIN
+    return ColumnLayout(family, p, k, np.full(len(p), kind), second.astype(int))
+
+
+def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
+    """The layout's columns tiled (and truncated) to `length` samples,
+    complex for dft-npm. One period of every column is laid end to end in a
+    table (rpt columns share one Ramanujan sum per period), and sample n of
+    a column with downshift s is its entry (n - s) mod p."""
+    p = layout.periods
+    if layout.family == RPT:
+        blocks = np.unique(p)
+        table = np.concatenate([ramanujan_sum(q) for q in blocks.tolist()])
+        start = (np.cumsum(blocks) - blocks)[np.searchsorted(blocks, p)]
     else:
-        kind = COS if family == CCPT1 else SIN
-        variants = ((kind, 0), (kind, 1))
-    return [SubspaceIndex(p, k, kind, shift)
-            for k in half_residues(p)
-            for kind, shift in variants[:1 if p <= 2 else 2]]
+        start = np.cumsum(p) - p
+        # per table entry: its column's period and residue, and its index i
+        # within that period
+        p_t, k_t = np.repeat(p, p), np.repeat(layout.k, p)
+        i = np.arange(len(p_t)) - np.repeat(start, p)
+        if layout.family == DFT_NPM:
+            table = np.exp(2j * np.pi * k_t * i / p_t)
+        else:
+            # k*i reduced mod p before scaling, as in the pair-sum generators
+            angles = (2.0 * np.pi / p_t) * ((k_t * i) % p_t)
+            is_sin = np.repeat(layout.kind == SIN, p)
+            table = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
+            # both pair sums collapse to the constant (p = 1) and (-1)^n (p = 2)
+            degenerate = p_t <= 2
+            table[degenerate] = np.where(i[degenerate] == 0, 1.0, -1.0)
+    idx = np.arange(length)[:, None] - layout.shift
+    idx %= p
+    idx += start
+    return table[idx]
 
 
 def subspace_block(family: str, p: int, length: int):
     """Basis block for the period-p subspace, tiled/truncated to `length`.
 
     Returns (block, columns): a length x phi(p) array and the column
-    addresses. Used both by the square builders (p a divisor of length) and
-    by the dictionaries (arbitrary p).
+    addresses; p need not divide `length`.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    meta = _block_columns(family, p)
-    # sample n of a column downshifted by `shift` is its pattern at (n - shift) mod p
-    m = (np.arange(length)[:, None] - np.array([c.shift for c in meta])) % p
-    if family == RPT:
-        return ramanujan_sum(p)[m], meta
-    k = np.array([c.k for c in meta])
-    i = np.arange(p)[:, None]
-    if family == DFT_NPM:
-        patterns = np.exp(2j * np.pi * k * i / p)
-    elif p <= 2:
-        # both pair sums collapse to the constant (p = 1) and (-1)^n (p = 2)
-        return np.where(m == 0, 1.0, -1.0), meta
-    else:
-        # k*i reduced mod p before scaling, as in the pair-sum generators
-        angles = (2.0 * np.pi / p) * ((k * i) % p)
-        is_sin = np.array([c.kind == SIN for c in meta])
-        patterns = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
-    return patterns[m, np.arange(len(meta))], meta
-
-
-@dataclass(frozen=True)
-class ColumnLayout:
-    """Canonical column addresses of one family at size N, without the
-    matrix entries: what coefficient indexing needs at any N."""
-
-    N: int
-    family: str
-    columns: tuple[SubspaceIndex, ...]
-
-    @cached_property
-    def _index(self) -> dict:
-        return {c: i for i, c in enumerate(self.columns)}
-
-    @cached_property
-    def periods(self) -> np.ndarray:
-        """Period p of every column, in column order (read-only)."""
-        out = np.array([c.p for c in self.columns])
-        out.setflags(write=False)
-        return out
-
-    def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
-        """0-based position of the column addressed by (p, k, kind, shift)."""
-        key = SubspaceIndex(p, k, kind, shift)
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"no column {key} in {self.family} matrix of size {self.N}") from None
+    layout = block_layout(family, [p])
+    return build_columns(layout, length), layout.columns
 
 
 def _check_family_size(family: str, N: int) -> None:
@@ -146,74 +186,52 @@ def _check_family_size(family: str, N: int) -> None:
 
 @lru_cache(maxsize=64)
 def column_layout(family: str, N: int) -> ColumnLayout:
-    """Column addresses of the size-N matrix of `family`: divisors ascending,
-    then each block's residues, kinds and shifts. Builds no entries, so it
-    has no size cap."""
+    """Column addresses of the size-N matrix of `family`: the blocks of the
+    divisors of N, ascending. Builds no entries, so it has no size cap."""
     _check_family_size(family, N)
-    return ColumnLayout(N=N, family=family,
-                        columns=tuple(c for p in divisors(N) for c in _block_columns(family, p)))
+    return block_layout(family, divisors(N))
 
 
 @dataclass(frozen=True)
 class PeriodicBasisMatrix:
-    """An N x N basis matrix with per-column subspace metadata.
+    """An N x N basis matrix and its column addresses.
 
     `entries` is dense (complex for dft-npm, real otherwise) and read-only;
-    `columns[i]` addresses column i.
+    `layout` addresses its columns.
     """
 
     N: int
     family: str
     entries: np.ndarray
-    columns: tuple[SubspaceIndex, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    layout: ColumnLayout
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-        self._index.update({c: i for i, c in enumerate(self.columns)})
-
-    column_index = ColumnLayout.column_index
 
     def subspace_columns(self, p: int) -> range:
         """Contiguous column range of the period-p block."""
-        pos = [i for i, c in enumerate(self.columns) if c.p == p]
-        if not pos:
+        start, stop = np.searchsorted(self.layout.periods, [p, p + 1]).tolist()
+        if start == stop:
             raise KeyError(f"{p} is not a divisor period of this matrix (N={self.N})")
-        return range(pos[0], pos[-1] + 1)
+        return range(start, stop)
 
     def scales(self) -> np.ndarray:
         """Per-column pair-scale constants (1/2 for p <= 2, else 1)."""
-        return np.array([pair_scale(c.p) for c in self.columns])
+        return np.array([pair_scale(p) for p in self.layout.periods.tolist()])
 
 
 def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
     _check_family_size(family, N)
     if N > MAX_DIRECT_N:
         raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
-    entries = np.hstack([subspace_block(family, p, N)[0] for p in divisors(N)])
-    return PeriodicBasisMatrix(N=N, family=family, entries=entries,
-                               columns=column_layout(family, N).columns)
+    layout = column_layout(family, N)
+    return PeriodicBasisMatrix(N=N, family=family, entries=build_columns(layout, N),
+                               layout=layout)
 
 
 @lru_cache(maxsize=64)
 def cached_matrix(family: str, N: int) -> PeriodicBasisMatrix:
     return build_matrix(family, N)
-
-
-def build_dft_npm(N: int) -> PeriodicBasisMatrix:
-    return build_matrix(DFT_NPM, N)
-
-
-def build_rpt(N: int) -> PeriodicBasisMatrix:
-    return build_matrix(RPT, N)
-
-
-def build_ccpt1(N: int) -> PeriodicBasisMatrix:
-    return build_matrix(CCPT1, N)
-
-
-def build_ccpt2(N: int) -> PeriodicBasisMatrix:
-    return build_matrix(CCPT2, N)
 
 
 def build_occpt(N: int) -> PeriodicBasisMatrix:
@@ -228,14 +246,6 @@ def matrix_rank(a: np.ndarray) -> int:
     if s[0] == 0.0:
         return 0
     return int(np.sum(s >= 1e-10 * s[0]))
-
-
-def minimal_period(col: np.ndarray, p: int, tol: float = 1e-9) -> int:
-    """Smallest divisor of p with which the length-N sequence repeats."""
-    for d in divisors(p):
-        if np.allclose(col, col[np.arange(len(col)) % d], atol=tol):
-            return d
-    return p
 
 
 @dataclass(frozen=True)
@@ -276,10 +286,8 @@ def validate_npm(m: PeriodicBasisMatrix, tol: float = 1e-9) -> ValidationReport:
         rng = m.subspace_columns(p)
         block = m.entries[:, rng.start:rng.stop]
         r = matrix_rank(block)
-        periodic = all(
-            np.max(np.abs(block[:, j] - block[:, j][n % p])) <= tol * max(1.0, np.max(np.abs(block[:, j])))
-            for j in range(block.shape[1])
-        )
+        periodic = bool(np.all(np.max(np.abs(block - block[n % p]), axis=0)
+                               <= tol * np.maximum(1.0, np.max(np.abs(block), axis=0))))
         checks.append(BlockCheck(p=p, width=block.shape[1], rank=r,
                                  rank_ok=(r == totient(p)), periodic_ok=periodic))
     rank = matrix_rank(m.entries)
@@ -305,7 +313,7 @@ def matrix_metadata(m: PeriodicBasisMatrix) -> dict:
         "N": m.N,
         "family": m.family,
         "columns": [
-            {"p": c.p, "k": c.k, "kind": c.kind, "shift": c.shift} for c in m.columns
+            {"p": c.p, "k": c.k, "kind": c.kind, "shift": c.shift} for c in m.layout.columns
         ],
     }
 

@@ -6,9 +6,10 @@ coefficients to each divisor subspace; periods holding at least a fraction
 estimate is their least common multiple.
 
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
-candidate periods 1..P_max. The representation x = F b is resolved by the
-weighted minimum-norm program min ||T b|| s.t. x = F b, whose closed form
-is b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
+candidate periods 1..P_max, built in one pass from their column layout.
+The representation x = F b is resolved by the weighted minimum-norm
+program min ||T b|| s.t. x = F b, whose closed form is
+b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
 
 Each dictionary is factored once, by an economic QR of A^H = (F T^-1)^H =
 Q R. Then R^H R = F T^-2 F^H, so R is the Cholesky factor of the Gram and
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from typing import NamedTuple
@@ -45,8 +46,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, pinv, qr, svdvals
 
 from .ccps import COS, SIN
-from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, SubspaceIndex,
-                       matrix_rank, subspace_block)
+from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, SubspaceIndex,
+                       block_layout, build_columns, matrix_rank)
 from .numtheory import divisors, lcm_list, totient
 from .signals import _checked_samples
 from .transform import CoefficientSet
@@ -162,14 +163,14 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
     return _components(p, k, b0, b1, fs, min_magnitude)
 
 
-def _penalty_fn(penalty):
-    if callable(penalty):
-        return penalty, getattr(penalty, "__name__", "custom")
+def _penalties(penalty: str, periods: np.ndarray) -> np.ndarray:
+    """Penalty f(p) of each column, given the columns' periods."""
     if penalty == "p2":
-        return (lambda p: p * p), "p2"
+        return (periods * periods).astype(float)
     if penalty == "phi":
-        return totient, "phi"
-    raise ValueError(f"penalty must be 'p2', 'phi' or a callable, got {penalty!r}")
+        # every block of period p has phi(p) columns
+        return np.bincount(periods)[periods].astype(float)
+    raise ValueError(f"penalty must be 'p2' or 'phi', got {penalty!r}")
 
 
 @dataclass(frozen=True)
@@ -204,18 +205,22 @@ class PeriodicDictionary:
     family: str
     penalty_name: str
     entries: np.ndarray
-    columns: tuple[SubspaceIndex, ...]
+    layout: ColumnLayout            # column addresses of the blocks 1..p_max
     penalties: np.ndarray
-    periods: np.ndarray             # period of each column
     _factor: GramFactor | None = field(default=None, repr=False)
 
     @property
     def n_columns(self) -> int:
         return self.entries.shape[1]
 
-    @cached_property
-    def _column_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.columns)}
+    @property
+    def columns(self) -> tuple[SubspaceIndex, ...]:
+        return self.layout.columns
+
+    @property
+    def periods(self) -> np.ndarray:
+        """Period of each column (read-only)."""
+        return self.layout.periods
 
     def gram(self) -> GramFactor:
         """QR factorization of the penalty-scaled dictionary, built once and
@@ -250,16 +255,11 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
     fam = DFT_NPM if family == FAREY else family
     if fam not in (OCCPT, CCPT1, CCPT2, RPT, DFT_NPM):
         raise ValueError(f"unknown dictionary family {family!r}")
-    fn, name = _penalty_fn(penalty)
-    blocks, meta, pens = [], [], []
-    for p in range(1, p_max + 1):
-        block, cols = subspace_block(fam, p, N)
-        blocks.append(block)
-        meta.extend(cols)
-        pens.extend([float(fn(p))] * block.shape[1])
-    return PeriodicDictionary(N=N, p_max=p_max, family=family, penalty_name=name,
-                              entries=np.hstack(blocks), columns=tuple(meta),
-                              penalties=np.array(pens), periods=np.array([c.p for c in meta]))
+    layout = block_layout(fam, range(1, p_max + 1))
+    penalties = _penalties(penalty, layout.periods)
+    return PeriodicDictionary(N=N, p_max=p_max, family=family, penalty_name=penalty,
+                              entries=build_columns(layout, N), layout=layout,
+                              penalties=penalties)
 
 
 @dataclass(frozen=True)
@@ -297,28 +297,24 @@ class DictionarySolution:
         (orthogonal-family dictionaries only)."""
         if self.dictionary.family != OCCPT:
             raise ValueError("component recovery requires an orthogonal-family dictionary")
-        cols = self.dictionary.columns
-        p = self.dictionary.periods
-        k = np.array([c.k for c in cols])
-        cos = np.array([c.kind == COS for c in cols])
-        # cosine and sine columns, each sorted by (p, k); only p >= 3 has a sine
-        i0, i1 = np.flatnonzero(cos), np.flatnonzero(~cos)
-        i0 = i0[np.lexsort((k[i0], p[i0]))]
-        i1 = i1[np.lexsort((k[i1], p[i1]))]
+        layout = self.dictionary.layout
+        # the columns run by (p, k), each cosine followed by its sine for p >= 3
+        cos = layout.kind == COS
+        p = layout.periods[cos]
         b = self.b_hat.real
-        b1 = np.zeros(len(i0))
-        b1[p[i0] >= 3] = b[i1]
-        return _components(p[i0], k[i0], b[i0], b1, fs, min_magnitude)
+        b1 = np.zeros(len(p))
+        b1[p >= 3] = b[~cos]
+        return _components(p, layout.k[cos], b[cos], b1, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
         """(cosine, sine) coefficients of subspace (p, k); the sine is 0.0
         for p <= 2."""
-        index = self.dictionary._column_index
+        column_index = self.dictionary.layout.column_index
         try:
-            i0 = index[SubspaceIndex(p, k, COS)]
+            i0 = column_index(p, k, COS)
             if p <= 2:
                 return self.b_hat[i0], 0.0
-            i1 = index[SubspaceIndex(p, k, SIN)]
+            i1 = column_index(p, k, SIN)
         except KeyError:
             raise ValueError(f"no subspace ({p}, {k}) in the "
                              f"{self.dictionary.family} dictionary") from None
@@ -430,13 +426,13 @@ def _candidate_basis(cand: tuple[int, ...], family: str, n: int) -> _CandidateBa
     n; a length other than the basis dimension is rejected before anything
     is built, and the error is not cached."""
     periods = tuple(sorted({d for p in cand for d in divisors(p)}))
-    width = sum(totient(p) for p in periods)
+    layout = block_layout(family, periods)
+    width = len(layout.periods)
     if n != width:
         raise ValueError(
             f"data length {n} does not match the basis dimension {width} "
             f"of candidate set {cand}; this construction needs a square system")
-    blocks = [subspace_block(family, p, width) for p in periods]
-    H = np.hstack([block for block, _ in blocks])
+    H = build_columns(layout, width)
     H.setflags(write=False)
     rank = matrix_rank(H)
     lu = None
@@ -445,8 +441,7 @@ def _candidate_basis(cand: tuple[int, ...], family: str, n: int) -> _CandidateBa
         LU, piv, _ = getrf(H)
         LU.setflags(write=False)
         lu = (LU, piv, getrs)
-    column_periods = np.array([c.p for _, cols in blocks for c in cols])
-    return _CandidateBasis(periods, width, H, rank, lu, column_periods)
+    return _CandidateBasis(periods, width, H, rank, lu, layout.periods)
 
 
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:

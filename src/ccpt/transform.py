@@ -122,15 +122,9 @@ class CoefficientSet:
         return bool(np.iscomplexobj(self.flat))
 
     def flat_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
-        if self.family == OCCPT:
-            if kind == COS:
-                return (self.N * k // p) % self.N
-            if kind == SIN:
-                if p <= 2:
-                    raise KeyError(f"no sine coefficient for p={p}")
-                return self.N - self.N * k // p
-            raise KeyError(f"no {kind!r} coefficients in the orthogonal family")
-        return column_layout(self.family, self.N).column_index(p, k, kind, shift)
+        """Flat position of column (p, k, kind, shift); KeyError if none."""
+        i = column_layout(self.family, self.N).column_index(p, k, kind, shift)
+        return int(self.column_order()[i])
 
     def value(self, p: int, k: int, kind: str, shift: int = 0):
         return self.flat[self.flat_index(p, k, kind, shift)]

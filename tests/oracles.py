@@ -6,14 +6,17 @@ loop reference: the fast transform one butterfly at a time.
 `component_loop` reads coefficients through the scalar `pair(p, k)`
 accessors and applies the component formulas one subspace at a time, and
 `band_filter_loop` applies the band test one column at a time.
+`block_columns` and `block_entries` build addresses and entries one period
+block at a time.
 """
 
 from math import gcd, lcm
 
 import numpy as np
 
+from ccpt.ccps import ramanujan_sum
 from ccpt.foccpt import OpCounter
-from ccpt.numtheory import half_residues
+from ccpt.numtheory import divisors, half_residues, residue_sets, totient
 
 
 def brute_dft(x):
@@ -98,6 +101,52 @@ def block_addresses(family, p):
             "ccpt2": (("sin", 0), ("sin", 1))}[family]
     half = [1] if p <= 2 else [k for k in _coprime(p) if k <= p // 2]
     return [(kind, k, shift) for k in half for kind, shift in pair[:1 if p <= 2 else 2]]
+
+
+def block_columns(family, p):
+    """(p, k, kind, shift) of the period-p columns in canonical order, one
+    block at a time: the reference for the column-address arrays."""
+    if family == "dft-npm":
+        return [(p, k, "exp", 0) for k in residue_sets(p).full]
+    if family == "rpt":
+        return [(p, 0, "ram", j) for j in range(totient(p))]
+    if family == "occpt":
+        variants = (("cos", 0), ("sin", 0))
+    else:
+        kind = "cos" if family == "ccpt1" else "sin"
+        variants = ((kind, 0), (kind, 1))
+    return [(p, k, kind, shift)
+            for k in half_residues(p)
+            for kind, shift in variants[:1 if p <= 2 else 2]]
+
+
+def block_entries(family, p, length):
+    """The period-p block tiled to `length`, built one block at a time with
+    the same arithmetic as the layout-wide builder, which must match it bit
+    for bit."""
+    meta = block_columns(family, p)
+    m = (np.arange(length)[:, None] - np.array([c[3] for c in meta])) % p
+    if family == "rpt":
+        return ramanujan_sum(p)[m]
+    k = np.array([c[1] for c in meta])
+    i = np.arange(p)[:, None]
+    if family == "dft-npm":
+        patterns = np.exp(2j * np.pi * k * i / p)
+    elif p <= 2:
+        return np.where(m == 0, 1.0, -1.0)
+    else:
+        angles = (2.0 * np.pi / p) * ((k * i) % p)
+        is_sin = np.array([c[2] == "sin" for c in meta])
+        patterns = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
+    return patterns[m, np.arange(len(meta))]
+
+
+def minimal_period(col, p, tol=1e-9):
+    """Smallest divisor of p with which the length-N sequence repeats."""
+    for d in divisors(p):
+        if np.allclose(col, col[np.arange(len(col)) % d], atol=tol):
+            return d
+    return p
 
 
 def dictionary_oracle(family, N, p_max):

@@ -94,14 +94,32 @@ def test_packed_core_against_oracles(N):
 def test_canonical_column_order_matches_slot_addresses(N):
     c = occpt_analysis(np.random.default_rng(N + 1).standard_normal(N))
     columns = column_layout(OCCPT, N).columns
-    slots = [c.flat_index(col.p, col.k, col.kind) for col in columns]
+    # cosine of (p, k) at slot N*k/p (0 for p = 1), sine at N - N*k/p
+    slots = [(N * col.k // col.p) % N if col.kind == "cos" else N - N * col.k // col.p
+             for col in columns]
     assert sorted(slots) == list(range(N))
+    assert [c.flat_index(col.p, col.k, col.kind) for col in columns] == slots
     np.testing.assert_array_equal(c.column_values(), c.flat[slots])
     p, k, b0, b1 = c.pairs()
     cos_cols = [col for col in columns if col.kind == "cos"]
     assert [(col.p, col.k) for col in cos_cols] == list(zip(p.tolist(), k.tolist()))
     for col, v0, v1 in zip(cos_cols, b0, b1):
         assert (v0, v1) == c.pair(col.p, col.k)
+
+
+def test_occpt_lookup_rejects_addresses_that_are_not_columns():
+    """At N = 8 the orthogonal columns are (1, 1), (2, 1), (4, 1), (8, 1)
+    and (8, 3): a residue that is not coprime, one above p/2 and a period
+    that does not divide N have no coefficient."""
+    c = occpt_analysis(np.arange(8.0))
+    for p, k in ((4, 2), (8, 5), (3, 1)):
+        with pytest.raises(KeyError, match="no column"):
+            c.pair(p, k)
+        with pytest.raises(KeyError, match="no column"):
+            c.value(p, k, "cos")
+    with pytest.raises(KeyError, match="no column"):
+        c.flat_index(2, 1, "sin")
+    assert c.pair(8, 3) == (c.flat[3], c.flat[5])
 
 
 def test_random_slots_at_65536_by_direct_summation():

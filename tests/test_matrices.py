@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,30 +6,29 @@ import pytest
 
 from ccpt.ccps import COS, SIN, ccps1, ccps2, ramanujan_sum
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
-                           PeriodicBasisMatrix, build_ccpt1, build_ccpt2,
-                           build_dft_npm, build_matrix, build_occpt,
-                           build_rpt, export_matrix_csv,
+                           SubspaceIndex, block_layout, build_columns,
+                           build_matrix, column_layout, export_matrix_csv,
                            export_matrix_metadata, matrix_rank,
-                           minimal_period, subspace_block, validate_npm)
+                           subspace_block, validate_npm)
 from ccpt.numtheory import divisors, residue_sets, totient
 
-from oracles import tile_to
+from oracles import block_columns, block_entries, minimal_period, tile_to
 
 
 def test_dft_npm_column_periods_n4():
-    m = build_dft_npm(4)
-    assert [c.p for c in m.columns] == [1, 2, 4, 4]
-    for j, c in enumerate(m.columns):
+    m = build_matrix(DFT_NPM, 4)
+    assert [c.p for c in m.layout.columns] == [1, 2, 4, 4]
+    for j, c in enumerate(m.layout.columns):
         assert minimal_period(m.entries[:, j], c.p) == c.p
 
 
 def test_dft_npm_trivial():
-    m = build_dft_npm(1)
+    m = build_matrix(DFT_NPM, 1)
     np.testing.assert_allclose(m.entries, [[1.0]])
 
 
 def test_dft_npm_block_ranks_n6():
-    m = build_dft_npm(6)
+    m = build_matrix(DFT_NPM, 6)
     ranks = [matrix_rank(m.entries[:, m.subspace_columns(p)]) for p in divisors(6)]
     assert ranks == [1, 1, 2, 2]
 
@@ -38,10 +38,10 @@ def test_dft_npm_columns_match_classical_dft():
     exhaust all N columns, i.e. the matrix is a column permutation of the
     classical DFT matrix."""
     for N in range(1, 33):
-        m = build_dft_npm(N)
+        m = build_matrix(DFT_NPM, N)
         n = np.arange(N)
         seen = set()
-        for j, c in enumerate(m.columns):
+        for j, c in enumerate(m.layout.columns):
             k_classical = (N // c.p) * c.k % N
             expected = np.exp(2j * np.pi * k_classical * n / N)
             np.testing.assert_allclose(m.entries[:, j], expected, atol=1e-10)
@@ -50,60 +50,60 @@ def test_dft_npm_columns_match_classical_dft():
 
 
 def test_rpt_examples():
-    np.testing.assert_allclose(build_rpt(2).entries, [[1, 1], [1, -1]], atol=1e-12)
-    m = build_rpt(4)
-    j = m.column_index(4, 0, "ram", shift=0)
+    np.testing.assert_allclose(build_matrix(RPT, 2).entries, [[1, 1], [1, -1]], atol=1e-12)
+    m = build_matrix(RPT, 4)
+    j = m.layout.column_index(4, 0, "ram", shift=0)
     np.testing.assert_allclose(m.entries[:, j], [2, 0, -2, 0], atol=1e-12)
-    assert matrix_rank(build_rpt(12).entries) == 12
+    assert matrix_rank(build_matrix(RPT, 12).entries) == 12
 
 
 def test_rpt_columns_are_shifted_ramanujan_sums():
-    m = build_rpt(12)
-    for j, c in enumerate(m.columns):
+    m = build_matrix(RPT, 12)
+    for j, c in enumerate(m.layout.columns):
         pattern = ramanujan_sum(c.p)
         expected = pattern[(np.arange(12) - c.shift) % c.p]
         np.testing.assert_allclose(m.entries[:, j], expected, atol=1e-12)
 
 
 def test_ccpt1_examples():
-    m = build_ccpt1(3)
+    m = build_matrix(CCPT1, 3)
     np.testing.assert_allclose(m.entries[:, 0], [1, 1, 1], atol=1e-12)
     np.testing.assert_allclose(m.entries[:, 1], [2, -1, -1], atol=1e-12)
     np.testing.assert_allclose(m.entries[:, 2], [-1, 2, -1], atol=1e-12)
-    assert matrix_rank(build_ccpt1(10).entries) == 10
+    assert matrix_rank(build_matrix(CCPT1, 10).entries) == 10
 
 
 def test_ccpt1_block_ranks_n9():
-    m = build_ccpt1(9)
+    m = build_matrix(CCPT1, 9)
     for p in divisors(9):
         block = m.entries[:, m.subspace_columns(p)]
         assert matrix_rank(block) == totient(p)
 
 
 def test_ccpt2_examples():
-    m = build_ccpt2(4)
-    j = m.column_index(4, 1, SIN, shift=0)
+    m = build_matrix(CCPT2, 4)
+    j = m.layout.column_index(4, 1, SIN, shift=0)
     np.testing.assert_allclose(m.entries[:, j], [0, 2, 0, -2], atol=1e-12)
     np.testing.assert_allclose(m.entries[:, j + 1], [-2, 0, 2, 0], atol=1e-12)
     b2 = m.entries[:, m.subspace_columns(2)]
     b4 = m.entries[:, m.subspace_columns(4)]
     np.testing.assert_allclose(b2.T @ b4, 0, atol=1e-12)
-    assert matrix_rank(build_ccpt2(12).entries) == 12
+    assert matrix_rank(build_matrix(CCPT2, 12).entries) == 12
 
 
 def test_occpt_examples():
-    np.testing.assert_allclose(build_occpt(2).entries, [[1, 1], [1, -1]], atol=1e-12)
-    m = build_occpt(6)
+    np.testing.assert_allclose(build_matrix(OCCPT, 2).entries, [[1, 1], [1, -1]], atol=1e-12)
+    m = build_matrix(OCCPT, 6)
     gram = m.entries.T @ m.entries
     np.testing.assert_allclose(gram, np.diag([6, 6, 12, 12, 12, 12]), atol=1e-9)
-    assert [(c.p, c.k, c.kind) for c in m.columns] == [
+    assert [(c.p, c.k, c.kind) for c in m.layout.columns] == [
         (1, 1, COS), (2, 1, COS), (3, 1, COS), (3, 1, SIN), (6, 1, COS), (6, 1, SIN)]
-    assert matrix_rank(build_occpt(54).entries) == 54
+    assert matrix_rank(build_matrix(OCCPT, 54).entries) == 54
 
 
 def test_occpt_columns_pairwise_orthogonal():
     for N in (6, 12, 18, 54):
-        m = build_occpt(N)
+        m = build_matrix(OCCPT, N)
         gram = m.entries.T @ m.entries
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) <= 1e-9 * N
@@ -115,8 +115,8 @@ def test_block_widths_and_minimal_periods():
         for N in (1, 2, 6, 12, 24, 54, 64):
             m = build_matrix(family, N)
             assert sum(totient(p) for p in divisors(N)) == N
-            assert len(m.columns) == N
-            for j, c in enumerate(m.columns):
+            assert len(m.layout.columns) == N
+            for j, c in enumerate(m.layout.columns):
                 assert minimal_period(m.entries[:, j], c.p) == c.p
 
 
@@ -132,18 +132,18 @@ def test_ccpt_cross_subspace_orthogonality_and_shift_independence():
                 cross = m.entries[:, rng_p].T @ m.entries[:, rng_q]
                 np.testing.assert_allclose(cross, 0, atol=1e-9)
         # within one conjugate subspace the shifted pair is independent
-        for c in m.columns:
+        for c in m.layout.columns:
             if c.p >= 3 and c.shift == 0:
-                j = m.column_index(c.p, c.k, c.kind, 0)
+                j = m.layout.column_index(c.p, c.k, c.kind, 0)
                 pair = m.entries[:, [j, j + 1]]
                 g = pair.T @ pair
                 assert np.linalg.det(g) > 1e-6
 
 
 def test_cross_ccs_orthogonality_within_subspace():
-    m = build_ccpt1(16)
+    m = build_matrix(CCPT1, 16)
     cols = m.entries[:, m.subspace_columns(16)]
-    meta = [c for c in m.columns if c.p == 16]
+    meta = [c for c in m.layout.columns if c.p == 16]
     for i, ci in enumerate(meta):
         for j, cj in enumerate(meta):
             if ci.k != cj.k:
@@ -151,17 +151,17 @@ def test_cross_ccs_orthogonality_within_subspace():
 
 
 def test_validate_npm_passes():
-    assert validate_npm(build_occpt(18)).passed
-    assert validate_npm(build_rpt(16)).passed
+    assert validate_npm(build_matrix(OCCPT, 18)).passed
+    assert validate_npm(build_matrix(RPT, 16)).passed
     for family in FAMILIES:
         assert validate_npm(build_matrix(family, 12)).passed
 
 
 def test_validate_npm_catches_duplicate_column():
-    m = build_occpt(6)
+    m = build_matrix(OCCPT, 6)
     entries = np.array(m.entries)
     entries[:, 3] = entries[:, 2]
-    broken = PeriodicBasisMatrix(N=6, family=OCCPT, entries=entries, columns=m.columns)
+    broken = dataclasses.replace(m, entries=entries)
     report = validate_npm(broken)
     assert not report.passed
     assert not report.full_rank
@@ -184,13 +184,13 @@ def test_type2_circulant_rank_and_column_space():
 
 
 def test_column_lookup_examples():
-    m = build_occpt(6)
-    assert m.column_index(3, 1, COS) == 2
+    m = build_matrix(OCCPT, 6)
+    assert m.layout.column_index(3, 1, COS) == 2
     assert m.subspace_columns(6) == range(4, 6)
-    m = build_ccpt1(4)
-    assert m.column_index(4, 1, COS, shift=1) == 3
+    m = build_matrix(CCPT1, 4)
+    assert m.layout.column_index(4, 1, COS, shift=1) == 3
     with pytest.raises(KeyError):
-        m.column_index(4, 3, COS)
+        m.layout.column_index(4, 3, COS)
     with pytest.raises(KeyError):
         m.subspace_columns(5)
 
@@ -203,8 +203,54 @@ def test_subspace_block_tiling_and_truncation():
         np.testing.assert_allclose(col, tile_to(col[:8], 54), atol=1e-12)
 
 
+LAYOUT_SIZES = (*range(1, 131), 360, 625, 1024, 2310)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_layout_arrays_match_block_loop(family):
+    """The vectorised address arrays equal the block-by-block addresses over
+    every divisor set of the size grid and two dictionary period sets, and
+    the one builder's entries equal the per-period blocks bit for bit."""
+    period_sets = [divisors(N) for N in LAYOUT_SIZES] + [range(1, 51), (1, 2, 4, 5, 8)]
+    for periods in period_sets:
+        layout = block_layout(family, periods)
+        want = [a for p in periods for a in block_columns(family, p)]
+        rows = zip(layout.periods.tolist(), layout.k.tolist(), layout.kind.tolist(),
+                   layout.shift.tolist())
+        assert list(rows) == want
+        assert layout.columns == tuple(SubspaceIndex(*a) for a in want)
+        assert [layout.column_index(*a) for a in want] == list(range(len(want)))
+        assert layout.kind.dtype == np.dtype("<U3")
+        for a in (layout.periods, layout.k, layout.kind, layout.shift):
+            assert not a.flags.writeable
+    for N in LAYOUT_SIZES:
+        assert column_layout(family, N).columns == tuple(
+            SubspaceIndex(*a) for p in divisors(N) for a in block_columns(family, p))
+        if N <= 400:
+            want = np.hstack([block_entries(family, p, N) for p in divisors(N)])
+            np.testing.assert_array_equal(build_matrix(family, N).entries, want, strict=True)
+    for periods in period_sets[-2:]:
+        for length in (54, 512):
+            want = np.hstack([block_entries(family, p, length) for p in periods])
+            got = build_columns(block_layout(family, periods), length)
+            np.testing.assert_array_equal(got, want, strict=True)
+    for p in range(1, 80):
+        for length in (p, 54, 512):
+            block, cols = subspace_block(family, p, length)
+            np.testing.assert_array_equal(block, block_entries(family, p, length), strict=True)
+            assert cols == tuple(SubspaceIndex(*a) for a in block_columns(family, p))
+
+
+def test_block_layout_guards():
+    with pytest.raises(ValueError, match="unknown family"):
+        block_layout("hadamard", [1, 2])
+    for periods in ([], [0, 1], [2, 1], [1, 1]):
+        with pytest.raises(ValueError, match="positive and ascending"):
+            block_layout(OCCPT, periods)
+
+
 def test_matrix_export_roundtrip(tmp_path):
-    m = build_occpt(6)
+    m = build_matrix(OCCPT, 6)
     csv_path = tmp_path / "m.csv"
     meta_path = tmp_path / "m.json"
     export_matrix_csv(m, csv_path)
@@ -218,7 +264,7 @@ def test_matrix_export_roundtrip(tmp_path):
 
 
 def test_complex_matrix_export(tmp_path):
-    m = build_dft_npm(4)
+    m = build_matrix(DFT_NPM, 4)
     path = tmp_path / "dft.csv"
     export_matrix_csv(m, path)
     rows = [[complex(v.strip("()")) for v in line.split(",")]

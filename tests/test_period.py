@@ -223,6 +223,12 @@ def test_penalty_phi():
     np.testing.assert_array_equal(d.penalties, expected)
 
 
+def test_penalty_is_p2_or_phi():
+    for penalty in (lambda p: p, "p", None):
+        with pytest.raises(ValueError, match="penalty must be 'p2' or 'phi'"):
+            build_dictionary(24, 6, family=OCCPT, penalty=penalty)
+
+
 def test_min_data_length_examples():
     assert min_data_length([6, 8]) == 12
     assert min_data_length([3, 3]) == 3
@@ -314,20 +320,21 @@ def test_candidate_strengths_match_definition(family, cand):
 
 def test_candidate_basis_is_built_once(monkeypatch):
     calls = []
-    real_block = period.subspace_block
+    real_builder = period.build_columns
 
-    def counting_block(*args, **kwargs):
-        calls.append(args)
-        return real_block(*args, **kwargs)
+    def counting_builder(layout, length):
+        calls.append((np.unique(layout.periods).tolist(), length))
+        return real_builder(layout, length)
 
-    monkeypatch.setattr(period, "subspace_block", counting_block)
+    monkeypatch.setattr(period, "build_columns", counting_builder)
     period._candidate_basis.cache_clear()
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="square system"):
         candidate_matrix_solve(np.zeros(11), [5, 8])
     assert calls == []
     reports = [candidate_matrix_solve(rng.standard_normal(12), [8, 5, 8]) for _ in range(4)]
-    assert [p for _, p, _ in calls] == [1, 2, 4, 5, 8]
+    # one builder call for the one successful cache miss
+    assert calls == [([1, 2, 4, 5, 8], 12)]
     info = period._candidate_basis.cache_info()
     assert (info.misses, info.hits) == (2, 3)
     assert all(r.basis_periods == (1, 2, 4, 5, 8) and r.full_rank for r in reports)
