@@ -69,7 +69,11 @@ class ColumnLayout:
     """Canonical column addresses of one family over an ascending set of
     block periods, without the matrix entries. Column i is (periods[i],
     k[i], kind[i], shift[i]); the arrays are read-only, and `kind` is a
-    "<U3" array of the strings exp, ram, cos and sin."""
+    "<U3" array of the strings exp, ram, cos and sin.
+
+    The layout is the one table of column order: the transforms take their
+    packed slots and DFT bins from it, and `pairs` is the one cosine/sine
+    split of an orthogonal layout's values."""
 
     family: str
     periods: np.ndarray
@@ -100,6 +104,28 @@ class ColumnLayout:
         except KeyError:
             raise KeyError(f"no column {SubspaceIndex(p, k, kind, shift)} "
                            f"in this {self.family} layout") from None
+
+    @cached_property
+    def _pair_positions(self):
+        # the sine column follows its cosine for p >= 3; periods 1 and 2
+        # point at their cosine and are masked out
+        cos = np.flatnonzero(self.kind == COS)
+        p = self.periods[cos]
+        paired = p >= 3
+        out = p, self.k[cos], cos, cos + paired, paired
+        for a in out:
+            a.setflags(write=False)
+        return out
+
+    def pairs(self, values: np.ndarray):
+        """(p, k, b0, b1) arrays over the conjugate subspaces of an
+        orthogonal layout, given `values` in column order: period, residue,
+        cosine and sine values, the sine being 0 for the degenerate periods 1
+        and 2. p and k are read-only."""
+        if self.family != OCCPT:
+            raise ValueError(f"cosine/sine pairs need the orthogonal family, not {self.family}")
+        p, k, cos, sin, paired = self._pair_positions
+        return p, k, values[cos], np.where(paired, values[sin], 0)
 
 
 def block_layout(family: str, periods) -> ColumnLayout:

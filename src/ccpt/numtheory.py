@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import index
 
 __all__ = [
     "gcd",
@@ -17,8 +18,21 @@ __all__ = [
     "divisors",
     "residue_sets",
     "lcm_list",
+    "positive_int",
     "ResidueSets",
 ]
+
+
+def positive_int(n, name: str) -> int:
+    """n as an int, required to be an integer (Python or NumPy) >= 1; the
+    ValueError names it."""
+    try:
+        value = index(n)
+    except TypeError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    return value
 
 
 def totient(n: int) -> int:

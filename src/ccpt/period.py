@@ -47,8 +47,8 @@ from scipy.linalg import get_lapack_funcs, pinv, qr, svdvals
 
 from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, SubspaceIndex,
-                       block_layout, build_columns, matrix_rank)
-from .numtheory import divisors, lcm_list, totient
+                       block_layout, build_columns, column_layout, matrix_rank)
+from .numtheory import divisors, lcm_list, positive_int, totient
 from .signals import _checked_samples
 from .transform import CoefficientSet
 
@@ -99,7 +99,8 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    sums = np.bincount(c.flat_periods(), weights=np.abs(c.flat) ** 2, minlength=c.N + 1)
+    sums = np.bincount(column_layout(c.family, c.N).periods,
+                       weights=np.abs(c.column_values()) ** 2, minlength=c.N + 1)
     strengths: dict[int, float] = {p: float(sums[p]) for p in divisors(c.N)}
     if normalized:
         strengths = {p: s / totient(p) for p, s in strengths.items()}
@@ -247,6 +248,7 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
     are truncated mid-period. p_max beyond N duplicates spanned content and
     triggers a warning.
     """
+    N = positive_int(N, "dictionary length N")
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     if p_max > N:
@@ -295,16 +297,7 @@ class DictionarySolution:
                    min_magnitude: float = 1e-8) -> list[FrequencyComponent]:
         """Frequency/magnitude/phase triples from the dictionary coefficients
         (orthogonal-family dictionaries only)."""
-        if self.dictionary.family != OCCPT:
-            raise ValueError("component recovery requires an orthogonal-family dictionary")
-        layout = self.dictionary.layout
-        # the columns run by (p, k), each cosine followed by its sine for p >= 3
-        cos = layout.kind == COS
-        p = layout.periods[cos]
-        b = self.b_hat.real
-        b1 = np.zeros(len(p))
-        b1[p >= 3] = b[~cos]
-        return _components(p, layout.k[cos], b[cos], b1, fs, min_magnitude)
+        return _components(*self.dictionary.layout.pairs(self.b_hat.real), fs, min_magnitude)
 
     def pair(self, p: int, k: int):
         """(cosine, sine) coefficients of subspace (p, k); the sine is 0.0
@@ -454,7 +447,7 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     other candidate sets are rejected.
     """
     x = _checked_samples(x, "candidate_matrix_solve")
-    cand = tuple(sorted(set(int(p) for p in candidates)))
+    cand = tuple(sorted({positive_int(p, "candidate period") for p in candidates}))
     if not cand:
         raise ValueError("need at least one candidate period")
     basis = _candidate_basis(cand, family, len(x))

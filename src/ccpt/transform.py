@@ -16,6 +16,11 @@ The dft-npm column (p, k) is the complex exponential of DFT bin k*N/p, so
 its analysis is the FFT scaled by 1/N and gathered into column order, and
 its synthesis the inverse.
 
+Column order itself is decided in one place, `matrices.column_layout`. This
+module keeps only the packed-format rule above: the slot of each orthogonal
+column and the bin of each dft-npm column are computed from the layout's
+(p, k, kind) arrays, once per N.
+
 The rpt, ccpt1 and ccpt2 columns span the same period-p subspaces as the
 orthogonal ones, and in canonical column order each of their columns sits
 at the position of an orthogonal column of the same subspace. Their
@@ -48,7 +53,7 @@ from .ccps import COS, SIN, ccps, pair_scale
 from .matrices import CCPT1, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
-from .numtheory import divisors, half_residues
+from .numtheory import positive_int
 from .signals import _checked_samples
 
 __all__ = [
@@ -61,34 +66,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _BinOrder:
-    """Per-N index arrays of the packed layout, shared read-only."""
-
-    period: np.ndarray       # N / gcd(K, N): period of the subspace owning bin or slot K
-    residue: np.ndarray      # K / gcd(K, N), with 1 for K = 0 as half_residues(1) has it
-    occpt_order: np.ndarray  # flat slots in canonical column order
-    cos_order: np.ndarray    # cosine slots in canonical order, one per conjugate subspace
-    dft_order: np.ndarray    # DFT bins in dft-npm column order
+@lru_cache(maxsize=64)
+def _occpt_slots(N: int) -> np.ndarray:
+    """Packed slot of each orthogonal column in column order (read-only):
+    N*k/p for a cosine, N - N*k/p for a sine. The rpt, ccpt1 and ccpt2
+    columns sit at the same positions."""
+    layout = column_layout(OCCPT, N)
+    # the p = 1 cosine lands on slot N, which is slot 0
+    K = (N // layout.periods) * layout.k % N
+    slots = np.where(layout.kind == SIN, N - K, K)
+    slots.setflags(write=False)
+    return slots
 
 
 @lru_cache(maxsize=64)
-def _bin_order(N: int) -> _BinOrder:
-    K = np.arange(N)
-    g = np.gcd(K, N)
-    period = N // g
-    residue = K // g
-    residue[0] = 1
-    sine = K > N // 2
-    # a sine slot K belongs to the subspace of its cosine partner N - K
-    lower = np.where(sine, period - residue, residue)
-    occpt_order = np.lexsort((sine, lower, period))
-    out = _BinOrder(period=period, residue=residue, occpt_order=occpt_order,
-                    cos_order=occpt_order[~sine[occpt_order]],
-                    dft_order=np.lexsort((residue, period)))
-    for a in vars(out).values():
-        a.setflags(write=False)
-    return out
+def _dft_bins(N: int) -> np.ndarray:
+    """DFT bin N*k/p of each dft-npm column in column order (read-only)."""
+    layout = column_layout(DFT_NPM, N)
+    bins = (N // layout.periods) * layout.k % N
+    bins.setflags(write=False)
+    return bins
 
 
 def _pair_count(N: int) -> int:
@@ -111,6 +108,9 @@ class CoefficientSet:
     flat: np.ndarray
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "N", positive_int(self.N, "N"))
         flat = np.asarray(self.flat).view()
         if flat.shape != (self.N,):
             raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {flat.shape}")
@@ -124,7 +124,7 @@ class CoefficientSet:
     def flat_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
         """Flat position of column (p, k, kind, shift); KeyError if none."""
         i = column_layout(self.family, self.N).column_index(p, k, kind, shift)
-        return int(self.column_order()[i])
+        return int(_occpt_slots(self.N)[i]) if self.family == OCCPT else i
 
     def value(self, p: int, k: int, kind: str, shift: int = 0):
         return self.flat[self.flat_index(p, k, kind, shift)]
@@ -141,20 +141,8 @@ class CoefficientSet:
     def pairs(self):
         """(p, k, b0, b1) arrays over the conjugate subspaces in canonical
         order: period, residue, cosine and sine coefficients, the sine being
-        0 for the degenerate periods 1 and 2."""
-        if self.family != OCCPT:
-            raise ValueError("pair view requires the orthogonal family")
-        order = _bin_order(self.N)
-        K = order.cos_order
-        p = order.period[K]
-        b1 = np.where(p >= 3, self.flat[(self.N - K) % self.N], 0)
-        return p, order.residue[K], self.flat[K], b1
-
-    def flat_periods(self) -> np.ndarray:
-        """Period p of the subspace each flat entry belongs to."""
-        if self.family == OCCPT:
-            return _bin_order(self.N).period
-        return column_layout(self.family, self.N).periods
+        0 for the degenerate periods 1 and 2 (`ColumnLayout.pairs`)."""
+        return column_layout(self.family, self.N).pairs(self.column_values())
 
     def items(self):
         """(column address, coefficient) pairs in canonical column order."""
@@ -163,7 +151,7 @@ class CoefficientSet:
     def column_order(self) -> np.ndarray:
         """Flat index of each coefficient in matrix column order."""
         if self.family == OCCPT:
-            return _bin_order(self.N).occpt_order
+            return _occpt_slots(self.N)
         return np.arange(self.N)
 
     def column_values(self) -> np.ndarray:
@@ -249,21 +237,19 @@ def _ramanujan_blocks(N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray]
     # column j of block p is c_p(n - j) = sum over k of 2*cos(theta_k*(n - j)),
     # theta_k = 2*pi*k/p, k over the half residues: cos(theta_k*j) times the
     # cosine column of (p, k) plus sin(theta_k*j) times its sine column
-    order = _bin_order(N)
-    periods = order.period[order.occpt_order]
+    layout = column_layout(OCCPT, N)
+    periods = layout.periods
     blocks = []
-    for p in divisors(N):
-        if p <= 2:
-            continue
+    for p in np.unique(periods[periods >= 3]).tolist():
         start, stop = np.searchsorted(periods, [p, p + 1])
-        k = np.array(half_residues(p))
+        k = layout.k[start:stop:2]
         angles = (2 * np.pi / p) * ((k[:, None] * np.arange(stop - start)) % p)
         B = np.empty((stop - start, stop - start))
         B[0::2], B[1::2] = np.cos(angles), np.sin(angles)
         inverse = np.linalg.inv(B)
         B.setflags(write=False)
         inverse.setflags(write=False)
-        blocks.append((order.occpt_order[start:stop], B, inverse))
+        blocks.append((_occpt_slots(N)[start:stop], B, inverse))
     return tuple(blocks)
 
 
@@ -286,7 +272,7 @@ def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
             a1 = -b0 / sin_t
             b0[:] = b1 - a1 * cos_t
         b1[:] = a1
-    return b[_bin_order(N).occpt_order]
+    return b[_occpt_slots(N)]
 
 
 def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
@@ -294,7 +280,7 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
     column order: the inverse of _from_packed."""
     N = len(a)
     b = np.empty(N, dtype=np.result_type(a, float))
-    b[_bin_order(N).occpt_order] = a
+    b[_occpt_slots(N)] = a
     if family == RPT:
         for slots, B, _ in _ramanujan_blocks(N):
             b[slots] = B @ b[slots]
@@ -326,7 +312,7 @@ def analyze(x, family: str) -> CoefficientSet:
     x = _checked_samples(x, "analyze")
     N = len(x)
     if family == DFT_NPM:
-        flat = np.fft.fft(x)[_bin_order(N).dft_order] / N
+        flat = np.fft.fft(x)[_dft_bins(N)] / N
     elif family == OCCPT:
         flat = _packed(x)
     else:
@@ -340,7 +326,7 @@ def synthesize(c: CoefficientSet) -> np.ndarray:
         return occpt_synthesis(c)
     if c.family == DFT_NPM:
         bins = np.zeros(c.N, dtype=complex)
-        bins[_bin_order(c.N).dft_order] = c.flat
+        bins[_dft_bins(c.N)] = c.flat
         return np.fft.ifft(bins) * c.N
     return _unpacked(_to_packed(c.flat, c.family))
 
@@ -432,18 +418,16 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
         raise ValueError("period check is defined for real coefficient sets")
     N = c.N
     x = occpt_synthesis(c)
-    for p in divisors(N):
-        for k in half_residues(p):
-            b0, b1 = c.pair(p, k)
-            shifted = k + k_multiple * N
-            m = pair_scale(p)
-            b0s = np.dot(x, ccps(p, shifted, COS, N)) / (2 * N * m)
-            if abs(b0s - b0) > tol:
+    for p, k, b0, b1 in zip(*(a.tolist() for a in c.pairs())):
+        shifted = k + k_multiple * N
+        m = pair_scale(p)
+        b0s = np.dot(x, ccps(p, shifted, COS, N)) / (2 * N * m)
+        if abs(b0s - b0) > tol:
+            return False
+        if p >= 3:
+            b1s = np.dot(x, ccps(p, shifted, SIN, N)) / (2 * N * m)
+            if abs(b1s - b1) > tol:
                 return False
-            if p >= 3:
-                b1s = np.dot(x, ccps(p, shifted, SIN, N)) / (2 * N * m)
-                if abs(b1s - b1) > tol:
-                    return False
     return True
 
 
@@ -463,13 +447,12 @@ def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float
     keep[:N // 2 + 1] = (low_hz <= f) & (f <= high_hz)
     lo, hi = _pairs(keep)
     hi[:] = lo
-    order = _bin_order(N)
     if coeffs.family == DFT_NPM:
         # bins K and N - K share the frequency of cosine slot K, and so do
         # slots K and N - K: the slot mask is also the bin mask
-        keep = keep[order.dft_order]
+        keep = keep[_dft_bins(N)]
     elif coeffs.family != OCCPT:
-        keep = keep[order.occpt_order]
+        keep = keep[_occpt_slots(N)]
     if coeffs.family == RPT:
         # Ramanujan columns mix every coprime frequency of p; keep the
         # subspace when any of its lines falls in the band

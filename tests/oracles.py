@@ -281,3 +281,19 @@ def band_filter_loop(coeffs, fs, low_hz, high_hz):
         if not any(low_hz <= r * fs <= high_hz for r in ratios):
             flat[i] = 0.0
     return flat
+
+
+def period_square_sums(coeffs):
+    """Square sum of the coefficients of each divisor subspace, written from
+    the flat layouts: packed slot K of an orthogonal set belongs to period
+    N / gcd(K, N), and the other families run block by block, phi(p) columns
+    per divisor p ascending. The reference for `period_strengths`."""
+    N = coeffs.N
+    if coeffs.family == "occpt":
+        periods = [N // gcd(K, N) for K in range(N)]
+    else:
+        periods = [p for p in divisors(N) for _ in range(totient(p))]
+    sums = dict.fromkeys(divisors(N), 0.0)
+    for p, v in zip(periods, coeffs.flat.tolist()):
+        sums[p] += abs(v) ** 2
+    return sums

@@ -12,9 +12,9 @@ from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
                          frequency_components, min_data_length,
                          period_strengths)
 from ccpt.signals import make_x1, make_x2, tone, x1_clean
-from ccpt.transform import analyze, occpt_analysis
+from ccpt.transform import CoefficientSet, analyze, occpt_analysis
 
-from oracles import block_addresses, column, component_loop, tile_to
+from oracles import block_addresses, column, component_loop, period_square_sums, tile_to
 
 
 def test_single_subspace_signal():
@@ -66,6 +66,23 @@ def test_strengths_for_nonorthogonal_families():
         assert set(report.strengths) == {1, 2, 3, 6, 9, 18, 27, 54}
         assert all(s >= 0.0 for s in report.strengths.values())
         assert 9 in report.significant
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 54, 625, 2310, 4096])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_strengths_are_square_sums_per_divisor(family, N):
+    rng = np.random.default_rng(N)
+    flat = rng.standard_normal(N)
+    if family == DFT_NPM:
+        flat = flat + 1j * rng.standard_normal(N)
+    c = CoefficientSet(N=N, family=family, flat=flat)
+    want = period_square_sums(c)
+    for normalized in (False, True):
+        got = period_strengths(c, normalized=normalized).strengths
+        assert list(got) == list(want)
+        for p, s in want.items():
+            s = s / totient(p) if normalized else s
+            assert got[p] == pytest.approx(s, rel=1e-12), p
 
 
 def test_threshold_validation():
@@ -139,6 +156,12 @@ def test_dictionary_sizes():
     j = d.columns.index(next(c for c in d.columns if c.p == 8 and c.kind == COS and c.k == 1))
     col = d.entries[:, j]
     np.testing.assert_allclose(col, tile_to(col[:8], 54), atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [0, -3, 12.0], ids=["0", "-3", "12.0"])
+def test_dictionary_rejects_bad_length(N):
+    with pytest.raises(ValueError, match=f"dictionary length N must be an integer >= 1, got {N}"):
+        build_dictionary(N, 5)
 
 
 def test_dictionary_pmax_warning():
@@ -263,6 +286,13 @@ def test_candidate_matrix_rejects_nonsquare_sets():
         candidate_matrix_solve(np.zeros(15), [5, 7, 9])
     with pytest.raises(ValueError):
         candidate_matrix_solve(np.zeros(11), [6, 8])
+
+
+@pytest.mark.parametrize("cand, bad", [([2.5, 8], "2.5"), ([0], "0"), ([-3, 4], "-3")],
+                         ids=["2.5", "0", "-3"])
+def test_candidate_matrix_rejects_non_integer_candidates(cand, bad):
+    with pytest.raises(ValueError, match=f"candidate period must be an integer >= 1, got {bad}"):
+        candidate_matrix_solve(np.zeros(12), cand)
 
 
 def test_candidate_matrix_identifies_planted_period():

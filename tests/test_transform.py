@@ -212,6 +212,21 @@ def test_coefficient_periodicity():
     assert coefficient_period_check(c, k_multiple=2)
 
 
+@pytest.mark.parametrize("address", [(3, 1, COS), (4, 1, SIN), (2, 1, COS)],
+                         ids=["cosine", "sine", "period-2"])
+def test_coefficient_period_check_catches_a_changed_coefficient(monkeypatch, address):
+    # every real coefficient set is the analysis of its own synthesis, so the
+    # check is handed the signal of the unchanged set
+    import ccpt.transform as tr
+    c = occpt_analysis(np.random.default_rng(41).standard_normal(12))
+    x = occpt_synthesis(c)
+    monkeypatch.setattr(tr, "occpt_synthesis", lambda _: x)
+    assert coefficient_period_check(c)
+    flat = np.array(c.flat)
+    flat[c.flat_index(*address)] += 1e-9
+    assert not coefficient_period_check(CoefficientSet(N=12, family=OCCPT, flat=flat))
+
+
 def test_appendix_shift_identities_pointwise():
     """The product expansions behind the shift rotation, for p >= 3.
 
@@ -277,6 +292,24 @@ def test_coefficient_set_keeps_a_read_only_view():
 def test_coefficient_set_rejects_wrong_shape(flat):
     with pytest.raises(ValueError, match="1-D of length N=8"):
         CoefficientSet(N=8, family=RPT, flat=flat)
+
+
+@pytest.mark.parametrize("N, family, match", [
+    (12, "bogus", "unknown family 'bogus'"),
+    (0, OCCPT, "N must be an integer >= 1, got 0"),
+    (-3, RPT, "N must be an integer >= 1, got -3"),
+    (12.0, OCCPT, "N must be an integer >= 1, got 12.0"),
+], ids=["bogus-family", "N=0", "N=-3", "N=12.0"])
+def test_coefficient_set_rejects_unknown_family_and_bad_size(N, family, match):
+    flat = np.ones(max(int(N), 0))
+    with pytest.raises(ValueError, match=match):
+        CoefficientSet(N=N, family=family, flat=flat)
+
+
+def test_coefficient_set_takes_numpy_integer_size():
+    c = CoefficientSet(N=np.int64(6), family=OCCPT, flat=np.ones(6))
+    assert c.N == 6 and type(c.N) is int
+    np.testing.assert_allclose(analyze(synthesize(c), OCCPT).flat, np.ones(6), atol=1e-12)
 
 
 @pytest.mark.parametrize("x, match", [
