@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .matrices import CCPT1, CCPT2, DFT_NPM, OCCPT, RPT
+from .numtheory import positive_int
 from .signals import _checked_samples
 from .transform import CoefficientSet
 
@@ -168,8 +169,7 @@ def complexity_table(N: int) -> list[dict]:
     transform. Power-of-two sizes use the fast algorithms for the orthogonal
     transform and the DFT; everything else is the direct method. N = 1 is
     the identity and costs nothing."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    N = positive_int(N, "N")
     fast = N >= 2 and _is_pow2(N)
     v = N.bit_length() - 1
     direct_half = (2 * N * N, 2 * N * N - 2 * N)  # real basis, complex input

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .ccps import COS, SIN, pair_scale, ramanujan_sum
-from .numtheory import divisors, totient
+from .numtheory import divisors, positive_int, totient
 
 DFT_NPM = "dft-npm"
 RPT = "rpt"
@@ -203,19 +203,18 @@ def subspace_block(family: str, p: int, length: int):
     return build_columns(layout, length), layout.columns
 
 
-def _check_family_size(family: str, N: int) -> None:
+def _check_family_size(family: str, N: int) -> int:
+    """N as an int, for a known family and N >= 1."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if N < 1:
-        raise ValueError(f"matrix size must be >= 1, got {N}")
+    return positive_int(N, "matrix size")
 
 
 @lru_cache(maxsize=64)
 def column_layout(family: str, N: int) -> ColumnLayout:
     """Column addresses of the size-N matrix of `family`: the blocks of the
     divisors of N, ascending. Builds no entries, so it has no size cap."""
-    _check_family_size(family, N)
-    return block_layout(family, divisors(N))
+    return block_layout(family, divisors(_check_family_size(family, N)))
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ class PeriodicBasisMatrix:
 
 
 def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
-    _check_family_size(family, N)
+    N = _check_family_size(family, N)
     if N > MAX_DIRECT_N:
         raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
     layout = column_layout(family, N)

@@ -21,11 +21,13 @@ b = T^-1 Q pinv(R^H) x with a truncated pseudo-inverse computed once from
 the same QR, the minimum-norm least-squares solution. The cached Q costs
 one more N x M array per dictionary.
 
-Candidate-set scoring solves one square system against the stacked bases
-of every divisor of every candidate. As with dictionaries, each candidate
-set's basis is built once per family and cached with its rank and LU factor
-(the 64 most recent sets), so a solve is one LU back-substitution; a
-rank-deficient basis takes least squares and warns on every call.
+Candidate-set scoring solves the same program over a square dictionary:
+the stacked blocks of every divisor of every candidate, with as many
+columns as samples. It goes through the same cached QR, rank cutoff and
+solve as any dictionary; with full rank the weighted minimum-norm solution
+is the unique one, so the penalty does not change it. Each candidate set's
+dictionary is built once per family and length (the 64 most recent sets);
+a rank-deficient one takes the least-squares branch and warns on every call.
 
 Frequency components are named tuples (p, k, freq, freq_hz, magnitude,
 phase), one per conjugate subspace above a magnitude floor. The list is
@@ -47,9 +49,9 @@ from scipy.linalg import get_lapack_funcs, pinv, qr, svdvals
 
 from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, SubspaceIndex,
-                       block_layout, build_columns, column_layout, matrix_rank)
+                       block_layout, build_columns, column_layout)
 from .numtheory import divisors, lcm_list, positive_int, totient
-from .signals import _checked_samples
+from .signals import _checked_rate, _checked_samples
 from .transform import CoefficientSet
 
 FAREY = "farey"
@@ -136,6 +138,8 @@ def _components(p, k, b0, b1, fs: float | None,
                 min_magnitude: float) -> list[FrequencyComponent]:
     """Components of the subspaces (p[i], k[i]) with cosine/sine pairs
     (b0[i], b1[i]) whose magnitude reaches the floor."""
+    if fs is not None:
+        fs = _checked_rate(fs)
     degenerate = p <= 2
     mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
     phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
@@ -199,14 +203,16 @@ class GramFactor:
 
 @dataclass
 class PeriodicDictionary:
-    """Fat dictionary of subspace bases for periods 1..p_max, tiled to N."""
+    """Stacked subspace bases tiled to N: the fat dictionary of periods
+    1..p_max, or the square basis of a candidate set (`p_max` its largest
+    candidate)."""
 
     N: int
     p_max: int
     family: str
     penalty_name: str
     entries: np.ndarray
-    layout: ColumnLayout            # column addresses of the blocks 1..p_max
+    layout: ColumnLayout            # column addresses of the blocks
     penalties: np.ndarray
     _factor: GramFactor | None = field(default=None, repr=False)
 
@@ -249,8 +255,7 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
     triggers a warning.
     """
     N = positive_int(N, "dictionary length N")
-    if p_max < 1:
-        raise ValueError(f"p_max must be >= 1, got {p_max}")
+    p_max = positive_int(p_max, "p_max")
     if p_max > N:
         warnings.warn(f"p_max={p_max} exceeds the signal length {N}; "
                       "columns beyond N add no new periods")
@@ -332,6 +337,30 @@ class DictionarySolution:
         return sorted(self.strengths.items())
 
 
+def _coefficients(f: GramFactor, x: np.ndarray, penalties: np.ndarray) -> np.ndarray:
+    """Weighted minimum-norm coefficients b = T^-1 Q R^-H x from a
+    dictionary's factor, through the truncated pseudo-inverse without full
+    row rank."""
+    if f.pinv is None:
+        # the LAPACK routine under solve_triangular, without its wrapper;
+        # picked from both dtypes, so a complex x also solves against a real R
+        trtrs, = get_lapack_funcs(("trtrs",), (f.R, x))
+        y, info = trtrs(f.R, x, lower=0, trans=2)
+        if info:
+            raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
+        u = f.Q @ y
+    else:
+        u = f.Q @ (f.pinv @ x)
+    return u / penalties
+
+
+def _strengths(column_periods: np.ndarray, b: np.ndarray, periods) -> dict:
+    """Square sum of the coefficients of each of `periods`, given the period
+    of each column."""
+    sums = np.bincount(column_periods, weights=np.abs(b) ** 2)
+    return {p: float(sums[p]) for p in periods}
+
+
 def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     """Weighted minimum-norm coefficients of x against the dictionary.
 
@@ -345,19 +374,8 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
     f = d.gram()
-    if f.pinv is None:
-        # the LAPACK routine under solve_triangular, without its wrapper;
-        # picked from both dtypes, so a complex x also solves against a real R
-        trtrs, = get_lapack_funcs(("trtrs",), (f.R, x))
-        y, info = trtrs(f.R, x, lower=0, trans=2)
-        if info:
-            raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
-        u = f.Q @ y
-    else:
-        u = f.Q @ (f.pinv @ x)
-    b = u / d.penalties
-    sums = np.bincount(d.periods, weights=np.abs(b) ** 2, minlength=d.p_max + 1)
-    strengths = {p: float(sums[p]) for p in range(1, d.p_max + 1)}
+    b = _coefficients(f, x, d.penalties)
+    strengths = _strengths(d.periods, b, range(1, d.p_max + 1))
     residual = float(np.linalg.norm(d.entries @ b - x))
     return DictionarySolution(b_hat=b, strengths=strengths, residual=residual,
                               gram_condition=f.condition, used_fallback=f.pinv is not None,
@@ -367,11 +385,9 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
 def min_data_length(candidates) -> int:
     """Minimum samples needed to separate a set of candidate integer
     periods: the max of Pi + Pj - gcd(Pi, Pj) over candidate pairs."""
-    P = list(candidates)
+    P = [positive_int(p, "candidate period") for p in candidates]
     if len(P) < 2:
         raise ValueError("need at least two candidate periods")
-    if any(p < 1 for p in P):
-        raise ValueError("candidate periods must be positive")
     best = 0
     for i in range(len(P)):
         for j in range(i + 1, len(P)):
@@ -402,22 +418,14 @@ class CandidateReport:
         }
 
 
-class _CandidateBasis(NamedTuple):
-    """The square basis of one candidate set, built once per set and family."""
-
-    periods: tuple[int, ...]        # every divisor of every candidate, ascending
-    width: int
-    H: np.ndarray                   # read-only, width x width
-    rank: int
-    lu: tuple | None                # (LU, pivots, getrs) when H has full rank
-    column_periods: np.ndarray      # period of each column of H
-
-
 @lru_cache(maxsize=64)
-def _candidate_basis(cand: tuple[int, ...], family: str, n: int) -> _CandidateBasis:
-    """Basis, rank and LU factor of a sorted candidate set for data length
-    n; a length other than the basis dimension is rejected before anything
-    is built, and the error is not cached."""
+def _candidate_dictionary(cand: tuple[int, ...], family: str,
+                          n: int) -> tuple[tuple[int, ...], PeriodicDictionary]:
+    """Block periods (every divisor of every candidate, ascending) and square
+    dictionary of a sorted candidate set for data length n; the dictionary
+    caches its factor on the first solve. A length other than the
+    dictionary's width is rejected before anything is built, and the error
+    is not cached."""
     periods = tuple(sorted({d for p in cand for d in divisors(p)}))
     layout = block_layout(family, periods)
     width = len(layout.periods)
@@ -425,16 +433,12 @@ def _candidate_basis(cand: tuple[int, ...], family: str, n: int) -> _CandidateBa
         raise ValueError(
             f"data length {n} does not match the basis dimension {width} "
             f"of candidate set {cand}; this construction needs a square system")
-    H = build_columns(layout, width)
-    H.setflags(write=False)
-    rank = matrix_rank(H)
-    lu = None
-    if rank == width:
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (H,))
-        LU, piv, _ = getrf(H)
-        LU.setflags(write=False)
-        lu = (LU, piv, getrs)
-    return _CandidateBasis(periods, width, H, rank, lu, layout.periods)
+    entries = build_columns(layout, width)
+    entries.setflags(write=False)
+    d = PeriodicDictionary(N=width, p_max=cand[-1], family=family, penalty_name="p2",
+                           entries=entries, layout=layout,
+                           penalties=_penalties("p2", layout.periods))
+    return periods, d
 
 
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:
@@ -444,29 +448,21 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     candidate (including non-divisors of the data length). The construction
     is square exactly when the total dimension of those subspaces equals the
     data length, as with the minimum data length of a two-candidate set;
-    other candidate sets are rejected.
+    other candidate sets are rejected. The square basis is solved as a
+    dictionary (`PeriodicDictionary.gram`), so a rank-deficient one takes
+    the least-squares branch.
     """
     x = _checked_samples(x, "candidate_matrix_solve")
     cand = tuple(sorted({positive_int(p, "candidate period") for p in candidates}))
     if not cand:
         raise ValueError("need at least one candidate period")
-    basis = _candidate_basis(cand, family, len(x))
-    # a real basis solves a complex signal's real and imaginary parts as two
-    # right-hand sides
-    split = np.iscomplexobj(x) and not np.iscomplexobj(basis.H)
-    rhs = np.column_stack([x.real, x.imag]) if split else x
-    if basis.lu is not None:
-        LU, piv, getrs = basis.lu
-        z, _ = getrs(LU, piv, rhs)
-    else:
+    periods, d = _candidate_dictionary(cand, family, len(x))
+    f = d.gram()
+    full_rank = f.pinv is None
+    if not full_rank:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
-                      f"({basis.rank}/{basis.width}); falling back to least squares")
-        z, *_ = np.linalg.lstsq(basis.H, rhs, rcond=None)
-    if split:
-        z = z[:, 0] + 1j * z[:, 1]
-    sums = np.bincount(basis.column_periods, weights=np.abs(z) ** 2)
-    strengths = {p: float(sums[p]) for p in basis.periods}
-    return CandidateReport(candidates=cand, basis_periods=basis.periods, width=basis.width,
-                           rank=basis.rank, full_rank=basis.lu is not None,
-                           strengths=strengths,
+                      f"({f.rank}/{d.N}); falling back to least squares")
+    strengths = _strengths(d.periods, _coefficients(f, x, d.penalties), periods)
+    return CandidateReport(candidates=cand, basis_periods=periods, width=d.N, rank=f.rank,
+                           full_rank=full_rank, strengths=strengths,
                            candidate_strengths={p: strengths[p] for p in cand})

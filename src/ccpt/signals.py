@@ -16,6 +16,7 @@ irreproducible; see the repository notes for the calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -67,6 +68,13 @@ def _checked_samples(x, caller: str) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{caller} needs finite samples; the signal has NaN or inf")
     return x
+
+
+def _checked_rate(fs) -> float:
+    """fs as a float, required to be a finite sample rate > 0 (Hz)."""
+    if not (isfinite(fs) and fs > 0):
+        raise ValueError(f"sample rate fs must be finite and > 0, got {fs!r}")
+    return float(fs)
 
 
 def hidden_periodic_component(period: int, length: int, seed: int) -> np.ndarray:

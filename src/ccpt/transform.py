@@ -54,7 +54,7 @@ from .matrices import CCPT1, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import positive_int
-from .signals import _checked_samples
+from .signals import _checked_rate, _checked_samples
 
 __all__ = [
     "CoefficientSet",
@@ -86,6 +86,15 @@ def _dft_bins(N: int) -> np.ndarray:
     bins = (N // layout.periods) * layout.k % N
     bins.setflags(write=False)
     return bins
+
+
+@lru_cache(maxsize=64)
+def _identity_order(N: int) -> np.ndarray:
+    """0..N-1 (read-only): the column order of the families whose flat
+    layout is already column order."""
+    order = np.arange(N)
+    order.setflags(write=False)
+    return order
 
 
 def _pair_count(N: int) -> int:
@@ -149,14 +158,17 @@ class CoefficientSet:
         return list(zip(column_layout(self.family, self.N).columns, self.column_values()))
 
     def column_order(self) -> np.ndarray:
-        """Flat index of each coefficient in matrix column order."""
+        """Flat index of each coefficient in matrix column order (read-only)."""
         if self.family == OCCPT:
             return _occpt_slots(self.N)
-        return np.arange(self.N)
+        return _identity_order(self.N)
 
     def column_values(self) -> np.ndarray:
-        """Coefficients rearranged into matrix column order."""
-        return self.flat[self.column_order()]
+        """Coefficients rearranged into matrix column order; the read-only
+        `flat` itself for the families whose flat layout is column order."""
+        if self.family == OCCPT:
+            return self.flat[_occpt_slots(self.N)]
+        return self.flat
 
 
 def _forward_real(x: np.ndarray) -> np.ndarray:
@@ -410,8 +422,12 @@ def parseval_energy(c: CoefficientSet) -> float:
 
 
 def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float = 1e-12) -> bool:
-    """Verify the residue-periodicity of the analysis sums: evaluating them
-    at k + k_multiple*N reproduces the stored coefficients. Test utility."""
+    """Check the residue periodicity of the pair sums: the analysis sums of
+    the set's own synthesis, evaluated at residue k + k_multiple*N, equal
+    the stored coefficients. Every real coefficient set is the analysis of
+    its synthesis, so this cannot detect a changed coefficient; it measures
+    only that the sums are periodic in k with period N, up to rounding.
+    Test utility."""
     if c.family != OCCPT:
         raise ValueError("coefficient_period_check requires orthogonal-family coefficients")
     if c.is_complex:
@@ -435,6 +451,7 @@ def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float
     """Zero every component whose frequency k*fs/p lies outside [low, high]
     and return the filtered coefficient set. DC survives only when the band
     includes 0."""
+    fs = _checked_rate(fs)
     if not 0.0 <= low_hz <= high_hz:
         raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
     if high_hz > fs / 2 + 1e-12:

@@ -252,6 +252,16 @@ def test_filter_band_rejects_bad_bands(tmp_path):
                  "--band", "1:2", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("fs", ["nan", "inf", "0", "-1"])
+def test_filter_band_rejects_bad_sample_rate(tmp_path, capsys, fs):
+    path = _write(tmp_path, "ecg.csv", synthetic_ecg().samples)
+    out = tmp_path / "o.csv"
+    assert main(["filter-band", "--input", path, f"--fs={fs}", "--band", "0:0",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "sample rate fs must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_report(tmp_path):
     out = tmp_path / "bench.json"
     assert main(["benchmark", "--sizes", "1,7,8", "--out", str(out)]) == EXIT_OK

@@ -155,6 +155,12 @@ def test_stage_symmetry_closed_forms():
             assert px[M - (L - K)] == pytest.approx(-Yh + np.cos(th) * Yg + np.sin(th) * Xg, abs=1e-9)
 
 
+@pytest.mark.parametrize("N", [0, -3, 2.5], ids=["0", "-3", "2.5"])
+def test_complexity_table_rejects_bad_size(N):
+    with pytest.raises(ValueError, match=f"N must be an integer >= 1, got {N}"):
+        complexity_table(N)
+
+
 def test_complexity_table_examples():
     rows = {r["transform"]: r for r in complexity_table(7)}
     assert (rows[DFT_NPM]["mults"], rows[DFT_NPM]["adds"]) == (196, 182)

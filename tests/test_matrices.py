@@ -272,6 +272,12 @@ def test_complex_matrix_export(tmp_path):
     np.testing.assert_allclose(np.array(rows), m.entries, atol=1e-15)
 
 
+@pytest.mark.parametrize("N", [0, -3, 2.0, 2.5], ids=["0", "-3", "2.0", "2.5"])
+def test_builder_rejects_bad_size(N):
+    with pytest.raises(ValueError, match=f"matrix size must be an integer >= 1, got {N}"):
+        build_matrix(OCCPT, N)
+
+
 def test_builder_guards():
     with pytest.raises(ValueError):
         build_matrix("hadamard", 4)

@@ -164,6 +164,12 @@ def test_dictionary_rejects_bad_length(N):
         build_dictionary(N, 5)
 
 
+@pytest.mark.parametrize("p_max", [0, -3, 2.5], ids=["0", "-3", "2.5"])
+def test_dictionary_rejects_bad_p_max(p_max):
+    with pytest.raises(ValueError, match=f"p_max must be an integer >= 1, got {p_max}"):
+        build_dictionary(24, p_max)
+
+
 def test_dictionary_pmax_warning():
     with pytest.warns(UserWarning):
         build_dictionary(8, 9, family=OCCPT)
@@ -205,6 +211,16 @@ def test_dictionary_x2_reproduction():
     assert phase == pytest.approx(np.pi / 4, abs=0.1)
     comps = sol.components(fs=360.0, min_magnitude=0.05)
     assert any(c.p == 8 and c.k == 1 and abs(c.freq_hz - 45.0) < 1e-9 for c in comps)
+
+
+@pytest.mark.parametrize("fs", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_components_reject_bad_sample_rate(fs):
+    x = make_x2().samples
+    sol = dictionary_solve(x, build_dictionary(54, 12, family=OCCPT))
+    for components in (lambda: frequency_components(occpt_analysis(x), fs=fs),
+                       lambda: sol.components(fs=fs)):
+        with pytest.raises(ValueError, match="sample rate fs must be finite and > 0"):
+            components()
 
 
 def test_dictionary_components_match_loop():
@@ -293,6 +309,8 @@ def test_candidate_matrix_rejects_nonsquare_sets():
 def test_candidate_matrix_rejects_non_integer_candidates(cand, bad):
     with pytest.raises(ValueError, match=f"candidate period must be an integer >= 1, got {bad}"):
         candidate_matrix_solve(np.zeros(12), cand)
+    with pytest.raises(ValueError, match=f"candidate period must be an integer >= 1, got {bad}"):
+        min_data_length(cand + [8])
 
 
 def test_candidate_matrix_identifies_planted_period():
@@ -334,7 +352,7 @@ def _definition_strengths(family, cand, x):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("cand", [(6, 8), (5, 8), (3, 4), (7,)])
+@pytest.mark.parametrize("cand", [(6, 8), (5, 8), (3, 4), (7,), (11, 13, 15), (30, 47)])
 def test_candidate_strengths_match_definition(family, cand):
     rng = np.random.default_rng(sum(cand))
     width = sum(totient(d) for d in {d for p in cand for d in divisors(p)})
@@ -357,7 +375,7 @@ def test_candidate_basis_is_built_once(monkeypatch):
         return real_builder(layout, length)
 
     monkeypatch.setattr(period, "build_columns", counting_builder)
-    period._candidate_basis.cache_clear()
+    period._candidate_dictionary.cache_clear()
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="square system"):
         candidate_matrix_solve(np.zeros(11), [5, 8])
@@ -365,30 +383,38 @@ def test_candidate_basis_is_built_once(monkeypatch):
     reports = [candidate_matrix_solve(rng.standard_normal(12), [8, 5, 8]) for _ in range(4)]
     # one builder call for the one successful cache miss
     assert calls == [([1, 2, 4, 5, 8], 12)]
-    info = period._candidate_basis.cache_info()
+    info = period._candidate_dictionary.cache_info()
     assert (info.misses, info.hits) == (2, 3)
     assert all(r.basis_periods == (1, 2, 4, 5, 8) and r.full_rank for r in reports)
 
 
 def test_candidate_basis_is_read_only():
-    basis = period._candidate_basis((5, 8), OCCPT, 12)
-    for a in (basis.H, basis.lu[0]):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+    periods, d = period._candidate_dictionary((5, 8), OCCPT, 12)
+    assert periods == (1, 2, 4, 5, 8) and d.entries.shape == (12, 12)
+    assert not d.entries.flags.writeable
+    with pytest.raises(ValueError):
+        d.entries[0, 0] = 1.0
+
+
+def _drop_last_singular_value(monkeypatch):
+    """Make the factor's rank test see one singular value of zero, so a
+    full-rank dictionary takes the least-squares branch."""
+    real_svdvals = period.svdvals
+    monkeypatch.setattr(period, "svdvals",
+                        lambda a, **kw: np.append(real_svdvals(a, **kw)[:-1], 0.0))
 
 
 def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
     x = np.random.default_rng(6).standard_normal(6)
     want = candidate_matrix_solve(x, [3, 4], family=CCPT2).strengths
-    monkeypatch.setattr(period, "matrix_rank", lambda a: a.shape[1] - 1)
-    period._candidate_basis.cache_clear()
+    _drop_last_singular_value(monkeypatch)
+    period._candidate_dictionary.cache_clear()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reports = [candidate_matrix_solve(x, [3, 4], family=CCPT2) for _ in range(2)]
     finally:
-        period._candidate_basis.cache_clear()
+        period._candidate_dictionary.cache_clear()
     assert [str(w.message) for w in caught] == [
         "candidate basis for (3, 4) is rank deficient (5/6); falling back to least squares"] * 2
     for r in reports:
@@ -401,11 +427,12 @@ def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
 @pytest.mark.parametrize("branch", ["lu", "least-squares"])
 @pytest.mark.parametrize("family", [OCCPT, RPT, CCPT1, CCPT2])
 def test_candidate_solve_of_complex_signal_against_real_basis(monkeypatch, family, branch):
-    """A real basis solves the real and imaginary parts, so the strengths of
-    x + 1j*y are those of x plus those of y, on either solve branch."""
+    """A real basis maps the real and imaginary parts apart, so the
+    strengths of x + 1j*y are those of x plus those of y, on the full-rank
+    ("lu") and the least-squares branch alike."""
     if branch == "least-squares":
-        monkeypatch.setattr(period, "matrix_rank", lambda a: a.shape[1] - 1)
-    period._candidate_basis.cache_clear()
+        _drop_last_singular_value(monkeypatch)
+    period._candidate_dictionary.cache_clear()
     rng = np.random.default_rng(12)
     x, y = rng.standard_normal(12), np.cos(np.arange(12)) + 0.1 * rng.standard_normal(12)
     try:
@@ -416,7 +443,7 @@ def test_candidate_solve_of_complex_signal_against_real_basis(monkeypatch, famil
             sx = candidate_matrix_solve(x, (5, 8), family=family).strengths
             sy = candidate_matrix_solve(y, (5, 8), family=family).strengths
     finally:
-        period._candidate_basis.cache_clear()
+        period._candidate_dictionary.cache_clear()
     assert got.full_rank == (branch == "lu")
     for q in got.strengths:
         assert got.strengths[q] == pytest.approx(sx[q] + sy[q], rel=1e-12)
