@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: transform (coefficients to JSON), periods (strength report via
-the matrix or dictionary method), filter-band (band-limited reconstruction),
-benchmark (complexity table plus measured fast-transform counters), and
-fixture (write the bundled reference signals).
+Subcommands: transform (coefficients to JSON, through the packed real FFT of
+`transform.analyze` for every N), periods (strength report via the matrix or
+dictionary method), filter-band (band-limited reconstruction), benchmark
+(complexity table plus the op counters measured on `foccpt`, the CLI's one
+route to the counting fast transform), and fixture (write the bundled
+reference signals).
 
 Input signals are single-column CSV files of decimal samples with an
 optional "value" header. Exit codes: 0 ok, 1 invalid arguments, 2 input
@@ -17,6 +19,8 @@ import json
 import math
 import sys
 from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from . import signals as sig
 from . import transform as tr
 from .foccpt import complexity_table, foccpt, predicted_counts
 from .matrices import FAMILIES, OCCPT, column_layout
-from .transform import band_filter
+from .transform import _occpt_slots, band_filter
 
 __all__ = ["main"]
 
@@ -48,32 +52,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def read_signal_csv(path) -> np.ndarray:
+def _parse_lines(path, lines) -> np.ndarray:
+    """The samples of `lines` (the file's lines, numbered from 1), one line
+    at a time: blank lines and a "value" header on line 1 are skipped, and
+    the first bad line raises a CsvParseError naming it."""
     values = []
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if line_no == 1 and text.lower() == "value":
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise CsvParseError(path, line_no, text) from None
-            # float() also accepts nan, inf and overflowing literals like 1e999
-            if not math.isfinite(value):
-                raise CsvParseError(path, line_no, text, "non-finite sample value")
-            values.append(value)
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        if line_no == 1 and text.lower() == "value":
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise CsvParseError(path, line_no, text) from None
+        # float() also accepts nan, inf and overflowing literals like 1e999
+        if not math.isfinite(value):
+            raise CsvParseError(path, line_no, text, "non-finite sample value")
+        values.append(value)
     if not values:
         raise CsvParseError(path, 1, "<empty file>")
     return np.array(values)
 
 
+def read_signal_csv(path) -> np.ndarray:
+    """The samples of a single-column CSV file with an optional "value"
+    header, as a float array; CsvParseError names the first bad line."""
+    with open(path, "r") as fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the final newline
+    # float() strips the same whitespace as str.strip(), so a well-formed
+    # file converts in one pass; a blank line, a bad value or a non-finite
+    # one sends it to the line loop, which finds and names the line
+    start = 1 if lines and lines[0].strip().lower() == "value" else 0
+    try:
+        values = np.array(list(map(float, islice(lines, start, None))))
+    except ValueError:
+        return _parse_lines(path, lines)
+    if not values.size or not np.isfinite(values).all():
+        return _parse_lines(path, lines)
+    return values
+
+
 def write_signal_csv(path, samples) -> None:
     values = np.asarray(samples, dtype=float).tolist()
     with open(path, "w") as fh:
-        fh.write("value\n" + "".join([format(v, ".12g") + "\n" for v in values]))
+        fh.write("value\n" + ("%.12g\n" * len(values)) % tuple(values))
 
 
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -87,38 +113,47 @@ def _floats_json(values: np.ndarray) -> list[str]:
     return out
 
 
-# complex entries as json.dumps indents them in the flat list and in a row
-_COMPLEX_FLAT = '{\n      "im": %s,\n      "re": %s\n    }'
-_COMPLEX_ROW = '{\n        "im": %s,\n        "re": %s\n      }'
-
-
-def _numbers_json(c: tr.CoefficientSet) -> tuple[list[str], list[str]]:
-    """json.dumps's text of each entry of `_nums(c.flat)` and of
-    `_nums(c.column_values())`, spelling each float once."""
-    order = c.column_order().tolist()
-    if not c.is_complex:
-        flat = _floats_json(c.flat.astype(float))
-        return flat, [flat[i] for i in order]
-    pairs = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
-    return [_COMPLEX_FLAT % v for v in pairs], [_COMPLEX_ROW % pairs[i] for i in order]
-
-
+# an entry of the flat list and of an indexed row, as json.dumps indents it;
+# a complex entry takes its imaginary and then its real part
+_FLAT_SLOT = {False: "%s", True: '{\n      "im": %s,\n      "re": %s\n    }'}
+_ROW_SLOT = {False: "%s", True: '{\n        "im": %s,\n        "re": %s\n      }'}
 # column kinds are plain identifiers, so "%s" spells them as json.dumps does
 _INDEXED_ROW = ('    {\n      "k": %d,\n      "kind": "%s",\n      "p": %d,\n'
                 '      "shift": %d,\n      "value": %s\n    }')
 
 
+@lru_cache(maxsize=8)
+def _json_template(family: str, N: int, is_complex: bool):
+    """(template, pick) for the coefficient JSON of a size-N set: the
+    document with a "%s" slot per float, the flat entries first and then the
+    indexed ones, and an itemgetter taking the flat entries into column
+    order (None where the flat layout is column order). A few entries cover
+    the lengths and families one process writes; N = 4096 real is 0.45 MB."""
+    lay = column_layout(family, N)
+    flat = ",\n    ".join([_FLAT_SLOT[is_complex]] * N)
+    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
+        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(),
+        repeat(_ROW_SLOT[is_complex]))])
+    template = (f'{{\n  "N": {N:d},\n  "family": {json.dumps(family)},\n'
+                f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
+    pick = itemgetter(*_occpt_slots(N).tolist()) if family == OCCPT and N >= 3 else None
+    return template, pick
+
+
 def _coefficients_json(c: tr.CoefficientSet) -> str:
     """The text of json.dumps(coefficients_to_dict(c), sort_keys=True,
-    indent=2), built from the arrays without the pure-Python encoder that
-    json.dumps falls back to whenever it indents."""
-    flat, values = _numbers_json(c)
-    flat = ",\n    ".join(flat)
-    lay = column_layout(c.family, c.N)
-    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
-        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(), values)])
-    return (f'{{\n  "N": {c.N:d},\n  "family": {json.dumps(c.family)},\n'
-            f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
+    indent=2): the cached template filled in one format, each float spelled
+    once, without the pure-Python encoder that json.dumps falls back to
+    whenever it indents."""
+    template, pick = _json_template(c.family, c.N, c.is_complex)
+    if c.is_complex:
+        entries = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
+    else:
+        entries = _floats_json(c.flat.astype(float))
+    args = (*entries, *(entries if pick is None else pick(entries)))
+    if c.is_complex:
+        args = tuple(chain.from_iterable(args))
+    return template % args
 
 
 def _emit(text, path) -> None:
@@ -145,11 +180,7 @@ def _is_pow2(n: int) -> bool:
 
 
 def cmd_transform(args) -> int:
-    x = read_signal_csv(args.input)
-    if args.family == OCCPT and len(x) >= 2 and _is_pow2(len(x)):
-        coeffs, _ = foccpt(x)
-    else:
-        coeffs = tr.analyze(x, args.family)
+    coeffs = tr.analyze(read_signal_csv(args.input), args.family)
     _emit(_coefficients_json(coeffs), args.out)
     return EXIT_OK
 

@@ -164,28 +164,43 @@ def block_layout(family: str, periods) -> ColumnLayout:
 def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
     """The layout's columns tiled (and truncated) to `length` samples,
     complex for dft-npm. One period of every column is laid end to end in a
-    table (rpt columns share one Ramanujan sum per period), and sample n of
-    a column with downshift s is its entry (n - s) mod p."""
+    table, and sample n of a column with downshift s is its entry
+    (n - s) mod p. Columns share a segment where their patterns allow:
+    rpt's one Ramanujan sum per period, ccpt1/ccpt2's one pair sum per
+    residue (the shift-1 column reads it delayed), and occpt's cosine and
+    sine halves over one set of angles."""
     p = layout.periods
     if layout.family == RPT:
         blocks = np.unique(p)
         table = np.concatenate([ramanujan_sum(q) for q in blocks.tolist()])
         start = (np.cumsum(blocks) - blocks)[np.searchsorted(blocks, p)]
     else:
-        start = np.cumsum(p) - p
-        # per table entry: its column's period and residue, and its index i
+        # one table segment per residue: every column for dft-npm, the
+        # first column of each cos/sin or shift 0/1 pair otherwise
+        if layout.family == DFT_NPM:
+            first = np.ones(len(p), bool)
+        else:
+            first = layout.kind == COS if layout.family == OCCPT else layout.shift == 0
+        p_s, k_s = p[first], layout.k[first]
+        seg = np.cumsum(p_s) - p_s
+        # per table entry: its segment's period and residue, and its index i
         # within that period
-        p_t, k_t = np.repeat(p, p), np.repeat(layout.k, p)
-        i = np.arange(len(p_t)) - np.repeat(start, p)
+        p_t, k_t = np.repeat(p_s, p_s), np.repeat(k_s, p_s)
+        i = np.arange(len(p_t)) - np.repeat(seg, p_s)
+        start = seg[np.cumsum(first) - 1]
         if layout.family == DFT_NPM:
             table = np.exp(2j * np.pi * k_t * i / p_t)
         else:
             # k*i reduced mod p before scaling, as in the pair-sum generators
             angles = (2.0 * np.pi / p_t) * ((k_t * i) % p_t)
-            is_sin = np.repeat(layout.kind == SIN, p)
-            table = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
+            if layout.family == OCCPT:
+                # the sine half follows the cosine half
+                table = 2.0 * np.concatenate([np.cos(angles), np.sin(angles)])
+                start = np.where(layout.kind == SIN, start + len(p_t), start)
+            else:
+                table = 2.0 * (np.cos(angles) if layout.family == CCPT1 else np.sin(angles))
             # both pair sums collapse to the constant (p = 1) and (-1)^n (p = 2)
-            degenerate = p_t <= 2
+            degenerate = np.flatnonzero(p_t <= 2)
             table[degenerate] = np.where(i[degenerate] == 0, 1.0, -1.0)
     idx = np.arange(length)[:, None] - layout.shift
     idx %= p
@@ -210,11 +225,17 @@ def _check_family_size(family: str, N: int) -> int:
     return positive_int(N, "matrix size")
 
 
-@lru_cache(maxsize=64)
 def column_layout(family: str, N: int) -> ColumnLayout:
     """Column addresses of the size-N matrix of `family`: the blocks of the
-    divisors of N, ascending. Builds no entries, so it has no size cap."""
-    return block_layout(family, divisors(_check_family_size(family, N)))
+    divisors of N, ascending. Builds no entries, so it has no size cap. N is
+    checked before the cached lookup, so a float N is rejected whatever was
+    cached before."""
+    return _column_layout(family, _check_family_size(family, N))
+
+
+@lru_cache(maxsize=64)
+def _column_layout(family: str, N: int) -> ColumnLayout:
+    return block_layout(family, divisors(N))
 
 
 @dataclass(frozen=True)

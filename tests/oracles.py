@@ -7,14 +7,17 @@ loop reference: the fast transform one butterfly at a time.
 accessors and applies the component formulas one subspace at a time, and
 `band_filter_loop` applies the band test one column at a time.
 `block_columns` and `block_entries` build addresses and entries one period
-block at a time.
+block at a time, and `column_entries` one column at a time.
+`read_signal_csv_loop` parses a signal file one line at a time.
 """
 
+import math
 from math import gcd, lcm
 
 import numpy as np
 
 from ccpt.ccps import ramanujan_sum
+from ccpt.cli import CsvParseError
 from ccpt.foccpt import OpCounter
 from ccpt.numtheory import divisors, half_residues, residue_sets, totient
 
@@ -139,6 +142,46 @@ def block_entries(family, p, length):
         is_sin = np.array([c[2] == "sin" for c in meta])
         patterns = 2.0 * np.where(is_sin, np.sin(angles), np.cos(angles))
     return patterns[m, np.arange(len(meta))]
+
+
+def column_entries(family, p, k, kind, shift, length):
+    """One column tiled to `length`, built from its own period with the same
+    arithmetic as the table builder, which must match it bit for bit."""
+    i = np.arange(p)
+    if family == "rpt":
+        pattern = ramanujan_sum(p)
+    elif family == "dft-npm":
+        pattern = np.exp(2j * np.pi * k * i / p)
+    elif p <= 2:
+        pattern = np.where(i == 0, 1.0, -1.0)
+    else:
+        angles = (2.0 * np.pi / p) * ((k * i) % p)
+        pattern = 2.0 * (np.sin(angles) if kind == "sin" else np.cos(angles))
+    return pattern[(np.arange(length) - shift) % p]
+
+
+def read_signal_csv_loop(path):
+    """A signal CSV read one line at a time: blank lines and a "value"
+    header on line 1 are skipped, and the first unparsable or non-finite
+    line raises CsvParseError naming it."""
+    values = []
+    with open(path, "r") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if not text:
+                continue
+            if line_no == 1 and text.lower() == "value":
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise CsvParseError(path, line_no, text) from None
+            if not math.isfinite(value):
+                raise CsvParseError(path, line_no, text, "non-finite sample value")
+            values.append(value)
+    if not values:
+        raise CsvParseError(path, 1, "<empty file>")
+    return np.array(values)
 
 
 def minimal_period(col, p, tol=1e-9):

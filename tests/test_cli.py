@@ -6,13 +6,12 @@ import pytest
 from ccpt.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, CsvParseError,
                       _coefficients_json, band_filter, main, read_signal_csv,
                       write_signal_csv)
-from ccpt.foccpt import foccpt
 from ccpt.matrices import FAMILIES
 from ccpt.signals import make_x1, make_x2, synthetic_ecg, tone
 from ccpt.transform import (CoefficientSet, analyze, coefficients_to_dict, occpt_analysis,
                             synthesize)
 
-from oracles import brute_dft
+from oracles import brute_dft, read_signal_csv_loop
 
 
 def _write(tmp_path, name, samples):
@@ -55,6 +54,50 @@ def test_csv_rejects_non_finite_samples(tmp_path, text):
     assert not (tmp_path / "s.csv").exists()
 
 
+def _read_outcome(reader, path):
+    try:
+        return reader(path).tolist(), None
+    except CsvParseError as exc:
+        return None, (str(exc), exc.line_no)
+
+
+def _non_finite_files():
+    for text in ("nan", "inf", "1e999"):
+        for k in (1, 2, 4, 5):
+            lines = ["value", "1.0", "-2", "3e-3", "4"]
+            lines[k - 1] = text
+            yield f"{text}-line{k}", "\n".join(lines).encode() + b"\n"
+
+
+CSV_CASES = {
+    "blank-lines": b"value\n1.0\n\n2.0\n   \n\t\n3.0\n",
+    "blank-first-line": b"  \n1.0\n2.0\n",
+    "header-after-blank": b"\nvalue\n1.0\n",
+    "header-again": b"value\n1.0\nvalue\n",
+    "upper-header": b"VALUE\n1\n2\n",
+    "header-only": b"value\n",
+    "header-only-no-newline": b" Value ",
+    "empty": b"",
+    "blank-only": b"\n\n",
+    "no-header": b"1\n2\n3\n",
+    "crlf": b"value\r\n1.5\r\n-2\r\n",
+    "cr": b"value\r1.5\r-2",
+    "no-final-newline": b"value\n1\n2",
+    "trailing-blank-lines": b"value\n1\n2\n\n\n",
+    "underscore-and-spaces": b"value\n1_000\n 2.5 \n\t-3\t\n",
+    "bad-value": b"value\n1.0\n1,2\n3\n",
+    "blank-then-nan": b"value\n\nnan\n",
+    **dict(_non_finite_files()),
+}
+
+
+@pytest.mark.parametrize("content", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_csv_reader_matches_line_loop(tmp_path, content):
+    path = tmp_path / "x.csv"
+    path.write_bytes(content)
+    assert _read_outcome(read_signal_csv, path) == _read_outcome(read_signal_csv_loop, path)
+
+
 def _per_line_csv(path, samples):
     with open(path, "w") as fh:
         fh.write("value\n")
@@ -68,6 +111,14 @@ def test_write_signal_csv_matches_per_line_writer(tmp_path, length):
     write_signal_csv(tmp_path / "a.csv", x)
     _per_line_csv(tmp_path / "b.csv", x)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_write_signal_csv_special_values(tmp_path):
+    x = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 123456789012.5, 1e-5, 2]
+    for samples in (x, [], [7.0]):
+        write_signal_csv(tmp_path / "a.csv", samples)
+        _per_line_csv(tmp_path / "b.csv", samples)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def _dumps(c):
@@ -99,13 +150,10 @@ def test_coefficients_json_equals_json_dumps(family):
 def test_transform_output_is_json_dumps_text(tmp_path, capsys, name, samples):
     path = _write(tmp_path, f"{name}.csv", samples)
     x = read_signal_csv(path)
-    # occpt takes the fast transform at 4096 and `analyze` below; rpt has
-    # the matrix column layout (a dense LU, so not at 4096)
-    for family in ("occpt",) if len(x) == 4096 else ("occpt", "rpt"):
-        if len(x) == 4096:
-            expected = _dumps(foccpt(x)[0]) + "\n"
-        else:
-            expected = _dumps(analyze(x, family)) + "\n"
+    # every family goes through `analyze` at every N; rpt's first call at
+    # 4096 builds its largest block inverse, so it runs on the short inputs
+    for family in ("occpt", "ccpt2") if len(x) == 4096 else ("occpt", "rpt"):
+        expected = _dumps(analyze(x, family)) + "\n"
         out = tmp_path / f"{family}.json"
         assert main(["transform", "--input", path, "--family", family,
                      "--out", str(out)]) == EXIT_OK
@@ -116,27 +164,25 @@ def test_transform_output_is_json_dumps_text(tmp_path, capsys, name, samples):
 
 
 def test_transform_wrapper_matches_library(tmp_path):
-    from ccpt.foccpt import foccpt
+    # power-of-two and other lengths alike: the wrapper runs `analyze`
+    for x in (np.arange(8.0), np.arange(12.0)):
+        path = _write(tmp_path, f"ramp{len(x)}.csv", x)
+        out = tmp_path / f"coeffs{len(x)}.json"
+        assert main(["transform", "--input", path, "--family", "occpt",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == _dumps(analyze(read_signal_csv(path), "occpt")) + "\n"
 
-    # power-of-two input: the wrapper auto-selects the fast path
-    x = np.arange(8.0)
-    path = _write(tmp_path, "ramp.csv", x)
-    out = tmp_path / "coeffs.json"
-    assert main(["transform", "--input", path, "--family", "occpt",
-                 "--out", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text())
-    expected = coefficients_to_dict(foccpt(read_signal_csv(path))[0])
-    assert payload == json.loads(json.dumps(expected, sort_keys=True))
 
-    # non-power-of-two input: the wrapper uses the direct transform
-    x = np.arange(12.0)
-    path = _write(tmp_path, "ramp12.csv", x)
-    out = tmp_path / "coeffs12.json"
-    assert main(["transform", "--input", path, "--family", "occpt",
-                 "--out", str(out)]) == EXIT_OK
-    payload = json.loads(out.read_text())
-    expected = coefficients_to_dict(occpt_analysis(read_signal_csv(path)))
-    assert payload == json.loads(json.dumps(expected, sort_keys=True))
+def test_benchmark_is_the_foccpt_route(tmp_path):
+    # the CLI's route to the op-counting fast transform
+    out = tmp_path / "bench.json"
+    assert main(["benchmark", "--sizes", "8,16", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())["benchmark"]
+    assert [e["N"] for e in payload] == [8, 16]
+    for entry in payload:
+        assert entry["family"] == "occpt"
+        assert entry["measured_equals_predicted"] is True
+        assert entry["measured"] == entry["predicted"]
 
 
 def test_transform_all_families(tmp_path):

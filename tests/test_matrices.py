@@ -10,9 +10,10 @@ from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                            build_matrix, column_layout, export_matrix_csv,
                            export_matrix_metadata, matrix_rank,
                            subspace_block, validate_npm)
+from ccpt import period
 from ccpt.numtheory import divisors, residue_sets, totient
 
-from oracles import block_columns, block_entries, minimal_period, tile_to
+from oracles import block_columns, block_entries, column_entries, minimal_period, tile_to
 
 
 def test_dft_npm_column_periods_n4():
@@ -239,6 +240,32 @@ def test_layout_arrays_match_block_loop(family):
             block, cols = subspace_block(family, p, length)
             np.testing.assert_array_equal(block, block_entries(family, p, length), strict=True)
             assert cols == tuple(SubspaceIndex(*a) for a in block_columns(family, p))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_build_columns_match_column_by_column_build(family):
+    """The shared-segment table gives every column bit for bit as building it
+    alone from its own period: dictionaries (54, 1..50) and (512, 1..64) and
+    a candidate set at N = 12."""
+    candidate = period._candidate_dictionary((5, 8), family, 12)[1]
+    cases = [(block_layout(family, range(1, 51)), 54, None),
+             (block_layout(family, range(1, 65)), 512, None),
+             (candidate.layout, 12, candidate.entries)]
+    for layout, length, built in cases:
+        want = np.column_stack([column_entries(family, *a, length) for a in zip(
+            layout.periods.tolist(), layout.k.tolist(), layout.kind.tolist(),
+            layout.shift.tolist())])
+        got = build_columns(layout, length) if built is None else built
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_column_layout_size_check_ignores_cache():
+    assert len(column_layout(OCCPT, 12).periods) == 12
+    for N in (12.0, 12.5, "12", 0):
+        with pytest.raises(ValueError, match="matrix size must be an integer >= 1"):
+            column_layout(OCCPT, N)
+    assert column_layout(OCCPT, np.int64(12)) is column_layout(OCCPT, 12)
 
 
 def test_block_layout_guards():
