@@ -19,8 +19,7 @@ import json
 import math
 import sys
 from functools import lru_cache
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from . import signals as sig
 from . import transform as tr
 from .foccpt import complexity_table, foccpt, predicted_counts
 from .matrices import FAMILIES, OCCPT, column_layout
-from .transform import _occpt_slots, band_filter
+from .transform import band_filter
 
 __all__ = ["main"]
 
@@ -113,47 +112,38 @@ def _floats_json(values: np.ndarray) -> list[str]:
     return out
 
 
-# an entry of the flat list and of an indexed row, as json.dumps indents it;
-# a complex entry takes its imaginary and then its real part
-_FLAT_SLOT = {False: "%s", True: '{\n      "im": %s,\n      "re": %s\n    }'}
-_ROW_SLOT = {False: "%s", True: '{\n        "im": %s,\n        "re": %s\n      }'}
+# complex entries as json.dumps indents them in the flat list and in a row
+_COMPLEX_FLAT = '{\n      "im": %s,\n      "re": %s\n    }'
+_COMPLEX_ROW = '{\n        "im": %s,\n        "re": %s\n      }'
+
+
+def _numbers_json(c: tr.CoefficientSet) -> tuple[list[str], list[str]]:
+    """json.dumps's text of each entry of `_nums(c.flat)` and of
+    `_nums(c.column_values())`, spelling each float once."""
+    order = c.column_order().tolist()
+    if not c.is_complex:
+        flat = _floats_json(c.flat.astype(float))
+        return flat, [flat[i] for i in order]
+    pairs = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
+    return [_COMPLEX_FLAT % v for v in pairs], [_COMPLEX_ROW % pairs[i] for i in order]
+
+
 # column kinds are plain identifiers, so "%s" spells them as json.dumps does
 _INDEXED_ROW = ('    {\n      "k": %d,\n      "kind": "%s",\n      "p": %d,\n'
                 '      "shift": %d,\n      "value": %s\n    }')
 
 
-@lru_cache(maxsize=8)
-def _json_template(family: str, N: int, is_complex: bool):
-    """(template, pick) for the coefficient JSON of a size-N set: the
-    document with a "%s" slot per float, the flat entries first and then the
-    indexed ones, and an itemgetter taking the flat entries into column
-    order (None where the flat layout is column order). A few entries cover
-    the lengths and families one process writes; N = 4096 real is 0.45 MB."""
-    lay = column_layout(family, N)
-    flat = ",\n    ".join([_FLAT_SLOT[is_complex]] * N)
-    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
-        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(),
-        repeat(_ROW_SLOT[is_complex]))])
-    template = (f'{{\n  "N": {N:d},\n  "family": {json.dumps(family)},\n'
-                f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
-    pick = itemgetter(*_occpt_slots(N).tolist()) if family == OCCPT and N >= 3 else None
-    return template, pick
-
-
 def _coefficients_json(c: tr.CoefficientSet) -> str:
     """The text of json.dumps(coefficients_to_dict(c), sort_keys=True,
-    indent=2): the cached template filled in one format, each float spelled
-    once, without the pure-Python encoder that json.dumps falls back to
-    whenever it indents."""
-    template, pick = _json_template(c.family, c.N, c.is_complex)
-    if c.is_complex:
-        entries = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
-    else:
-        entries = _floats_json(c.flat.astype(float))
-    args = (*entries, *(entries if pick is None else pick(entries)))
-    if c.is_complex:
-        args = tuple(chain.from_iterable(args))
-    return template % args
+    indent=2), built from the arrays without the pure-Python encoder that
+    json.dumps falls back to whenever it indents."""
+    flat, values = _numbers_json(c)
+    flat = ",\n    ".join(flat)
+    lay = column_layout(c.family, c.N)
+    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
+        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(), values)])
+    return (f'{{\n  "N": {c.N:d},\n  "family": {json.dumps(c.family)},\n'
+            f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
 
 
 def _emit(text, path) -> None:
