@@ -70,10 +70,6 @@ class CcpsSpec:
         if self.kind not in (COS, SIN):
             raise ValueError(f"kind must be {COS!r} or {SIN!r}, got {self.kind!r}")
 
-    @property
-    def scale(self) -> float:
-        return pair_scale(self.L)
-
     def sequence(self, length: int | None = None) -> np.ndarray:
         return ccps(self.L, self.k, self.kind, length)
 
@@ -87,14 +83,13 @@ def ccps1(L: int, k: int, length: int | None = None) -> np.ndarray:
 
 
 def ccps2(L: int, k: int, length: int | None = None) -> np.ndarray:
-    """Type-2 pair sum: 1 for L=1, (-1)^n for L=2, else 2*sin(2*pi*k*n/L)."""
+    """Type-2 pair sum 2*sin(2*pi*k*n/L); for L <= 2 the pair is a single
+    real exponential and the sum is the type-1 one, 1 or (-1)^n."""
+    if L <= 2:
+        return ccps1(L, k, length)
     _check_spec(L, k)
     if length is None:
         length = L
-    if L == 1:
-        return np.ones(length)
-    if L == 2:
-        return np.where(np.arange(length) % 2 == 0, 1.0, -1.0)
     return 2.0 * np.sin(_reduced_angles(L, k, length))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import period as periodmod
 from . import signals as sig
 from . import transform as tr
-from .foccpt import complexity_table, foccpt, predicted_counts
+from .foccpt import _is_pow2, complexity_table, foccpt, predicted_counts
 from .matrices import FAMILIES, OCCPT, column_layout
 from .transform import band_filter
 
@@ -163,10 +163,6 @@ def _write_strength_csv(rows, path) -> None:
         fh.write("period,strength\n")
         for p, s in rows:
             fh.write(f"{p},{format(float(s), '.12g')}\n")
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def cmd_transform(args) -> int:

@@ -184,7 +184,8 @@ def complexity_table(N: int) -> list[dict]:
         row(CCPT2, *direct_half, "direct"),
     ]
     if fast:
-        rows.append(row(OCCPT, 2 * N * v - 2 * N + 2, 4 * N * v - 7 * N + 10, "fast"))
+        occpt = predicted_counts(N, "complex")
+        rows.append(row(OCCPT, occpt.real_mults, occpt.real_adds, "fast"))
         rows.append(row(DFT_NPM, 2 * N * v, 3 * N * v, "fast"))
     else:
         rows.append(row(OCCPT, *direct_half, "direct"))

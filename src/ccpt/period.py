@@ -278,24 +278,25 @@ class DictionarySolution:
     used_fallback: bool         # the least-squares branch ran (no full row rank)
     dictionary: PeriodicDictionary
 
-    def significant_periods(self, rel_threshold: float = 0.01) -> tuple[int, ...]:
-        """Periods with strength at least rel_threshold times the maximum
-        strength over p >= 2. The weighted minimum-norm solution spreads
-        component energies over orders of magnitude, so the floor is
-        deliberately low; p = 1 only carries the offset and never changes
-        the lcm."""
+    def significant_periods(self) -> tuple[int, ...]:
+        """Periods with strength at least 1% of the maximum strength over
+        p >= 2. The weighted minimum-norm solution spreads component
+        energies over orders of magnitude, so the floor is deliberately low;
+        p = 1 only carries the offset and never changes the lcm."""
         ref = max((s for p, s in self.strengths.items() if p >= 2), default=0.0)
         if ref <= 0.0:
             return (1,) if self.strengths.get(1, 0.0) > 0.0 else ()
-        return tuple(sorted(p for p, s in self.strengths.items() if s >= rel_threshold * ref))
+        return tuple(sorted(p for p, s in self.strengths.items() if s >= 0.01 * ref))
 
-    def top_periods(self, count: int, include_dc: bool = False) -> tuple[int, ...]:
-        ranked = sorted((p for p in self.strengths if include_dc or p >= 2),
-                        key=lambda p: -self.strengths[p])
+    def top_periods(self, count: int) -> tuple[int, ...]:
+        """The `count` strongest periods p >= 2, ascending."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        ranked = sorted((p for p in self.strengths if p >= 2), key=lambda p: -self.strengths[p])
         return tuple(sorted(ranked[:count]))
 
-    def estimated_period(self, rel_threshold: float = 0.01) -> int:
-        sig = self.significant_periods(rel_threshold)
+    def estimated_period(self) -> int:
+        sig = self.significant_periods()
         return lcm_list(sig) if sig else 1
 
     def components(self, fs: float | None = None,

@@ -45,6 +45,8 @@ class Signal:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _checked_samples(self.samples, "Signal"))
+        if self.sample_rate is not None:
+            object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -58,13 +60,15 @@ def samples_of(x) -> np.ndarray:
 
 
 def _checked_samples(x, caller: str) -> np.ndarray:
-    """samples_of(x), required to be a nonempty, finite 1-D sequence; the
-    error names the caller."""
+    """samples_of(x), required to be a nonempty, finite, numeric 1-D
+    sequence; the error names the caller."""
     x = samples_of(x)
     if x.ndim != 1:
         raise ValueError(f"{caller} needs a 1-D signal, got shape {x.shape}")
     if x.size == 0:
         raise ValueError(f"{caller} needs at least one sample")
+    if x.dtype.kind not in "biufc":
+        raise ValueError(f"{caller} needs numeric samples, got dtype {x.dtype}")
     if not np.isfinite(x).all():
         raise ValueError(f"{caller} needs finite samples; the signal has NaN or inf")
     return x
@@ -72,7 +76,11 @@ def _checked_samples(x, caller: str) -> np.ndarray:
 
 def _checked_rate(fs) -> float:
     """fs as a float, required to be a finite sample rate > 0 (Hz)."""
-    if not (isfinite(fs) and fs > 0):
+    try:
+        valid = isfinite(fs) and fs > 0
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError(f"sample rate fs must be finite and > 0, got {fs!r}")
     return float(fs)
 
@@ -110,20 +118,21 @@ def x2_clean(component_seed: int = X2_COMPONENT_SEED) -> Signal:
     return Signal(x, sample_rate=360.0)
 
 
-def make_x1(noise_seed: int = X1_NOISE_SEED, snr_db: float = 6.0,
-            component_seed: int = X1_COMPONENT_SEED) -> Signal:
-    clean = x1_clean(component_seed)
-    sigma = line_noise_sigma(0.6, snr_db)
+def _noisy(clean: Signal, amplitude: float, snr_db: float, noise_seed: int) -> Signal:
+    """clean plus seeded noise at snr_db for a probe tone of this amplitude."""
+    sigma = line_noise_sigma(amplitude, snr_db)
     noise = np.random.default_rng(noise_seed).normal(0.0, sigma, len(clean))
     return Signal(clean.samples + noise, sample_rate=clean.sample_rate)
+
+
+def make_x1(noise_seed: int = X1_NOISE_SEED, snr_db: float = 6.0,
+            component_seed: int = X1_COMPONENT_SEED) -> Signal:
+    return _noisy(x1_clean(component_seed), 0.6, snr_db, noise_seed)
 
 
 def make_x2(noise_seed: int = X2_NOISE_SEED, snr_db: float = 6.0,
             component_seed: int = X2_COMPONENT_SEED) -> Signal:
-    clean = x2_clean(component_seed)
-    sigma = line_noise_sigma(0.3, snr_db)
-    noise = np.random.default_rng(noise_seed).normal(0.0, sigma, len(clean))
-    return Signal(clean.samples + noise, sample_rate=clean.sample_rate)
+    return _noisy(x2_clean(component_seed), 0.3, snr_db, noise_seed)
 
 
 def synthetic_ecg(seed: int = ECG_SEED, length: int = 625, fs: float = 62.5) -> Signal:

@@ -27,9 +27,12 @@ at the position of an orthogonal column of the same subspace. Their
 coefficients are a real block-diagonal change of basis of the packed
 orthogonal coefficients, applied in place:
 
-  ccpt1, ccpt2  per slot pair (K, N-K), with theta = 2*pi*K/N, the shifted
+  ccpt1         per slot pair (K, N-K), with theta = 2*pi*K/N, the shifted
                 column is a rotation of the unshifted pair, so a 2 x 2 map
                 (the sine of theta being its determinant)
+  ccpt2         a type-2 pair is the type-1 pair turned a quarter, so the
+                ccpt1 map runs after (b0, b1) -> (b1, -b0) in analysis and
+                before (u, v) -> (-v, u) in synthesis
   rpt           per divisor p >= 3, the phi(p) Ramanujan-sum columns
                 against the pairs of block p, a small cached inverse
 
@@ -46,11 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
 from .ccps import COS, SIN, ccps, pair_scale
-from .matrices import CCPT1, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
+from .matrices import CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import positive_int
@@ -275,14 +279,12 @@ def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
     else:
         cos_t, sin_t = _pair_angles(N)
         b0, b1 = _pairs(b)
-        if family == CCPT1:
-            # b0 = a0 + a1*cos, b1 = a1*sin
-            a1 = b1 / sin_t
-            b0 -= a1 * cos_t
-        else:
-            # b0 = -a1*sin, b1 = a0 + a1*cos
-            a1 = -b0 / sin_t
-            b0[:] = b1 - a1 * cos_t
+        if family == CCPT2:
+            # a ccpt2 pair is a ccpt1 pair turned a quarter: undo the turn
+            b0[:], b1[:] = b1, -b0
+        # b0 = a0 + a1*cos, b1 = a1*sin
+        a1 = b1 / sin_t
+        b0 -= a1 * cos_t
         b1[:] = a1
     return b[_occpt_slots(N)]
 
@@ -299,14 +301,10 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
         return b
     cos_t, sin_t = _pair_angles(N)
     a0, a1 = _pairs(b)
-    if family == CCPT1:
-        a0 += a1 * cos_t
-        a1 *= sin_t
-    else:
-        b0 = -a1 * sin_t
-        a1 *= cos_t
-        a1 += a0
-        a0[:] = b0
+    a0 += a1 * cos_t
+    a1 *= sin_t
+    if family == CCPT2:
+        a0[:], a1[:] = -a1, a0.copy()
     return b
 
 
@@ -372,9 +370,14 @@ def shift_coefficients(c: CoefficientSet, m: int) -> CoefficientSet:
 
     The pair of slot K rotates by 2*pi*K*delay/N with delay = (-m) mod N,
     the product K*delay reduced mod N before scaling; the degenerate slots 0
-    and N/2 scale by the cosine alone."""
+    and N/2 scale by the cosine alone. m must be an integer (Python or
+    NumPy)."""
     if c.family != OCCPT:
         raise ValueError("shift_coefficients requires orthogonal-family coefficients")
+    try:
+        m = index(m)
+    except TypeError:
+        raise ValueError(f"shift m must be an integer, got {m!r}") from None
     N = c.N
     K = np.arange(N // 2 + 1)
     theta = (2 * np.pi / N) * ((K * ((-m) % N)) % N)

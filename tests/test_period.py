@@ -213,6 +213,14 @@ def test_dictionary_x2_reproduction():
     assert any(c.p == 8 and c.k == 1 and abs(c.freq_hz - 45.0) < 1e-9 for c in comps)
 
 
+def test_top_periods_rejects_negative_count():
+    sol = dictionary_solve(make_x2().samples, build_dictionary(54, 12, family=OCCPT))
+    assert sol.top_periods(0) == ()
+    assert len(sol.top_periods(100)) == 11      # every period p >= 2
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        sol.top_periods(-1)
+
+
 @pytest.mark.parametrize("fs", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
 def test_components_reject_bad_sample_rate(fs):
     x = make_x2().samples

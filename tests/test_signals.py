@@ -20,10 +20,17 @@ def test_signal_container():
     ([1.0, complex(0.0, np.nan)], "Signal needs finite samples"),
     ([], "Signal needs at least one sample"),
     (np.zeros((2, 2)), "Signal needs a 1-D signal"),
+    (["a", "b"], "Signal needs numeric samples"),
 ])
 def test_signal_rejects_non_signal_samples(bad, match):
     with pytest.raises(ValueError, match=match):
         Signal(bad, 360.0)
+
+
+@pytest.mark.parametrize("rate", [-5.0, np.nan, 0.0, "abc"], ids=["-5", "nan", "0", "abc"])
+def test_signal_rejects_bad_sample_rate(rate):
+    with pytest.raises(ValueError, match="sample rate fs must be finite and > 0"):
+        Signal([1.0, 2.0], rate)
 
 
 def test_hidden_component_is_periodic_and_seeded():

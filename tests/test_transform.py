@@ -166,6 +166,18 @@ def test_shift_identity_cases():
     np.testing.assert_allclose(shift_coefficients(c, 24).flat, c.flat, atol=1e-10)
 
 
+def test_shift_takes_integers_only():
+    x = np.random.default_rng(19).standard_normal(24)
+    c = occpt_analysis(x)
+    shifted = shift_coefficients(c, 5).flat
+    np.testing.assert_array_equal(shift_coefficients(c, np.int64(5)).flat, shifted)
+    np.testing.assert_allclose(occpt_synthesis(shift_coefficients(c, 5)), np.roll(x, 5),
+                               atol=1e-12)
+    for m in (1.5, 2.0, np.float64(3.0), "1"):
+        with pytest.raises(ValueError, match="shift m must be an integer"):
+            shift_coefficients(c, m)
+
+
 def test_shift_matches_reanalysis():
     rng = np.random.default_rng(23)
     x = rng.standard_normal(24)
@@ -319,7 +331,8 @@ def test_coefficient_set_takes_numpy_integer_size():
     (np.array([1.0, 2.0, np.inf, 3.0, 0.0, 0.0, 0.0, -np.inf]), "finite samples"),
     (np.array([1.0, 2.0j, complex(np.nan, 0.0), 3.0]), "finite samples"),
     (np.array([]), "at least one sample"),
-], ids=["4x4", "8x1", "nan", "inf", "complex-nan", "empty"])
+    (["a", "b"], "numeric samples"),
+], ids=["4x4", "8x1", "nan", "inf", "complex-nan", "empty", "strings"])
 @pytest.mark.parametrize("analysis", [
     occpt_analysis, *(partial(analyze, family=f) for f in FAMILIES),
 ], ids=["occpt_analysis", *(f"analyze-{f}" for f in FAMILIES)])
