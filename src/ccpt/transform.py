@@ -21,7 +21,7 @@ module keeps only the packed-format rule above: the slot of each orthogonal
 column and the bin of each dft-npm column are computed from the layout's
 (p, k, kind) arrays, once per N.
 
-The rpt, ccpt1 and ccpt2 columns span the same period-p subspaces as the
+The ccpt1 and ccpt2 columns span the same period-p subspaces as the
 orthogonal ones, and in canonical column order each of their columns sits
 at the position of an orthogonal column of the same subspace. Their
 coefficients are a real block-diagonal change of basis of the packed
@@ -33,16 +33,19 @@ orthogonal coefficients, applied in place:
   ccpt2         a type-2 pair is the type-1 pair turned a quarter, so the
                 ccpt1 map runs after (b0, b1) -> (b1, -b0) in analysis and
                 before (u, v) -> (-v, u) in synthesis
-  rpt           per divisor p >= 3, the phi(p) Ramanujan-sum columns
-                against the pairs of block p, a small cached inverse
+
+The rpt coefficients need no FFT: block p's coefficient polynomial is the
+signal folded modulo p, reduced modulo the cyclotomic polynomial Phi_p and
+divided by N, and synthesis is a sum of tiled folds by the Moebius
+expansion of the Ramanujan sums. Both are integer index maps over the
+divisors, built once per N (`_rpt_plan`).
 
 Periods 1 and 2 share their single column with the orthogonal family. No
-path builds the dense N x N basis or has a size cap (rpt's largest block,
-p = N, is phi(N) square); dense matrices serve only validation and export.
+path builds the dense N x N basis, inverts a block or has a size cap; dense
+matrices serve only validation and export.
 
-Complex inputs run the real FFT on real and imaginary parts and carry the
-coefficients as one complex flat array; the maps above are real, so they
-apply to that array as it is.
+Complex inputs run the real maps on real and imaginary parts and carry the
+coefficients as one complex flat array.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .ccps import COS, SIN, ccps, pair_scale
 from .matrices import CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
-from .numtheory import positive_int
+from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
 from .signals import _checked_rate, _checked_samples
 
 __all__ = [
@@ -243,62 +246,180 @@ def _pair_angles(N: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _RptPlan:
+    """Index maps of the rpt analysis and synthesis at one N; see `_rpt_plan`.
+    The arrays are read-only."""
+
+    slots: int
+    tree: tuple[tuple[int, int, int, int], ...]
+    head: np.ndarray
+    tails: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def arrays(self):
+        yield self.head
+        for tail in self.tails:
+            yield from tail
+        yield from self.terms
+
+
+def _power_residues(r: int, count: int) -> np.ndarray:
+    """phi x count integer table, phi = totient(r), whose column c holds the
+    coefficients of z^(phi + c) mod Phi_r, constant term first."""
+    low = cyclotomic(r)[:-1]
+    table = np.empty((len(low), count), dtype=np.int64)
+    v = -low
+    for c in range(count):
+        table[:, c] = v
+        v = np.concatenate([[0], v[:-1]]) - v[-1] * low
+    return table
+
+
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and position within it of each entry of consecutive segments
+    of the given lengths."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
 @lru_cache(maxsize=32)
-def _ramanujan_blocks(N: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """(slots, B, inverse) per divisor p >= 3: `slots` holds the packed slots
-    of the block's (cosine, sine) pairs in canonical column order, which are
-    also the positions of its rpt columns; B maps the block's rpt
-    coefficients to those pairs, B[(k, cos|sin), j] =
-    cos|sin(2*pi*(k*j mod p)/p), and `inverse` undoes it."""
-    # column j of block p is c_p(n - j) = sum over k of 2*cos(theta_k*(n - j)),
-    # theta_k = 2*pi*k/p, k over the half residues: cos(theta_k*j) times the
-    # cosine column of (p, k) plus sin(theta_k*j) times its sine column
-    layout = column_layout(OCCPT, N)
-    periods = layout.periods
-    blocks = []
-    for p in np.unique(periods[periods >= 3]).tolist():
-        start, stop = np.searchsorted(periods, [p, p + 1])
-        k = layout.k[start:stop:2]
-        angles = (2 * np.pi / p) * ((k[:, None] * np.arange(stop - start)) % p)
-        B = np.empty((stop - start, stop - start))
-        B[0::2], B[1::2] = np.cos(angles), np.sin(angles)
-        inverse = np.linalg.inv(B)
-        B.setflags(write=False)
-        inverse.setflags(write=False)
-        blocks.append((_occpt_slots(N)[start:stop], B, inverse))
-    return tuple(blocks)
+def _rpt_plan(N: int) -> _RptPlan:
+    """Index maps of the rpt analysis and synthesis: O(N*d(N)) integers and
+    an integer reduction table per radical of two or more primes, with no
+    FFT and no inverse.
+
+    Column j of block p is c_p(n - j). Let Y_p(z) be the polynomial of x
+    folded modulo p, y_p[m] = sum of x[n] over n = m (mod p). At every
+    primitive p-th root of unity Y_p takes N times the value of the block's
+    coefficient polynomial A_p, of degree < phi(p), so A_p = (Y_p mod Phi_p)/N
+    (Vaidyanathan, IEEE TSP 2014, on the Ramanujan subspaces). The folds of
+    all divisors sit end to end in one vector of `slots` values, ascending,
+    with a spare zero last; `tree` folds each p < N, descending, from its
+    multiple m = p*q with q the smallest prime of N/p: (slot of p, p,
+    slot of m, q).
+
+    The remainder takes two steps. With q the smallest prime of p, Phi_p
+    divides 1 + z^(p/q) + ... + z^((q-1)p/q), so subtracting the last of
+    the q runs of p/q folded samples from the other runs leaves L = p - p/q
+    terms: `head` gives the slot each coefficient reads and the slot it
+    subtracts (the spare zero for p = 1). Prime powers stop there, as
+    L = phi(p). Otherwise, with r the radical of p and s = p/r,
+    Phi_p(z) = Phi_r(z^s): the terms form an (L/s) x s array, and rows
+    phi(r) onward fold onto the first phi(r) rows through the integer table
+    E_r of z^(phi(r) + c) mod Phi_r. The blocks of one radical share one
+    product in `tails`: (E_r, the slots read and subtracted, the columns).
+
+    Synthesis expands c_p(n) = sum over d | gcd(n, p) of mobius(p/d)*d, so
+    x = sum over d | N of w_d tiled, w_d[m] the sum of mobius(p/d)*d*a_(p,j)
+    over the columns (p, j) with d | p and j = m (mod d). `terms` holds the
+    (column, slot, weight) triples of that sum, and `tree`, run ascending,
+    tiles each w_p onto its multiple."""
+    ds = divisors(N)
+    p = np.array(ds)
+    widths = np.array([totient(d) for d in ds])
+    slot = np.cumsum(p) - p
+    first = np.cumsum(widths) - widths
+    zero = int(p.sum())
+    index = {d: i for i, d in enumerate(ds)}
+
+    tree = []
+    for i in reversed(range(len(ds) - 1)):
+        q = prime_factors(N // ds[i])[0]
+        tree.append((int(slot[i]), ds[i], int(slot[index[ds[i] * q]]), q))
+
+    run = p // np.array([1] + [prime_factors(d)[0] for d in ds[1:]])
+    block, j = _segments(widths)
+    head = np.stack([slot[block] + j, (slot + p - run)[block] + j % run[block]])
+    head[1, 0] = zero  # period 1 has no run to subtract
+    groups = {}
+    for i, d in enumerate(ds[1:], 1):
+        groups.setdefault(radical(d), []).append(i)
+    tails = []
+    for r, group in groups.items():
+        phi, length = totient(r), r - r // prime_factors(r)[0]
+        if length == phi:
+            continue
+        read, columns = [], []
+        for i in group:
+            s = ds[i] // r
+            k = np.arange(phi * s, length * s).reshape(length - phi, s)
+            read.append(np.stack([slot[i] + k, slot[i] + ds[i] - run[i] + k % run[i]]))
+            columns.append(first[i] + np.arange(phi * s).reshape(phi, s))
+        tails.append((_power_residues(r, length - phi).astype(float),
+                      np.concatenate(read, axis=2), np.concatenate(columns, axis=1)))
+
+    # (block p, divisor d, mobius(p/d)*d) of each nonzero Moebius term
+    mu = [mobius(d) for d in ds]
+    pairs = [(b, i, mu[index[pb // d]] * d) for b, pb in enumerate(ds)
+             for i, d in enumerate(ds[:b + 1]) if pb % d == 0 and mu[index[pb // d]]]
+    blk, sub, weight = np.array(pairs).T
+    term, j = _segments(widths[blk])
+    blk, sub = blk[term], sub[term]
+    terms = first[blk] + j, slot[sub] + j % p[sub], weight[term].astype(float)
+
+    plan = _RptPlan(slots=zero + 1, tree=tuple(tree), head=head, tails=tuple(tails), terms=terms)
+    for a in plan.arrays():
+        a.setflags(write=False)
+    return plan
+
+
+def _rpt_analysis(x: np.ndarray) -> np.ndarray:
+    """rpt coefficients in column order of a real signal (see _rpt_plan)."""
+    N = len(x)
+    plan = _rpt_plan(N)
+    y = np.zeros(plan.slots)
+    y[-1 - N:-1] = x
+    for at, p, src, q in plan.tree:
+        np.add.reduce(y[src:src + q * p].reshape(q, p), 0, out=y[at:at + p])
+    a = y[plan.head[0]] - y[plan.head[1]]
+    for table, read, columns in plan.tails:
+        a[columns] += table @ (y[read[0]] - y[read[1]])
+    a /= N
+    return a
+
+
+def _rpt_synthesis(a: np.ndarray) -> np.ndarray:
+    """Real signal of real rpt coefficients a in column order."""
+    N = len(a)
+    plan = _rpt_plan(N)
+    col, to, weight = plan.terms
+    w = np.bincount(to, a[col] * weight, plan.slots)
+    for at, p, src, q in reversed(plan.tree):
+        multiple = w[src:src + q * p].reshape(q, p)
+        np.add(multiple, w[at:at + p], out=multiple)
+    return w[-1 - N:-1]
+
+
+def _by_parts(f, v: np.ndarray) -> np.ndarray:
+    """f of a real array, or of the real and imaginary parts of a complex one."""
+    if np.iscomplexobj(v):
+        return f(v.real) + 1j * f(v.imag)
+    return f(v)
 
 
 def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
-    """rpt/ccpt1/ccpt2 coefficients in column order from packed orthogonal
+    """ccpt1/ccpt2 coefficients in column order from packed orthogonal
     coefficients b, which the map overwrites."""
     N = len(b)
-    if family == RPT:
-        for slots, _, inverse in _ramanujan_blocks(N):
-            b[slots] = inverse @ b[slots]
-    else:
-        cos_t, sin_t = _pair_angles(N)
-        b0, b1 = _pairs(b)
-        if family == CCPT2:
-            # a ccpt2 pair is a ccpt1 pair turned a quarter: undo the turn
-            b0[:], b1[:] = b1, -b0
-        # b0 = a0 + a1*cos, b1 = a1*sin
-        a1 = b1 / sin_t
-        b0 -= a1 * cos_t
-        b1[:] = a1
+    cos_t, sin_t = _pair_angles(N)
+    b0, b1 = _pairs(b)
+    if family == CCPT2:
+        # a ccpt2 pair is a ccpt1 pair turned a quarter: undo the turn
+        b0[:], b1[:] = b1, -b0
+    # b0 = a0 + a1*cos, b1 = a1*sin
+    a1 = b1 / sin_t
+    b0 -= a1 * cos_t
+    b1[:] = a1
     return b[_occpt_slots(N)]
 
 
 def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
-    """Packed orthogonal coefficients of rpt/ccpt1/ccpt2 coefficients a in
+    """Packed orthogonal coefficients of ccpt1/ccpt2 coefficients a in
     column order: the inverse of _from_packed."""
     N = len(a)
     b = np.empty(N, dtype=np.result_type(a, float))
     b[_occpt_slots(N)] = a
-    if family == RPT:
-        for slots, B, _ in _ramanujan_blocks(N):
-            b[slots] = B @ b[slots]
-        return b
     cos_t, sin_t = _pair_angles(N)
     a0, a1 = _pairs(b)
     a0 += a1 * cos_t
@@ -309,10 +430,11 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
 
 
 def analyze(x, family: str) -> CoefficientSet:
-    """Family-dispatching analysis through the FFT: the orthogonal family is
-    the packed real FFT, dft-npm the gathered complex FFT, and rpt, ccpt1
-    and ccpt2 a block-diagonal map of the packed coefficients (see the
-    module docstring). Any length N.
+    """Family-dispatching analysis: the orthogonal family is the packed real
+    FFT, dft-npm the gathered complex FFT, ccpt1 and ccpt2 a 2 x 2 map per
+    slot pair of the packed coefficients, and rpt a fold of the signal
+    reduced modulo the cyclotomic polynomials (see the module docstring).
+    Any length N.
 
     Every analysis entry point takes a Signal or array-like of finite
     samples, nonempty and 1-D, and raises ValueError otherwise.
@@ -325,6 +447,8 @@ def analyze(x, family: str) -> CoefficientSet:
         flat = np.fft.fft(x)[_dft_bins(N)] / N
     elif family == OCCPT:
         flat = _packed(x)
+    elif family == RPT:
+        flat = _by_parts(_rpt_analysis, x)
     else:
         flat = _from_packed(_packed(x), family)
     return CoefficientSet(N=N, family=family, flat=flat)
@@ -338,6 +462,8 @@ def synthesize(c: CoefficientSet) -> np.ndarray:
         bins = np.zeros(c.N, dtype=complex)
         bins[_dft_bins(c.N)] = c.flat
         return np.fft.ifft(bins) * c.N
+    if c.family == RPT:
+        return _by_parts(_rpt_synthesis, c.flat)
     return _unpacked(_to_packed(c.flat, c.family))
 
 

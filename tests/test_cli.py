@@ -150,9 +150,8 @@ def test_coefficients_json_equals_json_dumps(family):
 def test_transform_output_is_json_dumps_text(tmp_path, capsys, name, samples):
     path = _write(tmp_path, f"{name}.csv", samples)
     x = read_signal_csv(path)
-    # every family goes through `analyze` at every N; rpt's first call at
-    # 4096 builds its largest block inverse, so it runs on the short inputs
-    for family in ("occpt", "ccpt2") if len(x) == 4096 else ("occpt", "rpt"):
+    # every family goes through `analyze` at every N
+    for family in ("occpt", "ccpt2", "rpt") if len(x) == 4096 else ("occpt", "rpt"):
         expected = _dumps(analyze(x, family)) + "\n"
         out = tmp_path / f"{family}.json"
         assert main(["transform", "--input", path, "--family", family,

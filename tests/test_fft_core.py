@@ -1,6 +1,7 @@
-"""The packed real-FFT core of the orthogonal transform, dft-npm and the
-block maps of rpt, ccpt1 and ccpt2 against the brute-force oracles and
-dense solves, at sizes on both sides of the dense-matrix cap.
+"""The packed real-FFT core of the orthogonal transform, dft-npm, the
+pair maps of ccpt1 and ccpt2 and the cyclotomic folds of rpt against the
+brute-force oracles and dense solves, at sizes on both sides of the
+dense-matrix cap.
 
 Tolerances are absolute on the coefficient scale (1/N times the DFT), where
 every orthogonal and dft-npm value here is O(1); DFT bins are compared after
@@ -13,7 +14,7 @@ import pytest
 
 from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_matrix, column_layout
 from ccpt.period import frequency_components, period_strengths
-from ccpt.transform import (CoefficientSet, analyze, band_filter,
+from ccpt.transform import (CoefficientSet, _rpt_plan, analyze, band_filter,
                             coefficients_to_dict, convolve_coefficients,
                             dft_from_occpt, occpt_analysis, occpt_synthesis,
                             parseval_energy, shift_coefficients, synthesize)
@@ -175,10 +176,10 @@ def test_nonorthogonal_families_beyond_the_dense_cap(family, N, P):
 
 @pytest.mark.parametrize("N", (1, 2, 3, 6, 12, 54, 64, 360, 625, 2310))
 def test_dft_npm_fft_path_matches_dense_solve(N):
-    """Every family's FFT path against a dense solve, real and complex
+    """Every family's fast path against a dense solve, real and complex
     input. The rpt, ccpt1 and ccpt2 coefficients are compared relative to
-    their largest, as ccpt coefficients grow as 1/sin(2*pi*K/N); rpt's
-    largest block condition, near 7e2, is at p = 2310."""
+    their largest, as ccpt coefficients grow as 1/sin(2*pi*K/N); the dense
+    rpt matrix is the worst conditioned at N = 2310, near 7e2."""
     rng = np.random.default_rng(N)
     x = rng.standard_normal(N)
     z = x + 1j * rng.standard_normal(N)
@@ -205,6 +206,45 @@ def test_dft_npm_fft_path_matches_dense_solve(N):
         e = np.zeros(N, dtype=F.dtype)
         e[j] = 1.0
         assert _err(synthesize(CoefficientSet(N=N, family=family, flat=e)), F[:, j]) <= TOL * N
+
+
+def test_rpt_matches_dense_solve_at_every_size_to_128():
+    """rpt analysis against a dense solve, real and complex, and the
+    synthesis of a unit coefficient on each column against that column, at
+    every N: a wrong cyclotomic polynomial, reduction table or Moebius
+    weight at any divisor shows up here."""
+    for N in range(1, 129):
+        rng = np.random.default_rng(N)
+        x = rng.standard_normal(N)
+        z = x + 1j * rng.standard_normal(N)
+        F = build_matrix(RPT, N).entries
+        r, zr, zi = np.linalg.solve(F, np.column_stack([x, z.real, z.imag])).T
+        for v, ref in ((x, r), (z, zr + 1j * zi)):
+            c = analyze(v, RPT)
+            assert _err(c.flat, ref) <= RTOL * np.max(np.abs(ref)), N
+            assert _err(synthesize(c), v) <= RTOL * np.max(np.abs(v)), N
+        for j in range(N):
+            e = np.zeros(N)
+            e[j] = 1.0
+            assert _err(synthesize(CoefficientSet(N=N, family=RPT, flat=e)), F[:, j]) <= TOL * N, (N, j)
+
+
+@pytest.mark.parametrize("N", (8191, 65537))
+def test_rpt_at_prime_sizes(N):
+    """At a prime N the period-N block has N - 1 columns: a round trip, and
+    a planted period-N tone is estimated as period N."""
+    x = np.random.default_rng(N).standard_normal(N)
+    assert _err(synthesize(analyze(x, RPT)), x) <= RTOL
+    tone = np.cos(2 * np.pi * np.arange(N) / N + 0.3)
+    assert period_strengths(analyze(tone, RPT)).estimated_period == N
+
+
+@pytest.mark.parametrize("N, limit_mb", [(4096, 2), (4097, 10)])
+def test_rpt_plan_stays_small(N, limit_mb):
+    """The cached rpt plan is index maps and small reduction tables, not
+    phi(p)-square blocks and their inverses."""
+    analyze(np.ones(N), RPT)
+    assert sum(a.nbytes for a in _rpt_plan(N).arrays()) <= limit_mb * 1e6
 
 
 def test_band_filter_occpt_mask_shares_pairs():

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from ccpt.numtheory import divisors, gcd, lcm_list, residue_sets, totient
+from ccpt.numtheory import (cyclotomic, divisors, gcd, lcm_list, mobius, prime_factors,
+                            radical, residue_sets, totient)
 
 
 def test_gcd_examples():
@@ -89,3 +91,59 @@ def test_divisors_ascending_and_closed():
         assert ds == sorted(ds)
         assert ds[0] == 1 and ds[-1] == n
         assert all(n % d == 0 for d in ds)
+
+
+def test_totient_matches_gcd_count_to_300():
+    for n in range(1, 301):
+        assert totient(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_factorization_functions_against_trial_division():
+    for n in range(1, 301):
+        primes = tuple(q for q in range(2, n + 1) if n % q == 0
+                       and all(q % f for f in range(2, q)))
+        assert prime_factors(n) == primes
+        assert radical(n) == int(np.prod(primes, dtype=np.int64))
+        squarefree = all(n % (q * q) for q in primes)
+        assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+
+
+def test_mobius_sums_to_zero_over_divisors():
+    for n in range(1, 301):
+        assert sum(mobius(d) for d in divisors(n)) == (1 if n == 1 else 0)
+
+
+def test_cyclotomic_examples():
+    assert cyclotomic(1).tolist() == [-1, 1]
+    assert cyclotomic(2).tolist() == [1, 1]
+    assert cyclotomic(12).tolist() == [1, 0, -1, 0, 1]
+    # the first cyclotomic polynomial with a coefficient other than 0 and +-1
+    assert cyclotomic(105).min() == -2
+    big = cyclotomic(65537)
+    assert big.dtype == np.int64 and len(big) == 65537 and np.all(big == 1)
+
+
+def test_cyclotomic_divisor_product_is_z_n_minus_1():
+    for n in range(1, 301):
+        prod = np.ones(1, dtype=np.int64)
+        for d in divisors(n):
+            phi = cyclotomic(d)
+            assert len(phi) == totient(d) + 1 and phi[-1] == 1
+            prod = np.convolve(prod, phi)
+        want = np.zeros(n + 1, dtype=np.int64)
+        want[0], want[n] = -1, 1
+        np.testing.assert_array_equal(prod, want, err_msg=f"n={n}")
+
+
+def test_cyclotomic_vanishes_at_primitive_roots():
+    for n in range(1, 301):
+        phi = cyclotomic(n)
+        k = np.array([k for k in range(1, n + 1) if gcd(k, n) == 1])
+        values = np.polynomial.polynomial.polyval(np.exp(2j * np.pi * k / n), phi)
+        assert np.max(np.abs(values)) <= 1e-9 * np.abs(phi).sum(), n
+
+
+@pytest.mark.parametrize("f", [totient, mobius, radical, prime_factors, cyclotomic])
+def test_factorization_functions_reject_nonpositive(f):
+    with pytest.raises(ValueError, match="requires n >= 1"):
+        f(0)
