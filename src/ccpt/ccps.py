@@ -5,7 +5,8 @@ A conjugate pair of complex exponentials at frequency 2*pi*k/L can be added
 periodicity. Those two real-valued sums span the same two-dimensional
 subspace as the exponential pair and are the column generators for every
 matrix family in this package. Ramanujan sums aggregate the whole coprime
-residue set instead of a single pair.
+residue set instead of a single pair; they are integers, and are evaluated
+exactly by their Moebius expansion.
 
 Closed forms (spectrum, pairwise inner products) are implemented here;
 tests check them against direct summation.
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, gcd, pi, sin
+from operator import index
 
 import numpy as np
 
-from .numtheory import half_residues, lcm_list
+from .numtheory import divisors, half_residues, lcm_list, mobius
 
 COS = "cos"  # type-1, conjugate pair added
 SIN = "sin"  # type-2, conjugate pair subtracted
@@ -50,9 +52,23 @@ def _check_spec(L: int, k: int) -> None:
         raise ValueError(f"residue k={k} is not coprime to L={L} or out of range")
 
 
-def _reduced_angles(L: int, k: int, length: int) -> np.ndarray:
+def _length(length, L: int) -> int:
+    """The sample count: L when length is None, else length, required to be
+    an integer (Python or NumPy) >= 0."""
+    if length is None:
+        return L
+    try:
+        value = index(length)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"length must be an integer >= 0, got {length!r}")
+    return value
+
+
+def _reduced_angles(L: int, k: int, length: int | None) -> np.ndarray:
     # reduce k*n mod L before scaling by 2*pi/L: keeps periodicity bit-exact
-    n = np.arange(length, dtype=np.int64)
+    n = np.arange(_length(length, L), dtype=np.int64)
     return (2.0 * pi / L) * ((k * n) % L)
 
 
@@ -77,8 +93,6 @@ class CcpsSpec:
 def ccps1(L: int, k: int, length: int | None = None) -> np.ndarray:
     """Type-1 pair sum 2M*cos(2*pi*k*n/L), evaluated for n = 0..length-1."""
     _check_spec(L, k)
-    if length is None:
-        length = L
     return 2.0 * pair_scale(L) * np.cos(_reduced_angles(L, k, length))
 
 
@@ -88,8 +102,6 @@ def ccps2(L: int, k: int, length: int | None = None) -> np.ndarray:
     if L <= 2:
         return ccps1(L, k, length)
     _check_spec(L, k)
-    if length is None:
-        length = L
     return 2.0 * np.sin(_reduced_angles(L, k, length))
 
 
@@ -101,19 +113,18 @@ def ccps(L: int, k: int, kind: str, length: int | None = None) -> np.ndarray:
     raise ValueError(f"unknown CCPS kind {kind!r}")
 
 
-def ramanujan_sum(q: int, length: int | None = None, round_to_int: bool = False) -> np.ndarray:
-    """Ramanujan sum c_q(n): the sum of cos(2*pi*k*n/q) over the full coprime
-    residue set of q. Integer-valued; `round_to_int` snaps the float result."""
+def ramanujan_sum(q: int, length: int | None = None) -> np.ndarray:
+    """Ramanujan sum c_q(n), the sum of cos(2*pi*k*n/q) over the full
+    coprime residue set of q, for n = 0..length-1 (default q), as exact
+    integers in a float array: by its Moebius expansion
+    c_q(n) = sum over d | gcd(n, q) of mobius(q/d)*d, every d-th sample
+    gets mobius(q/d)*d for each divisor d of q."""
     if q < 1:
         raise ValueError(f"period must be >= 1, got {q}")
-    if length is None:
-        length = q
-    n = np.arange(length, dtype=np.int64)
-    total = np.zeros(length)
-    for k in range(1, q + 1):
-        if gcd(k, q) == 1:
-            total += np.cos((2.0 * pi / q) * ((k * n) % q))
-    return np.rint(total) if round_to_int else total
+    total = np.zeros(_length(length, q))
+    for d in divisors(q):
+        total[::d] += mobius(q // d) * d
+    return total
 
 
 def ccps_spectrum(L: int, l: int, kind: str) -> np.ndarray:

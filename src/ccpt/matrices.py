@@ -165,29 +165,27 @@ def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
     """The layout's columns tiled (and truncated) to `length` samples,
     complex for dft-npm. One period of every column is laid end to end in a
     table, and sample n of a column with downshift s is its entry
-    (n - s) mod p. Columns share a segment where their patterns allow:
-    rpt's one Ramanujan sum per period, ccpt1/ccpt2's one pair sum per
-    residue (the shift-1 column reads it delayed), and occpt's cosine and
-    sine halves over one set of angles."""
+    (n - s) mod p. Columns share a segment where their patterns allow: the
+    first column of each run of downshifts (rpt's Ramanujan sum per period,
+    ccpt1/ccpt2's pair sum per residue) holds the segment its shifts read,
+    and occpt's cosine and sine halves share one set of angles."""
     p = layout.periods
-    if layout.family == RPT:
-        blocks = np.unique(p)
-        table = np.concatenate([ramanujan_sum(q) for q in blocks.tolist()])
-        start = (np.cumsum(blocks) - blocks)[np.searchsorted(blocks, p)]
+    # one table segment per pattern: every column for dft-npm, the first
+    # column of each cos/sin pair or run of downshifts otherwise
+    if layout.family == DFT_NPM:
+        first = np.ones(len(p), bool)
     else:
-        # one table segment per residue: every column for dft-npm, the
-        # first column of each cos/sin or shift 0/1 pair otherwise
-        if layout.family == DFT_NPM:
-            first = np.ones(len(p), bool)
-        else:
-            first = layout.kind == COS if layout.family == OCCPT else layout.shift == 0
-        p_s, k_s = p[first], layout.k[first]
-        seg = np.cumsum(p_s) - p_s
+        first = layout.kind == COS if layout.family == OCCPT else layout.shift == 0
+    p_s, k_s = p[first], layout.k[first]
+    seg = np.cumsum(p_s) - p_s
+    start = seg[np.cumsum(first) - 1]
+    if layout.family == RPT:
+        table = np.concatenate([ramanujan_sum(q) for q in p_s.tolist()])
+    else:
         # per table entry: its segment's period and residue, and its index i
         # within that period
         p_t, k_t = np.repeat(p_s, p_s), np.repeat(k_s, p_s)
         i = np.arange(len(p_t)) - np.repeat(seg, p_s)
-        start = seg[np.cumsum(first) - 1]
         if layout.family == DFT_NPM:
             table = np.exp(2j * np.pi * k_t * i / p_t)
         else:

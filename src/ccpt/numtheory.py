@@ -42,11 +42,18 @@ def positive_int(n, name: str) -> int:
     return value
 
 
+def _checked_n(n, name: str) -> int:
+    """positive_int(n), the ValueError naming the calling function."""
+    try:
+        return positive_int(n, "n")
+    except ValueError:
+        raise ValueError(f"{name} requires n >= 1, an integer, got {n!r}") from None
+
+
 def _factorization(n: int, name: str) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1, primes ascending, by trial
-    division; the ValueError names the calling function."""
-    if n < 1:
-        raise ValueError(f"{name} requires n >= 1, got {n}")
+    """(prime, exponent) pairs of an integer n >= 1, primes ascending, by
+    trial division; the ValueError names the calling function."""
+    n = _checked_n(n, name)
     factors = []
     q = 2
     while q * q <= n:
@@ -115,9 +122,8 @@ def cyclotomic(n: int) -> np.ndarray:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
+    """All positive divisors of the integer n >= 1, ascending."""
+    n = _checked_n(n, "divisors")
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -101,9 +101,8 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    sums = np.bincount(column_layout(c.family, c.N).periods,
-                       weights=np.abs(c.column_values()) ** 2, minlength=c.N + 1)
-    strengths: dict[int, float] = {p: float(sums[p]) for p in divisors(c.N)}
+    strengths = _strengths(column_layout(c.family, c.N).periods, c.column_values(),
+                           divisors(c.N))
     if normalized:
         strengths = {p: s / totient(p) for p, s in strengths.items()}
     peak = max(strengths.values())

@@ -44,20 +44,22 @@ Periods 1 and 2 share their single column with the orthogonal family. No
 path builds the dense N x N basis, inverts a block or has a size cap; dense
 matrices serve only validation and export.
 
-Complex inputs run the real maps on real and imaginary parts and carry the
-coefficients as one complex flat array.
+Every family but dft-npm is a real map: a complex input runs it once on
+the real part and once on the imaginary part (`_by_parts`), and the
+coefficients come back as one complex flat array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import index
 
 import numpy as np
 
-from .ccps import COS, SIN, ccps, pair_scale
-from .matrices import CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, column_layout
+from .ccps import COS, SIN
+from .matrices import (CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, ColumnLayout, build_columns,
+                       column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
@@ -73,14 +75,19 @@ __all__ = [
 ]
 
 
+def _bins(layout: ColumnLayout, N: int) -> np.ndarray:
+    """DFT bin N*k/p mod N of each column of a size-N layout; the p = 1
+    column lands on bin N, which is bin 0."""
+    return (N // layout.periods) * layout.k % N
+
+
 @lru_cache(maxsize=64)
 def _occpt_slots(N: int) -> np.ndarray:
     """Packed slot of each orthogonal column in column order (read-only):
-    N*k/p for a cosine, N - N*k/p for a sine. The rpt, ccpt1 and ccpt2
+    its bin K for a cosine, N - K for a sine. The rpt, ccpt1 and ccpt2
     columns sit at the same positions."""
     layout = column_layout(OCCPT, N)
-    # the p = 1 cosine lands on slot N, which is slot 0
-    K = (N // layout.periods) * layout.k % N
+    K = _bins(layout, N)
     slots = np.where(layout.kind == SIN, N - K, K)
     slots.setflags(write=False)
     return slots
@@ -88,9 +95,8 @@ def _occpt_slots(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _dft_bins(N: int) -> np.ndarray:
-    """DFT bin N*k/p of each dft-npm column in column order (read-only)."""
-    layout = column_layout(DFT_NPM, N)
-    bins = (N // layout.periods) * layout.k % N
+    """DFT bin of each dft-npm column in column order (read-only)."""
+    bins = _bins(column_layout(DFT_NPM, N), N)
     bins.setflags(write=False)
     return bins
 
@@ -179,44 +185,24 @@ class CoefficientSet:
 
 
 def _forward_real(x: np.ndarray) -> np.ndarray:
-    """Packed real DFT of each row of x, scaled by 1/N."""
-    N = x.shape[-1]
+    """Packed real DFT of a real signal, scaled by 1/N."""
+    N = len(x)
     h, m = N // 2, _pair_count(N)
     R = np.fft.rfft(x) / N
-    flat = np.empty(x.shape)
-    flat[..., :h + 1] = R.real
-    flat[..., h + 1:] = -R.imag[..., m:0:-1]
+    flat = np.empty(N)
+    flat[:h + 1] = R.real
+    flat[h + 1:] = -R.imag[m:0:-1]
     return flat
 
 
 def _inverse_real(flat: np.ndarray) -> np.ndarray:
-    """Inverse of _forward_real, row by row."""
-    N = flat.shape[-1]
+    """Inverse of _forward_real."""
+    N = len(flat)
     h, m = N // 2, _pair_count(N)
-    R = np.zeros(flat.shape[:-1] + (h + 1,), dtype=complex)
-    R.real = flat[..., :h + 1]
-    R.imag[..., 1:m + 1] = -flat[..., :h:-1]
+    R = np.zeros(h + 1, dtype=complex)
+    R.real = flat[:h + 1]
+    R.imag[1:m + 1] = -flat[:h:-1]
     return np.fft.irfft(R, n=N) * N
-
-
-def _parts(v: np.ndarray) -> np.ndarray:
-    return np.stack([v.real, v.imag])
-
-
-def _packed(x: np.ndarray) -> np.ndarray:
-    """Packed orthogonal coefficients of a real or complex signal."""
-    if np.iscomplexobj(x):
-        re, im = _forward_real(_parts(x))
-        return re + 1j * im
-    return _forward_real(x.astype(float))
-
-
-def _unpacked(flat: np.ndarray) -> np.ndarray:
-    """Signal of packed orthogonal coefficients, real or complex."""
-    if np.iscomplexobj(flat):
-        re, im = _inverse_real(_parts(flat))
-        return re + 1j * im
-    return _inverse_real(flat)
 
 
 def occpt_analysis(x) -> CoefficientSet:
@@ -226,14 +212,14 @@ def occpt_analysis(x) -> CoefficientSet:
     part and combined as beta = beta_re + 1j*beta_im.
     """
     x = _checked_samples(x, "occpt_analysis")
-    return CoefficientSet(N=len(x), family=OCCPT, flat=_packed(x))
+    return CoefficientSet(N=len(x), family=OCCPT, flat=_by_parts(_real_analysis, x, OCCPT))
 
 
 def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
     """Exact inverse of occpt_analysis."""
     if c.family != OCCPT:
         raise ValueError("occpt_synthesis requires orthogonal-family coefficients")
-    return _unpacked(c.flat)
+    return _by_parts(_real_synthesis, c.flat, OCCPT)
 
 
 @lru_cache(maxsize=64)
@@ -391,11 +377,13 @@ def _rpt_synthesis(a: np.ndarray) -> np.ndarray:
     return w[-1 - N:-1]
 
 
-def _by_parts(f, v: np.ndarray) -> np.ndarray:
-    """f of a real array, or of the real and imaginary parts of a complex one."""
+def _by_parts(f, v: np.ndarray, family: str) -> np.ndarray:
+    """f(v, family) of a real array v, or f of the real part plus 1j times f
+    of the imaginary part of a complex one: the one complex-input rule of the
+    real families."""
     if np.iscomplexobj(v):
-        return f(v.real) + 1j * f(v.imag)
-    return f(v)
+        return f(v.real, family) + 1j * f(v.imag, family)
+    return f(v, family)
 
 
 def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
@@ -418,7 +406,7 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
     """Packed orthogonal coefficients of ccpt1/ccpt2 coefficients a in
     column order: the inverse of _from_packed."""
     N = len(a)
-    b = np.empty(N, dtype=np.result_type(a, float))
+    b = np.empty(N)
     b[_occpt_slots(N)] = a
     cos_t, sin_t = _pair_angles(N)
     a0, a1 = _pairs(b)
@@ -429,12 +417,30 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
     return b
 
 
+def _real_analysis(x: np.ndarray, family: str) -> np.ndarray:
+    """Coefficients of a real signal for a real family: packed for occpt,
+    in column order otherwise."""
+    if family == RPT:
+        return _rpt_analysis(x)
+    b = _forward_real(x)
+    return b if family == OCCPT else _from_packed(b, family)
+
+
+def _real_synthesis(a: np.ndarray, family: str) -> np.ndarray:
+    """Real signal of the real coefficients a of a real family: the inverse
+    of _real_analysis."""
+    if family == RPT:
+        return _rpt_synthesis(a)
+    return _inverse_real(a if family == OCCPT else _to_packed(a, family))
+
+
 def analyze(x, family: str) -> CoefficientSet:
     """Family-dispatching analysis: the orthogonal family is the packed real
     FFT, dft-npm the gathered complex FFT, ccpt1 and ccpt2 a 2 x 2 map per
     slot pair of the packed coefficients, and rpt a fold of the signal
     reduced modulo the cyclotomic polynomials (see the module docstring).
-    Any length N.
+    Any length N. Every family but dft-npm analyses a complex signal part by
+    part.
 
     Every analysis entry point takes a Signal or array-like of finite
     samples, nonempty and 1-D, and raises ValueError otherwise.
@@ -445,12 +451,8 @@ def analyze(x, family: str) -> CoefficientSet:
     N = len(x)
     if family == DFT_NPM:
         flat = np.fft.fft(x)[_dft_bins(N)] / N
-    elif family == OCCPT:
-        flat = _packed(x)
-    elif family == RPT:
-        flat = _by_parts(_rpt_analysis, x)
     else:
-        flat = _from_packed(_packed(x), family)
+        flat = _by_parts(_real_analysis, x, family)
     return CoefficientSet(N=N, family=family, flat=flat)
 
 
@@ -462,9 +464,7 @@ def synthesize(c: CoefficientSet) -> np.ndarray:
         bins = np.zeros(c.N, dtype=complex)
         bins[_dft_bins(c.N)] = c.flat
         return np.fft.ifft(bins) * c.N
-    if c.family == RPT:
-        return _by_parts(_rpt_synthesis, c.flat)
-    return _unpacked(_to_packed(c.flat, c.family))
+    return _by_parts(_real_synthesis, c.flat, c.family)
 
 
 def _pairs(flat: np.ndarray):
@@ -556,24 +556,25 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
     the stored coefficients. Every real coefficient set is the analysis of
     its synthesis, so this cannot detect a changed coefficient; it measures
     only that the sums are periodic in k with period N, up to rounding.
-    Test utility."""
+    k_multiple must be an integer (Python or NumPy), of either sign.
+
+    Test utility, for the small N its callers use (up to 54): it builds all
+    N shifted pair sums at once, an N x N array."""
     if c.family != OCCPT:
         raise ValueError("coefficient_period_check requires orthogonal-family coefficients")
     if c.is_complex:
         raise ValueError("period check is defined for real coefficient sets")
+    try:
+        k_multiple = index(k_multiple)
+    except TypeError:
+        raise ValueError(f"k_multiple must be an integer, got {k_multiple!r}") from None
     N = c.N
-    x = occpt_synthesis(c)
-    for p, k, b0, b1 in zip(*(a.tolist() for a in c.pairs())):
-        shifted = k + k_multiple * N
-        m = pair_scale(p)
-        b0s = np.dot(x, ccps(p, shifted, COS, N)) / (2 * N * m)
-        if abs(b0s - b0) > tol:
-            return False
-        if p >= 3:
-            b1s = np.dot(x, ccps(p, shifted, SIN, N)) / (2 * N * m)
-            if abs(b1s - b1) > tol:
-                return False
-    return True
+    layout = column_layout(OCCPT, N)
+    shifted = replace(layout, k=layout.k + k_multiple * N)
+    # a pair sum has norm^2 2N, or N for the single columns of periods 1 and 2
+    norms = np.where(layout.periods <= 2, N, 2 * N)
+    sums = occpt_synthesis(c) @ build_columns(shifted, N) / norms
+    return bool(np.all(np.abs(sums - c.column_values()) <= tol))
 
 
 def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float) -> CoefficientSet:

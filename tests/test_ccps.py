@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -43,12 +45,29 @@ def test_ramanujan_examples():
     np.testing.assert_allclose(ramanujan_sum(2, 4), [1, -1, 1, -1], atol=1e-12)
 
 
+def test_ramanujan_sum_is_its_rounded_coprime_cosine_sum():
+    # the definition: phi(q) cosines, whose float sum lies within rounding of
+    # the integer c_q(n)
+    for q in range(1, 61):
+        n = np.arange(3 * q)
+        cosines = sum(np.cos(2 * np.pi * k * n / q) for k in range(1, q + 1) if gcd(k, q) == 1)
+        np.testing.assert_array_equal(ramanujan_sum(q, 3 * q), np.rint(cosines))
+
+
+def test_lengths_must_be_nonnegative_integers():
+    for f in (ccps1, ccps2, ramanujan_sum):
+        args = (5,) if f is ramanujan_sum else (5, 1)
+        assert len(f(*args, 0)) == 0
+        assert len(f(*args, np.int64(7))) == 7
+        for length in (-1, -3, 2.0, 2.5, "4"):
+            with pytest.raises(ValueError, match="length must be an integer >= 0"):
+                f(*args, length)
+
+
 def test_ramanujan_near_integer():
     for q in range(1, 40):
         vals = ramanujan_sum(q)
-        np.testing.assert_allclose(vals, np.rint(vals), atol=1e-9)
-    np.testing.assert_array_equal(ramanujan_sum(12, round_to_int=True),
-                                  np.rint(ramanujan_sum(12)))
+        np.testing.assert_array_equal(vals, np.rint(vals))
 
 
 def test_spectrum_examples():

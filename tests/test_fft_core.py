@@ -53,9 +53,15 @@ def test_packed_core_against_oracles(N):
     assert _err(c.flat, direct_occpt_flat(x)) <= TOL
     assert _err(occpt_synthesis(c), x) <= TOL
 
-    # complex input is transformed part by part
+    # complex input is transformed part by part, by every real family, and
+    # complex coefficients are synthesized part by part
     cz = occpt_analysis(z)
     np.testing.assert_array_equal(cz.flat, c.flat + 1j * occpt_analysis(y).flat)
+    for family in (OCCPT, RPT, CCPT1, CCPT2):
+        a, ax, ay = (analyze(v, family) for v in (z, x, y))
+        np.testing.assert_array_equal(a.flat, ax.flat + 1j * ay.flat, err_msg=family)
+        np.testing.assert_array_equal(synthesize(a), synthesize(ax) + 1j * synthesize(ay),
+                                      err_msg=family)
     assert _err(occpt_synthesis(cz), z) <= TOL
     # brute_dft evaluates N complex exponentials per bin; above 1025 samples
     # the bridge is checked against numpy's FFT instead

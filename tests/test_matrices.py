@@ -58,6 +58,12 @@ def test_rpt_examples():
     assert matrix_rank(build_matrix(RPT, 12).entries) == 12
 
 
+def test_rpt_entries_are_exact_integers():
+    for N in (*range(1, 129), 2310):
+        entries = build_matrix(RPT, N).entries
+        np.testing.assert_array_equal(entries, np.rint(entries), err_msg=f"N={N}")
+
+
 def test_rpt_columns_are_shifted_ramanujan_sums():
     m = build_matrix(RPT, 12)
     for j, c in enumerate(m.layout.columns):

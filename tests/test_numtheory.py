@@ -143,7 +143,8 @@ def test_cyclotomic_vanishes_at_primitive_roots():
         assert np.max(np.abs(values)) <= 1e-9 * np.abs(phi).sum(), n
 
 
-@pytest.mark.parametrize("f", [totient, mobius, radical, prime_factors, cyclotomic])
+@pytest.mark.parametrize("f", [totient, mobius, radical, prime_factors, cyclotomic, divisors])
 def test_factorization_functions_reject_nonpositive(f):
-    with pytest.raises(ValueError, match="requires n >= 1"):
-        f(0)
+    for n in (0, 12.0):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            f(n)

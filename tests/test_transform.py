@@ -222,6 +222,10 @@ def test_coefficient_periodicity():
     c = occpt_analysis(np.random.default_rng(41).standard_normal(12))
     assert coefficient_period_check(c, k_multiple=1)
     assert coefficient_period_check(c, k_multiple=2)
+    assert coefficient_period_check(c, k_multiple=-1)
+    assert coefficient_period_check(c, k_multiple=np.int64(-3))
+    with pytest.raises(ValueError, match="k_multiple must be an integer"):
+        coefficient_period_check(c, k_multiple=1.5)
 
 
 @pytest.mark.parametrize("address", [(3, 1, COS), (4, 1, SIN), (2, 1, COS)],
