@@ -20,7 +20,7 @@ from operator import index
 
 import numpy as np
 
-from .numtheory import divisors, half_residues, lcm_list, mobius
+from .numtheory import divisors, half_residues, lcm_list, mobius, positive_int
 
 COS = "cos"  # type-1, conjugate pair added
 SIN = "sin"  # type-2, conjugate pair subtracted
@@ -46,10 +46,12 @@ def pair_scale(L: int) -> float:
 
 
 def _check_spec(L: int, k: int) -> None:
-    if L < 1:
-        raise ValueError(f"period must be >= 1, got {L}")
-    if k < 1 or gcd(k, L) != 1:
-        raise ValueError(f"residue k={k} is not coprime to L={L} or out of range")
+    """Require an integer period L >= 1 and an integer residue k >= 1
+    coprime to it."""
+    L = positive_int(L, "period")
+    k = positive_int(k, "residue k")
+    if gcd(k, L) != 1:
+        raise ValueError(f"residue k={k} is not coprime to L={L}")
 
 
 def _length(length, L: int) -> int:
@@ -99,9 +101,9 @@ def ccps1(L: int, k: int, length: int | None = None) -> np.ndarray:
 def ccps2(L: int, k: int, length: int | None = None) -> np.ndarray:
     """Type-2 pair sum 2*sin(2*pi*k*n/L); for L <= 2 the pair is a single
     real exponential and the sum is the type-1 one, 1 or (-1)^n."""
+    _check_spec(L, k)
     if L <= 2:
         return ccps1(L, k, length)
-    _check_spec(L, k)
     return 2.0 * np.sin(_reduced_angles(L, k, length))
 
 
@@ -119,8 +121,7 @@ def ramanujan_sum(q: int, length: int | None = None) -> np.ndarray:
     integers in a float array: by its Moebius expansion
     c_q(n) = sum over d | gcd(n, q) of mobius(q/d)*d, every d-th sample
     gets mobius(q/d)*d for each divisor d of q."""
-    if q < 1:
-        raise ValueError(f"period must be >= 1, got {q}")
+    q = positive_int(q, "period")
     total = np.zeros(_length(length, q))
     for d in divisors(q):
         total[::d] += mobius(q // d) * d

@@ -151,8 +151,7 @@ class ResidueSets:
 
 
 def residue_sets(n: int) -> ResidueSets:
-    if n < 1:
-        raise ValueError(f"residue_sets requires n >= 1, got {n}")
+    n = _checked_n(n, "residue_sets")
     full = tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
     if n <= 2:
         half = (1,)
@@ -174,6 +173,4 @@ def lcm_list(xs) -> int:
     xs = list(xs)
     if not xs:
         raise ValueError("lcm_list requires at least one value")
-    if any(x < 1 for x in xs):
-        raise ValueError("lcm_list requires positive integers")
-    return lcm(*xs)
+    return lcm(*(positive_int(x, "lcm_list value") for x in xs))

@@ -14,12 +14,16 @@ b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
 Each dictionary is factored once, by an economic QR of A^H = (F T^-1)^H =
 Q R. Then R^H R = F T^-2 F^H, so R is the Cholesky factor of the Gram and
 the Gram is never formed; a solve is one triangular solve and one product,
-b = T^-1 Q R^-H x. A dictionary without full row rank (numerically, by the
-cutoff eps * max(M, N) * sigma_max that least squares uses; always when it
-has fewer columns M than samples N) takes the least-squares branch instead:
-b = T^-1 Q pinv(R^H) x with a truncated pseudo-inverse computed once from
-the same QR, the minimum-norm least-squares solution. The cached Q costs
-one more N x M array per dictionary.
+b = T^-1 Q R^-H x. Full row rank is certified without an SVD: LAPACK's
+trcon estimates the reciprocal 1-norm condition rcond of the square R in
+O(N^2), and rcond > eps * max(M, N) (the cutoff ratio least squares uses)
+settles it. Otherwise, and always when the dictionary has fewer columns M
+than samples N, one SVD of R decides: the rank counts the singular values
+above eps * max(M, N) * sigma_max, and a dictionary without full row rank
+takes the least-squares branch, b = T^-1 Q pinv(R^H) x with the truncated
+pseudo-inverse built once from that same SVD, the minimum-norm
+least-squares solution. The cached Q costs one more N x M array per
+dictionary.
 
 Candidate-set scoring solves the same program over a square dictionary:
 the stacked blocks of every divisor of every candidate, with as many
@@ -45,7 +49,7 @@ from math import gcd
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, pinv, qr, svdvals
+from scipy.linalg import get_lapack_funcs, qr, svd
 
 from .ccps import COS, SIN
 from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, SubspaceIndex,
@@ -182,22 +186,17 @@ class GramFactor:
     """Economic QR of (F T^-1)^H = Q R for a dictionary with M columns and
     N rows: Q is M x K with orthonormal columns and R is K x N upper
     triangular (Fortran order, so triangular solves use it in place), with
-    K = min(M, N). R^H R is the Gram F T^-2 F^H."""
+    K = min(M, N). R^H R is the Gram F T^-2 F^H.
+
+    `condition` estimates the Gram's condition as 1 / rcond^2, with rcond
+    LAPACK's trcon estimate of the reciprocal 1-norm condition of R; it is
+    infinite without full row rank."""
 
     Q: np.ndarray
     R: np.ndarray
-    singular_values: np.ndarray     # of R, descending
     rank: int
     pinv: np.ndarray | None         # truncated pinv(R^H) without full row rank
-
-    @property
-    def condition(self) -> float:
-        """2-norm condition of the Gram, (sigma_max / sigma_min)^2 of R;
-        infinite when the Gram is singular."""
-        s = self.singular_values
-        if len(s) < self.R.shape[1] or s[-1] == 0.0:
-            return float("inf")
-        return float((s[0] / s[-1]) ** 2)
+    condition: float
 
 
 @dataclass
@@ -236,13 +235,20 @@ class PeriodicDictionary:
             Q, R = qr(self.entries.conj().T / self.penalties[:, None], mode="economic",
                       overwrite_a=True)
             R = np.asfortranarray(R)
-            s = svdvals(R, check_finite=False)
-            cutoff = np.finfo(float).eps * max(self.n_columns, self.N) * s[0]
-            rank = int(np.count_nonzero(s > cutoff))
-            P = None
-            if rank < self.N:
-                P = pinv(R.conj().T, atol=cutoff, rtol=0.0, check_finite=False)
-            self._factor = GramFactor(Q=Q, R=R, singular_values=s, rank=rank, pinv=P)
+            tol = np.finfo(float).eps * max(self.n_columns, self.N)
+            rcond, rank, P = 0.0, self.N, None
+            if R.shape[0] == self.N:
+                trcon, = get_lapack_funcs(("trcon",), (R,))
+                rcond, info = trcon(R, norm="1", uplo="U", diag="N")
+                if info:
+                    raise np.linalg.LinAlgError(f"condition estimate failed (trcon info {info})")
+            if rcond <= tol:
+                U, s, Vh = svd(R, full_matrices=False, check_finite=False)
+                rank = int(np.count_nonzero(s > tol * s[0]))
+                if rank < self.N:
+                    P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
+            condition = float("inf") if P is not None else 1.0 / rcond ** 2
+            self._factor = GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
         return self._factor
 
 
@@ -273,7 +279,7 @@ class DictionarySolution:
     b_hat: np.ndarray
     strengths: dict
     residual: float
-    gram_condition: float       # GramFactor.condition; infinite for a singular Gram
+    gram_condition: float       # GramFactor.condition, an estimate; infinite without full row rank
     used_fallback: bool         # the least-squares branch ran (no full row rank)
     dictionary: PeriodicDictionary
 

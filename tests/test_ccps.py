@@ -39,6 +39,22 @@ def test_invalid_residue_rejected():
         ccps2(5, 0, 5)
 
 
+def test_periods_and_residues_must_be_integers():
+    for call in (lambda: ccps1(5.0, 1, 10), lambda: ccps2(5.0, 1, 10),
+                 lambda: ccps(5.0, 1, COS, 10), lambda: ccps_spectrum(5.0, 1, COS),
+                 lambda: ramanujan_sum(4.0), lambda: CcpsSpec(5.0, 1, COS)):
+        with pytest.raises(ValueError, match="period must be an integer >= 1, got 5.0|got 4.0"):
+            call()
+    for call in (lambda: ccps1(5, 1.0, 10), lambda: ccps2(5, 1.0, 10),
+                 lambda: ccps_spectrum(5, 1.0, SIN)):
+        with pytest.raises(ValueError, match="residue k must be an integer >= 1, got 1.0"):
+            call()
+    for L in ("5", "2"):
+        with pytest.raises(ValueError, match="period must be an integer >= 1"):
+            ccps2(L, 1, 10)
+    assert np.array_equal(ccps1(np.int64(5), np.int64(2), 5), ccps1(5, 2, 5))
+
+
 def test_ramanujan_examples():
     np.testing.assert_allclose(ramanujan_sum(1, 3), [1, 1, 1], atol=1e-12)
     np.testing.assert_allclose(ramanujan_sum(4, 4), [2, 0, -2, 0], atol=1e-12)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, svdvals
 
 import ccpt.period as period
 from ccpt.period import build_dictionary, dictionary_solve
@@ -129,6 +129,44 @@ def test_triangular_solve_matches_solve_triangular(family, N, p_max):
     for signal in (x, x + 0.5j * _mixture(N, 32)):
         want = f.Q @ solve_triangular(f.R, signal, trans=2, check_finite=False) / d.penalties
         assert np.array_equal(dictionary_solve(signal, d).b_hat, want)
+
+
+@pytest.mark.parametrize("family,N,p_max,svds", [
+    ("occpt", 54, 50, 0), ("occpt", 512, 64, 0), ("farey", 360, 48, 0),
+    ("ccpt1", 256, 29, 1), ("occpt", 54, 5, 1), ("farey", 60, 7, 1)])
+def test_gram_runs_an_svd_only_without_full_row_rank(monkeypatch, family, N, p_max, svds):
+    calls = []
+    real_svd = period.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(period, "svd", counting_svd)
+    f = build_dictionary(N, p_max, family=family).gram()
+    assert len(calls) == svds
+    assert (f.pinv is None) == (svds == 0) == np.isfinite(f.condition)
+
+
+# near the rank cutoff (within 10x for p_max 29) and past it (ccpt1/ccpt2 256/29)
+@pytest.mark.parametrize("family,N,p_max", [
+    ("occpt", 256, 29), ("ccpt1", 256, 29), ("ccpt2", 256, 29),
+    ("occpt", 256, 30), ("occpt", 256, 31), ("farey", 256, 30), ("farey", 256, 31),
+    ("rpt", 256, 30), ("rpt", 256, 31), ("ccpt1", 360, 45), ("ccpt2", 360, 45),
+    ("occpt", 54, 50), ("occpt", 512, 64), ("farey", 360, 48)])
+def test_gram_rank_follows_the_singular_value_cutoff(family, N, p_max):
+    d = build_dictionary(N, p_max, family=family)
+    f = d.gram()
+    s = svdvals(f.R)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(d.n_columns, N) * s[0]))
+    assert f.rank == rank
+    assert (f.pinv is None) == (rank == N)
+    if rank == N:
+        # the squared 1-norm estimate lies within N^2 of the exact 2-norm value
+        exact = (s[0] / s[-1]) ** 2
+        assert exact / N ** 2 <= f.condition <= exact * N ** 2
+    else:
+        assert f.condition == np.inf
 
 
 @pytest.mark.parametrize("p_max", [50, 5])

@@ -75,6 +75,15 @@ def test_lcm_list_empty_rejected():
         lcm_list([])
 
 
+def test_residue_sets_and_lcm_list_reject_non_integers():
+    with pytest.raises(ValueError, match="residue_sets requires n >= 1, an integer, got 12.0"):
+        residue_sets(12.0)
+    for bad in ([2.5, 3], [0, 3], [4, "6"]):
+        with pytest.raises(ValueError, match="lcm_list value must be an integer >= 1"):
+            lcm_list(bad)
+    assert lcm_list([np.int64(4), 6]) == 12
+
+
 def test_totient_divisor_sum_identity():
     for n in range(1, 513):
         assert sum(totient(d) for d in divisors(n)) == n

@@ -405,16 +405,33 @@ def test_candidate_basis_is_read_only():
 
 
 def _drop_last_singular_value(monkeypatch):
-    """Make the factor's rank test see one singular value of zero, so a
-    full-rank dictionary takes the least-squares branch."""
-    real_svdvals = period.svdvals
-    monkeypatch.setattr(period, "svdvals",
-                        lambda a, **kw: np.append(real_svdvals(a, **kw)[:-1], 0.0))
+    """Make the factor's condition estimate read 0, so it takes its SVD, and
+    that SVD see one singular value of zero, so a full-rank dictionary takes
+    the least-squares branch."""
+    real_lapack_funcs, real_svd = period.get_lapack_funcs, period.svd
+
+    def lapack_funcs(names, arrays=()):
+        if names == ("trcon",):
+            return (lambda a, **kw: (0.0, 0),)
+        return real_lapack_funcs(names, arrays)
+
+    def svd(a, **kw):
+        U, s, Vh = real_svd(a, **kw)
+        return U, np.append(s[:-1], 0.0), Vh
+
+    monkeypatch.setattr(period, "get_lapack_funcs", lapack_funcs)
+    monkeypatch.setattr(period, "svd", svd)
 
 
 def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
     x = np.random.default_rng(6).standard_normal(6)
-    want = candidate_matrix_solve(x, [3, 4], family=CCPT2).strengths
+    # the minimum-norm least-squares solution against the basis truncated to
+    # its five largest singular values, written here from an SVD of F T^-1
+    _, d = period._candidate_dictionary((3, 4), CCPT2, 6)
+    U, s, Vh = np.linalg.svd(d.entries / d.penalties)
+    b = Vh[:5].T @ ((U[:, :5].T @ x) / s[:5]) / d.penalties
+    sums = np.bincount(d.periods, weights=b ** 2)
+    want = {q: float(sums[q]) for q in (1, 2, 3, 4)}
     _drop_last_singular_value(monkeypatch)
     period._candidate_dictionary.cache_clear()
     try:
@@ -427,7 +444,6 @@ def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
         "candidate basis for (3, 4) is rank deficient (5/6); falling back to least squares"] * 2
     for r in reports:
         assert not r.full_rank and r.rank == 5
-        # the basis really has full rank, so least squares solves it exactly
         for q, s in want.items():
             assert r.strengths[q] == pytest.approx(s, rel=1e-10, abs=1e-12)
 
