@@ -117,6 +117,21 @@ class ColumnLayout:
             a.setflags(write=False)
         return out
 
+    @cached_property
+    def _conjugate_positions(self):
+        # (lower, upper): the column of each residue k < p/2 of a dft-npm
+        # layout and that of its conjugate p - k. The coprime residues of a
+        # block are symmetric, so the partner of position i in a block
+        # [start, end) is start + end - 1 - i; periods 1 and 2 have none
+        p = self.periods
+        i = np.arange(len(p))
+        partner = np.searchsorted(p, p) + np.searchsorted(p, p, side="right") - 1 - i
+        lower = np.flatnonzero(i < partner)
+        out = lower, partner[lower]
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def pairs(self, values: np.ndarray):
         """(p, k, b0, b1) arrays over the conjugate subspaces of an
         orthogonal layout, given `values` in column order: period, residue,

@@ -11,19 +11,34 @@ The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
 
-Each dictionary is factored once, by an economic QR of A^H = (F T^-1)^H =
-Q R. Then R^H R = F T^-2 F^H, so R is the Cholesky factor of the Gram and
-the Gram is never formed; a solve is one triangular solve and one product,
-b = T^-1 Q R^-H x. Full row rank is certified without an SVD: LAPACK's
-trcon estimates the reciprocal 1-norm condition rcond of the square R in
-O(N^2), and rcond > eps * max(M, N) (the cutoff ratio least squares uses)
-settles it. Otherwise, and always when the dictionary has fewer columns M
-than samples N, one SVD of R decides: the rank counts the singular values
-above eps * max(M, N) * sigma_max, and a dictionary without full row rank
-takes the least-squares branch, b = T^-1 Q pinv(R^H) x with the truncated
+Each dictionary is factored once, in real arithmetic, by an economic QR of
+a real M x N matrix A^T = Q R whose Gram A A^T is F T^-2 F^H. For the real
+families A is F T^-1 itself. A dft-npm (Farey) block is complex, but its
+Gram is real: penalties are equal within a block, and the conjugate pair
+e_k, e_(p-k) contributes e_k e_k^H + conj(e_k e_k^H) =
+2 (Re e_k Re e_k^T + Im e_k Im e_k^T). So its A has, in the layout's own
+order, the column sqrt(2) Re e_k / f(p) at each lower residue k < p/2,
+sqrt(2) Im e_(p-k) / f(p) at its conjugate p - k, and e / f(p) for the
+periods 1 and 2. Then R^T R = F T^-2 F^H, so R is the Cholesky factor of
+the Gram and the Gram is never formed; a solve is one triangular solve and
+one product, u = Q R^-T x, and b = T^-1 u for the real families. A Farey
+solve ends with the pair map back to the exponentials: b_i = (u_i + j u_j)
+/ (sqrt(2) f) at a lower position i and b_j = (u_i - j u_j) / (sqrt(2) f)
+at its partner j (the residues of a block are symmetric, so j mirrors i),
+and b = u / f for periods 1 and 2.
+
+Full row rank is certified without an SVD: LAPACK's trcon estimates the
+reciprocal 1-norm condition rcond of the square R in O(N^2), and
+rcond > eps * max(M, N) (the cutoff ratio least squares uses) settles it.
+Otherwise, and always when the dictionary has fewer columns M than samples
+N, one SVD of R decides: the rank counts the singular values above
+eps * max(M, N) * sigma_max, and a dictionary without full row rank takes
+the least-squares branch, u = Q pinv(R^T) x with the truncated
 pseudo-inverse built once from that same SVD, the minimum-norm
-least-squares solution. The cached Q costs one more N x M array per
-dictionary.
+least-squares solution (the pair map from u to T b is unitary, so it keeps
+the norm minimal). The cached Q costs one more real M x N array per
+dictionary. The reported residual ||F b - x|| is taken on the dictionary's
+own entries, complex for Farey.
 
 Candidate-set scoring solves the same program over a square dictionary:
 the stacked blocks of every divisor of every candidate, with as many
@@ -59,6 +74,7 @@ from .signals import _checked_rate, _checked_samples
 from .transform import CoefficientSet
 
 FAREY = "farey"
+_SQRT2 = np.sqrt(2.0)
 
 __all__ = [
     "PeriodReport", "FrequencyComponent", "PeriodicDictionary", "GramFactor",
@@ -183,10 +199,13 @@ def _penalties(penalty: str, periods: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramFactor:
-    """Economic QR of (F T^-1)^H = Q R for a dictionary with M columns and
-    N rows: Q is M x K with orthonormal columns and R is K x N upper
+    """Real economic QR of A^T = Q R for a dictionary with M columns and N
+    rows: Q is M x K with orthonormal columns and R is K x N upper
     triangular (Fortran order, so triangular solves use it in place), with
-    K = min(M, N). R^H R is the Gram F T^-2 F^H.
+    K = min(M, N). Q and R are real for every family: A is F T^-1 for the
+    real families, and for a Farey dictionary its columns are the Re/Im
+    pair columns of the module docstring, not F T^-1. Either way R^T R is
+    the Gram F T^-2 F^H.
 
     `condition` estimates the Gram's condition as 1 / rcond^2, with rcond
     LAPACK's trcon estimate of the reciprocal 1-norm condition of R; it is
@@ -231,9 +250,11 @@ class PeriodicDictionary:
         """QR factorization of the penalty-scaled dictionary, built once and
         cached; see the module docstring."""
         if self._factor is None:
-            # (F T^-1)^H comes out Fortran-ordered, so QR overwrites it in place
-            Q, R = qr(self.entries.conj().T / self.penalties[:, None], mode="economic",
-                      overwrite_a=True)
+            F = self.entries
+            if self.layout.family == DFT_NPM:
+                F = _pair_columns(F, self.layout)
+            # A^T comes out Fortran-ordered, so QR overwrites it in place
+            Q, R = qr(F.T / self.penalties[:, None], mode="economic", overwrite_a=True)
             R = np.asfortranarray(R)
             tol = np.finfo(float).eps * max(self.n_columns, self.N)
             rcond, rank, P = 0.0, self.N, None
@@ -250,6 +271,17 @@ class PeriodicDictionary:
             condition = float("inf") if P is not None else 1.0 / rcond ** 2
             self._factor = GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
         return self._factor
+
+
+def _pair_columns(entries: np.ndarray, layout: ColumnLayout) -> np.ndarray:
+    """Real columns spanning the same Gram as a dft-npm dictionary's
+    exponentials: sqrt(2) Re e_k at the lower residue k < p/2, sqrt(2) Im
+    e_(p-k) at its conjugate p - k, and e itself for periods 1 and 2."""
+    lower, upper = layout._conjugate_positions
+    F = entries.real.copy()
+    F[:, lower] *= _SQRT2
+    F[:, upper] = entries.imag[:, upper] * _SQRT2
+    return F
 
 
 def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> PeriodicDictionary:
@@ -343,10 +375,11 @@ class DictionarySolution:
         return sorted(self.strengths.items())
 
 
-def _coefficients(f: GramFactor, x: np.ndarray, penalties: np.ndarray) -> np.ndarray:
-    """Weighted minimum-norm coefficients b = T^-1 Q R^-H x from a
-    dictionary's factor, through the truncated pseudo-inverse without full
-    row rank."""
+def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.ndarray:
+    """Weighted minimum-norm coefficients b = T^-1 Q R^-T x from the factor f
+    of dictionary d, through the truncated pseudo-inverse without full row
+    rank; a dft-npm dictionary's pair map then turns the real pair
+    coordinates into exponential coefficients."""
     if f.pinv is None:
         # the LAPACK routine under solve_triangular, without its wrapper;
         # picked from both dtypes, so a complex x also solves against a real R
@@ -357,7 +390,13 @@ def _coefficients(f: GramFactor, x: np.ndarray, penalties: np.ndarray) -> np.nda
         u = f.Q @ y
     else:
         u = f.Q @ (f.pinv @ x)
-    return u / penalties
+    if d.layout.family == DFT_NPM:
+        lower, upper = d.layout._conjugate_positions
+        lo, hi = u[lower], 1j * u[upper]
+        u = u.astype(complex)
+        u[lower] = (lo + hi) / _SQRT2
+        u[upper] = (lo - hi) / _SQRT2
+    return u / d.penalties
 
 
 def _strengths(column_periods: np.ndarray, b: np.ndarray, periods) -> dict:
@@ -380,7 +419,7 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
     f = d.gram()
-    b = _coefficients(f, x, d.penalties)
+    b = _coefficients(f, x, d)
     strengths = _strengths(d.periods, b, range(1, d.p_max + 1))
     residual = float(np.linalg.norm(d.entries @ b - x))
     return DictionarySolution(b_hat=b, strengths=strengths, residual=residual,
@@ -468,7 +507,7 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     if not full_rank:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({f.rank}/{d.N}); falling back to least squares")
-    strengths = _strengths(d.periods, _coefficients(f, x, d.penalties), periods)
+    strengths = _strengths(d.periods, _coefficients(f, x, d), periods)
     return CandidateReport(candidates=cand, basis_periods=periods, width=d.N, rank=f.rank,
                            full_rank=full_rank, strengths=strengths,
                            candidate_strengths={p: strengths[p] for p in cand})

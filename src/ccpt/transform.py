@@ -550,13 +550,16 @@ def parseval_energy(c: CoefficientSet) -> float:
     return float(N * (2 * np.sum(sq) - edges))
 
 
-def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float = 1e-12) -> bool:
+def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float = 1e-12,
+                             x=None) -> bool:
     """Check the residue periodicity of the pair sums: the analysis sums of
-    the set's own synthesis, evaluated at residue k + k_multiple*N, equal
-    the stored coefficients. Every real coefficient set is the analysis of
-    its synthesis, so this cannot detect a changed coefficient; it measures
-    only that the sums are periodic in k with period N, up to rounding.
-    k_multiple must be an integer (Python or NumPy), of either sign.
+    the signal x, evaluated at residue k + k_multiple*N, equal the stored
+    coefficients to within tol. A set that is not the analysis of x fails.
+    Without x the sums are those of the set's own synthesis; every real
+    coefficient set is the analysis of its synthesis, so that cannot detect
+    a changed coefficient and measures only that the sums are periodic in k
+    with period N, up to rounding. k_multiple must be an integer (Python or
+    NumPy), of either sign; x, when given, a finite signal of length N.
 
     Test utility, for the small N its callers use (up to 54): it builds all
     N shifted pair sums at once, an N x N array."""
@@ -569,11 +572,17 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
     except TypeError:
         raise ValueError(f"k_multiple must be an integer, got {k_multiple!r}") from None
     N = c.N
+    if x is None:
+        x = occpt_synthesis(c)
+    else:
+        x = _checked_samples(x, "coefficient_period_check")
+        if len(x) != N:
+            raise ValueError(f"signal length {len(x)} does not match the coefficient set's {N}")
     layout = column_layout(OCCPT, N)
     shifted = replace(layout, k=layout.k + k_multiple * N)
     # a pair sum has norm^2 2N, or N for the single columns of periods 1 and 2
     norms = np.where(layout.periods <= 2, N, 2 * N)
-    sums = occpt_synthesis(c) @ build_columns(shifted, N) / norms
+    sums = x @ build_columns(shifted, N) / norms
     return bool(np.all(np.abs(sums - c.column_values()) <= tol))
 
 

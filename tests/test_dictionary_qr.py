@@ -100,6 +100,41 @@ def test_r_is_the_cholesky_factor_of_the_gram():
     assert f.rank == 54 and f.pinv is None
 
 
+@pytest.mark.parametrize("N,p_max", [(54, 50), (360, 48)])
+def test_farey_factor_is_real(N, p_max):
+    d = build_dictionary(N, p_max, family="farey")
+    f = d.gram()
+    gram = (d.entries / d.penalties ** 2) @ d.entries.conj().T
+    # conjugate pairs make the Gram real
+    assert np.abs(gram.imag).max() <= 1e-12 * np.abs(gram).max()
+    assert f.Q.dtype == f.R.dtype == np.float64
+    np.testing.assert_allclose(f.R.T @ f.R, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
+    np.testing.assert_allclose(f.Q.T @ f.Q, np.eye(N), atol=1e-12)
+
+
+@pytest.mark.parametrize("family", ["occpt", "ccpt1", "ccpt2", "rpt", "farey"])
+def test_every_family_factors_in_real_arithmetic(monkeypatch, family):
+    dtypes = []
+    real_qr = period.qr
+
+    def recording_qr(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(period, "qr", recording_qr)
+    build_dictionary(54, 50, family=family).gram()
+    assert dtypes == [np.float64]
+
+
+# 24/10 has full row rank, 60/7 takes the least-squares branch
+@pytest.mark.parametrize("N,p_max", [(24, 10), (60, 7)])
+def test_complex_signal_against_farey_matches_oracle(N, p_max):
+    d = build_dictionary(N, p_max, family="farey")
+    x = _mixture(N, 3) + 0.5j * _mixture(N, 4)
+    _, b, _ = _oracle_solution(d, x)
+    assert _rel(dictionary_solve(x, d).b_hat, b) <= 1e-10
+
+
 def test_repeated_solves_factor_once(monkeypatch):
     calls = []
     real_qr = period.qr
@@ -118,6 +153,21 @@ def test_repeated_solves_factor_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _pair_map(u, periods):
+    """Exponential coefficients from the real pair coordinates u of a farey
+    dictionary, one conjugate pair at a time: in a block of period p >= 3
+    the residues are symmetric, so position i of the lower half (its cosine
+    row) pairs with the mirrored position j (its sine row)."""
+    b = u.astype(complex)
+    for p in np.unique(periods[periods >= 3]).tolist():
+        start, end = np.searchsorted(periods, [p, p + 1]).tolist()
+        for i in range(start, (start + end) // 2):
+            j = start + end - 1 - i
+            lo, hi = u[i], 1j * u[j]
+            b[i], b[j] = (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+    return b
+
+
 @pytest.mark.parametrize("family,N,p_max", [("occpt", 54, 50), ("occpt", 512, 64),
                                              ("farey", 360, 48)])
 def test_triangular_solve_matches_solve_triangular(family, N, p_max):
@@ -127,8 +177,10 @@ def test_triangular_solve_matches_solve_triangular(family, N, p_max):
     x = _mixture(N, 31)
     # a complex signal against a real R takes the complex routine, as before
     for signal in (x, x + 0.5j * _mixture(N, 32)):
-        want = f.Q @ solve_triangular(f.R, signal, trans=2, check_finite=False) / d.penalties
-        assert np.array_equal(dictionary_solve(signal, d).b_hat, want)
+        u = f.Q @ solve_triangular(f.R, signal, trans=2, check_finite=False)
+        if family == "farey":
+            u = _pair_map(u, d.periods)
+        assert np.array_equal(dictionary_solve(signal, d).b_hat, u / d.penalties)
 
 
 @pytest.mark.parametrize("family,N,p_max,svds", [

@@ -318,3 +318,16 @@ def test_builder_guards():
         build_matrix(OCCPT, 0)
     with pytest.raises(ValueError):
         build_matrix(OCCPT, 4097)
+
+
+@pytest.mark.parametrize("periods", [range(1, 49), divisors(360), [1, 2], [7]])
+def test_dft_npm_conjugate_positions_pair_k_with_p_minus_k(periods):
+    layout = block_layout(DFT_NPM, periods)
+    lower, upper = layout._conjugate_positions
+    p, k = layout.periods, layout.k
+    np.testing.assert_array_equal(p[upper], p[lower])
+    np.testing.assert_array_equal(k[upper], p[lower] - k[lower])
+    assert np.all(2 * k[lower] < p[lower])
+    # every column of period >= 3 is in exactly one pair; periods 1 and 2 in none
+    np.testing.assert_array_equal(np.sort(np.concatenate([lower, upper])),
+                                  np.flatnonzero(p >= 3))

@@ -374,6 +374,20 @@ def test_candidate_strengths_match_definition(family, cand):
             assert got.strengths[q] == pytest.approx(s, rel=1e-10, abs=1e-10 * max(want.values()))
 
 
+def test_dft_npm_candidate_strengths_are_twice_the_orthogonal_ones():
+    """A square basis has one solution whatever the penalty. In the period-p
+    subspace a*2cos + c*2sin = (a - jc) e_k + (a + jc) e_(p-k), which holds
+    twice the square sum of (a, c); periods 1 and 2 share their column."""
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(12)
+    for signal in (x, x + 1j * rng.standard_normal(12)):
+        exp = candidate_matrix_solve(signal, (5, 8), family=DFT_NPM).strengths
+        orth = candidate_matrix_solve(signal, (5, 8), family=OCCPT).strengths
+        assert exp.keys() == orth.keys()
+        for q, s in orth.items():
+            assert exp[q] == pytest.approx((2 if q >= 3 else 1) * s, rel=1e-10)
+
+
 def test_candidate_basis_is_built_once(monkeypatch):
     calls = []
     real_builder = period.build_columns

@@ -226,21 +226,25 @@ def test_coefficient_periodicity():
     assert coefficient_period_check(c, k_multiple=np.int64(-3))
     with pytest.raises(ValueError, match="k_multiple must be an integer"):
         coefficient_period_check(c, k_multiple=1.5)
+    with pytest.raises(ValueError, match="signal length 11 does not match"):
+        coefficient_period_check(c, x=np.zeros(11))
 
 
 @pytest.mark.parametrize("address", [(3, 1, COS), (4, 1, SIN), (2, 1, COS)],
                          ids=["cosine", "sine", "period-2"])
-def test_coefficient_period_check_catches_a_changed_coefficient(monkeypatch, address):
-    # every real coefficient set is the analysis of its own synthesis, so the
-    # check is handed the signal of the unchanged set
-    import ccpt.transform as tr
-    c = occpt_analysis(np.random.default_rng(41).standard_normal(12))
-    x = occpt_synthesis(c)
-    monkeypatch.setattr(tr, "occpt_synthesis", lambda _: x)
-    assert coefficient_period_check(c)
+def test_coefficient_period_check_catches_a_changed_coefficient(address):
+    x = np.random.default_rng(41).standard_normal(12)
+    c = occpt_analysis(x)
+    assert coefficient_period_check(c, x=x)
+    assert coefficient_period_check(c, k_multiple=-2, x=x)
     flat = np.array(c.flat)
     flat[c.flat_index(*address)] += 1e-9
-    assert not coefficient_period_check(CoefficientSet(N=12, family=OCCPT, flat=flat))
+    moved = CoefficientSet(N=12, family=OCCPT, flat=flat)
+    # every real coefficient set is the analysis of its own synthesis, so
+    # only the signal tells the moved set apart
+    assert coefficient_period_check(moved)
+    assert not coefficient_period_check(moved, x=x)
+    assert not coefficient_period_check(moved, k_multiple=-2, x=x)
 
 
 def test_appendix_shift_identities_pointwise():
