@@ -9,7 +9,7 @@ from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                        ValidationReport, build_matrix, build_occpt,
                        cached_matrix, column_layout,
                        export_matrix_csv, export_matrix_metadata,
-                       matrix_metadata, subspace_block, validate_npm)
+                       matrix_metadata, validate_npm)
 from .numtheory import divisors, gcd, lcm_list, residue_sets, totient
 from .period import (FAREY, CandidateReport, DictionarySolution,
                      FrequencyComponent, GramFactor, PeriodicDictionary, PeriodReport,

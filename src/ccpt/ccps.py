@@ -8,6 +8,9 @@ matrix family in this package. Ramanujan sums aggregate the whole coprime
 residue set instead of a single pair; they are integers, and are evaluated
 exactly by their Moebius expansion.
 
+Every pair-sum sample, here and in `matrices.build_columns`, comes from
+one generator, `_pair_sums`.
+
 Closed forms (spectrum, pairwise inner products) are implemented here;
 tests check them against direct summation.
 """
@@ -68,10 +71,13 @@ def _length(length, L: int) -> int:
     return value
 
 
-def _reduced_angles(L: int, k: int, length: int | None) -> np.ndarray:
-    # reduce k*n mod L before scaling by 2*pi/L: keeps periodicity bit-exact
-    n = np.arange(_length(length, L), dtype=np.int64)
-    return (2.0 * pi / L) * ((k * n) % L)
+def _pair_sums(L, k, n, kind: str) -> np.ndarray:
+    """2cos (COS) or 2sin (SIN) of 2*pi*(k*n mod L)/L over broadcast integer
+    arrays, reduced before scaling so it is exactly periodic in n and k; for
+    L <= 2 both kinds are the single real exponential, 1 or (-1)^n."""
+    r = (k * n) % L
+    wave = np.cos if kind == COS else np.sin
+    return np.where(L <= 2, 1.0 - 2.0 * r, 2.0 * wave((2.0 * pi / L) * r))
 
 
 @dataclass(frozen=True)
@@ -94,25 +100,20 @@ class CcpsSpec:
 
 def ccps1(L: int, k: int, length: int | None = None) -> np.ndarray:
     """Type-1 pair sum 2M*cos(2*pi*k*n/L), evaluated for n = 0..length-1."""
-    _check_spec(L, k)
-    return 2.0 * pair_scale(L) * np.cos(_reduced_angles(L, k, length))
+    return ccps(L, k, COS, length)
 
 
 def ccps2(L: int, k: int, length: int | None = None) -> np.ndarray:
     """Type-2 pair sum 2*sin(2*pi*k*n/L); for L <= 2 the pair is a single
     real exponential and the sum is the type-1 one, 1 or (-1)^n."""
-    _check_spec(L, k)
-    if L <= 2:
-        return ccps1(L, k, length)
-    return 2.0 * np.sin(_reduced_angles(L, k, length))
+    return ccps(L, k, SIN, length)
 
 
 def ccps(L: int, k: int, kind: str, length: int | None = None) -> np.ndarray:
-    if kind == COS:
-        return ccps1(L, k, length)
-    if kind == SIN:
-        return ccps2(L, k, length)
-    raise ValueError(f"unknown CCPS kind {kind!r}")
+    if kind not in (COS, SIN):
+        raise ValueError(f"unknown CCPS kind {kind!r}")
+    _check_spec(L, k)
+    return _pair_sums(L, k, np.arange(_length(length, L), dtype=np.int64), kind)
 
 
 def ramanujan_sum(q: int, length: int | None = None) -> np.ndarray:

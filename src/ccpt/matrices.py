@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .ccps import COS, SIN, pair_scale, ramanujan_sum
+from .ccps import COS, SIN, _pair_sums, pair_scale, ramanujan_sum
 from .numtheory import divisors, positive_int, totient
 
 DFT_NPM = "dft-npm"
@@ -47,7 +47,7 @@ MAX_DIRECT_N = 4096
 __all__ = [
     "DFT_NPM", "RPT", "CCPT1", "CCPT2", "OCCPT", "FAMILIES",
     "SubspaceIndex", "ColumnLayout", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
-    "block_layout", "build_columns", "subspace_block", "column_layout", "build_matrix",
+    "block_layout", "build_columns", "column_layout", "build_matrix",
     "cached_matrix", "build_occpt", "validate_npm", "matrix_rank",
     "export_matrix_csv", "matrix_metadata", "export_matrix_metadata",
 ]
@@ -183,7 +183,8 @@ def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
     (n - s) mod p. Columns share a segment where their patterns allow: the
     first column of each run of downshifts (rpt's Ramanujan sum per period,
     ccpt1/ccpt2's pair sum per residue) holds the segment its shifts read,
-    and occpt's cosine and sine halves share one set of angles."""
+    and occpt's sine column reads the sine half of its cosine's segment.
+    The pair-sum samples come from the one generator, `ccps._pair_sums`."""
     p = layout.periods
     # one table segment per pattern: every column for dft-npm, the first
     # column of each cos/sin pair or run of downshifts otherwise
@@ -203,32 +204,16 @@ def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
         i = np.arange(len(p_t)) - np.repeat(seg, p_s)
         if layout.family == DFT_NPM:
             table = np.exp(2j * np.pi * k_t * i / p_t)
+        elif layout.family == OCCPT:
+            # the sine half follows the cosine half
+            table = np.concatenate([_pair_sums(p_t, k_t, i, COS), _pair_sums(p_t, k_t, i, SIN)])
+            start = np.where(layout.kind == SIN, start + len(p_t), start)
         else:
-            # k*i reduced mod p before scaling, as in the pair-sum generators
-            angles = (2.0 * np.pi / p_t) * ((k_t * i) % p_t)
-            if layout.family == OCCPT:
-                # the sine half follows the cosine half
-                table = 2.0 * np.concatenate([np.cos(angles), np.sin(angles)])
-                start = np.where(layout.kind == SIN, start + len(p_t), start)
-            else:
-                table = 2.0 * (np.cos(angles) if layout.family == CCPT1 else np.sin(angles))
-            # both pair sums collapse to the constant (p = 1) and (-1)^n (p = 2)
-            degenerate = np.flatnonzero(p_t <= 2)
-            table[degenerate] = np.where(i[degenerate] == 0, 1.0, -1.0)
+            table = _pair_sums(p_t, k_t, i, COS if layout.family == CCPT1 else SIN)
     idx = np.arange(length)[:, None] - layout.shift
     idx %= p
     idx += start
     return table[idx]
-
-
-def subspace_block(family: str, p: int, length: int):
-    """Basis block for the period-p subspace, tiled/truncated to `length`.
-
-    Returns (block, columns): a length x phi(p) array and the column
-    addresses; p need not divide `length`.
-    """
-    layout = block_layout(family, [p])
-    return build_columns(layout, length), layout.columns
 
 
 def _check_family_size(family: str, N: int) -> int:

@@ -7,6 +7,8 @@ estimate is their least common multiple.
 
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max, built in one pass from their column layout.
+Every dictionary, fat or square, comes from one constructor (farey names
+the dft-npm blocks), and its entries are read-only.
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
@@ -67,8 +69,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, qr, svd
 
 from .ccps import COS, SIN
-from .matrices import (CCPT1, CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, SubspaceIndex,
-                       block_layout, build_columns, column_layout)
+from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, block_layout,
+                       build_columns, column_layout)
 from .numtheory import divisors, lcm_list, positive_int, totient
 from .signals import _checked_rate, _checked_samples
 from .transform import CoefficientSet
@@ -288,22 +290,30 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
     """Stack the family's subspace bases for every period 1..p_max.
 
     The dictionary has sum(phi(p)) columns; columns of non-divisor periods
-    are truncated mid-period. p_max beyond N duplicates spanned content and
-    triggers a warning.
+    are truncated mid-period, and its entries are read-only. p_max beyond N
+    duplicates spanned content and triggers a warning.
     """
     N = positive_int(N, "dictionary length N")
     p_max = positive_int(p_max, "p_max")
     if p_max > N:
         warnings.warn(f"p_max={p_max} exceeds the signal length {N}; "
                       "columns beyond N add no new periods")
+    return _dictionary(N, range(1, p_max + 1), family, penalty)
+
+
+def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionary:
+    """The one constructor of a dictionary: the blocks of the ascending
+    `periods` of `family` (farey names the dft-npm blocks) tiled to N, with
+    their penalties and read-only entries."""
     fam = DFT_NPM if family == FAREY else family
-    if fam not in (OCCPT, CCPT1, CCPT2, RPT, DFT_NPM):
+    if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
-    layout = block_layout(fam, range(1, p_max + 1))
+    layout = block_layout(fam, periods)
     penalties = _penalties(penalty, layout.periods)
-    return PeriodicDictionary(N=N, p_max=p_max, family=family, penalty_name=penalty,
-                              entries=build_columns(layout, N), layout=layout,
-                              penalties=penalties)
+    entries = build_columns(layout, N)
+    entries.setflags(write=False)
+    return PeriodicDictionary(N=N, p_max=periods[-1], family=family, penalty_name=penalty,
+                              entries=entries, layout=layout, penalties=penalties)
 
 
 @dataclass(frozen=True)
@@ -472,18 +482,12 @@ def _candidate_dictionary(cand: tuple[int, ...], family: str,
     dictionary's width is rejected before anything is built, and the error
     is not cached."""
     periods = tuple(sorted({d for p in cand for d in divisors(p)}))
-    layout = block_layout(family, periods)
-    width = len(layout.periods)
+    width = sum(map(totient, periods))
     if n != width:
         raise ValueError(
             f"data length {n} does not match the basis dimension {width} "
             f"of candidate set {cand}; this construction needs a square system")
-    entries = build_columns(layout, width)
-    entries.setflags(write=False)
-    d = PeriodicDictionary(N=width, p_max=cand[-1], family=family, penalty_name="p2",
-                           entries=entries, layout=layout,
-                           penalties=_penalties("p2", layout.periods))
-    return periods, d
+    return periods, _dictionary(width, periods, family, "p2")
 
 
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:
@@ -493,7 +497,8 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     candidate (including non-divisors of the data length). The construction
     is square exactly when the total dimension of those subspaces equals the
     data length, as with the minimum data length of a two-candidate set;
-    other candidate sets are rejected. The square basis is solved as a
+    other candidate sets are rejected. `family` is a dictionary family
+    (farey for the dft-npm blocks). The square basis is solved as a
     dictionary (`PeriodicDictionary.gram`), so a rank-deficient one takes
     the least-squares branch.
     """

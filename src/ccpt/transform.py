@@ -552,14 +552,17 @@ def parseval_energy(c: CoefficientSet) -> float:
 
 def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float = 1e-12,
                              x=None) -> bool:
-    """Check the residue periodicity of the pair sums: the analysis sums of
-    the signal x, evaluated at residue k + k_multiple*N, equal the stored
-    coefficients to within tol. A set that is not the analysis of x fails.
-    Without x the sums are those of the set's own synthesis; every real
-    coefficient set is the analysis of its synthesis, so that cannot detect
-    a changed coefficient and measures only that the sums are periodic in k
-    with period N, up to rounding. k_multiple must be an integer (Python or
-    NumPy), of either sign; x, when given, a finite signal of length N.
+    """Check that the analysis sums of the signal x against the pair sums
+    at residue k + k_multiple*N equal the stored coefficients to within tol.
+    The pair-sum generator reduces the residue times n mod p before scaling,
+    so every k_multiple reads the same columns bit for bit: periodicity in k
+    holds by construction, and the check shows that the set equals the pair
+    sums of x. A set that is not the analysis of x fails. Without x the sums
+    are those of the set's own synthesis; every real coefficient set is the
+    analysis of its synthesis, so that form cannot detect a changed
+    coefficient and measures only rounding. k_multiple must be an integer
+    (Python or NumPy), of either sign; x, when given, a finite signal of
+    length N.
 
     Test utility, for the small N its callers use (up to 54): it builds all
     N shifted pair sums at once, an N x N array."""

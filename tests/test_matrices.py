@@ -8,8 +8,7 @@ from ccpt.ccps import COS, SIN, ccps1, ccps2, ramanujan_sum
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                            SubspaceIndex, block_layout, build_columns,
                            build_matrix, column_layout, export_matrix_csv,
-                           export_matrix_metadata, matrix_rank,
-                           subspace_block, validate_npm)
+                           export_matrix_metadata, matrix_rank, validate_npm)
 from ccpt import period
 from ccpt.numtheory import divisors, residue_sets, totient
 
@@ -203,7 +202,8 @@ def test_column_lookup_examples():
 
 
 def test_subspace_block_tiling_and_truncation():
-    block, meta = subspace_block(OCCPT, 8, 54)
+    layout = block_layout(OCCPT, [8])
+    block, meta = build_columns(layout, 54), layout.columns
     assert block.shape == (54, totient(8))
     for j, c in enumerate(meta):
         col = block[:, j]
@@ -243,7 +243,8 @@ def test_layout_arrays_match_block_loop(family):
             np.testing.assert_array_equal(got, want, strict=True)
     for p in range(1, 80):
         for length in (p, 54, 512):
-            block, cols = subspace_block(family, p, length)
+            layout = block_layout(family, [p])
+            block, cols = build_columns(layout, length), layout.columns
             np.testing.assert_array_equal(block, block_entries(family, p, length), strict=True)
             assert cols == tuple(SubspaceIndex(*a) for a in block_columns(family, p))
 

@@ -388,6 +388,46 @@ def test_dft_npm_candidate_strengths_are_twice_the_orthogonal_ones():
             assert exp[q] == pytest.approx((2 if q >= 3 else 1) * s, rel=1e-10)
 
 
+def test_farey_candidate_set_is_the_dft_npm_one():
+    """farey names the dft-npm blocks for candidate sets as for
+    dictionaries: the same report bit for bit."""
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(12)
+    for signal in (x, x + 1j * rng.standard_normal(12)):
+        farey = candidate_matrix_solve(signal, (5, 8), family=FAREY)
+        assert farey == candidate_matrix_solve(signal, (5, 8), family=DFT_NPM)
+    with pytest.raises(ValueError, match="unknown dictionary family 'hadamard'"):
+        candidate_matrix_solve(x, (5, 8), family="hadamard")
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 12, 30, 54, 60])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_candidate_set_of_the_length_is_the_transform(family, N):
+    """The candidate set (N,) stacks the blocks of every divisor of N, the
+    family's square matrix, so its QR solve scores each divisor as the fast
+    transform's period strengths do."""
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N)
+    for signal in (x, x + 1j * rng.standard_normal(N)):
+        got = candidate_matrix_solve(signal, (N,), family=family).strengths
+        want = period_strengths(analyze(signal, family)).strengths
+        assert got.keys() == want.keys()
+        peak = max(want.values())
+        for p, s in want.items():
+            assert abs(got[p] - s) <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("family", [OCCPT, CCPT1, CCPT2, RPT, FAREY])
+def test_dictionary_entries_are_read_only(family):
+    """A dictionary caches its factor, so its entries cannot change under
+    it."""
+    d = build_dictionary(24, 10, family=family)
+    d.gram()
+    assert not d.entries.flags.writeable
+    with pytest.raises(ValueError):
+        d.entries[0, 0] = 1.0
+
+
 def test_candidate_basis_is_built_once(monkeypatch):
     calls = []
     real_builder = period.build_columns

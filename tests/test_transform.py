@@ -1,10 +1,12 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 from ccpt.ccps import COS, SIN, ccps1, ccps2, pair_scale
-from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT
+from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_columns,
+                           column_layout)
 from ccpt.numtheory import divisors, residue_sets
 from ccpt.signals import Signal, tone
 from ccpt.transform import (CoefficientSet, analyze, coefficient_period_check,
@@ -228,6 +230,19 @@ def test_coefficient_periodicity():
         coefficient_period_check(c, k_multiple=1.5)
     with pytest.raises(ValueError, match="signal length 11 does not match"):
         coefficient_period_check(c, x=np.zeros(11))
+
+
+@pytest.mark.parametrize("family", [OCCPT, CCPT1, CCPT2])
+@pytest.mark.parametrize("N", [1, 2, 7, 12, 54])
+def test_pair_sum_columns_are_periodic_in_the_residue(family, N):
+    """k*n is reduced mod p before scaling, so residue k + m*N gives the same
+    columns bit for bit: what coefficient_period_check compares is the set
+    against the pair sums of x, at any k_multiple."""
+    layout = column_layout(family, N)
+    want = build_columns(layout, N)
+    for m in (-3, -1, 1, 2, 5):
+        got = build_columns(replace(layout, k=layout.k + m * N), N)
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 @pytest.mark.parametrize("address", [(3, 1, COS), (4, 1, SIN), (2, 1, COS)],
