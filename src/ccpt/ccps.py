@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, gcd, pi, sin
-from operator import index
 
 import numpy as np
 
@@ -48,27 +47,20 @@ def pair_scale(L: int) -> float:
     return 0.5 if L <= 2 else 1.0
 
 
-def _check_spec(L: int, k: int) -> None:
-    """Require an integer period L >= 1 and an integer residue k >= 1
-    coprime to it."""
+def _check_spec(L: int, k: int, kind: str) -> None:
+    """Require an integer period L >= 1, an integer residue k >= 1 coprime
+    to it, and a pair kind COS or SIN: the one spec rule of every pair sum."""
     L = positive_int(L, "period")
     k = positive_int(k, "residue k")
     if gcd(k, L) != 1:
         raise ValueError(f"residue k={k} is not coprime to L={L}")
+    if kind not in (COS, SIN):
+        raise ValueError(f"kind must be {COS!r} or {SIN!r}, got {kind!r}")
 
 
 def _length(length, L: int) -> int:
-    """The sample count: L when length is None, else length, required to be
-    an integer (Python or NumPy) >= 0."""
-    if length is None:
-        return L
-    try:
-        value = index(length)
-    except TypeError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"length must be an integer >= 0, got {length!r}")
-    return value
+    """The sample count: L when length is None, else length, an integer >= 0."""
+    return L if length is None else positive_int(length, "length", low=0)
 
 
 def _pair_sums(L, k, n, kind: str) -> np.ndarray:
@@ -90,9 +82,7 @@ class CcpsSpec:
     kind: str
 
     def __post_init__(self):
-        _check_spec(self.L, self.k)
-        if self.kind not in (COS, SIN):
-            raise ValueError(f"kind must be {COS!r} or {SIN!r}, got {self.kind!r}")
+        _check_spec(self.L, self.k, self.kind)
 
     def sequence(self, length: int | None = None) -> np.ndarray:
         return ccps(self.L, self.k, self.kind, length)
@@ -110,9 +100,7 @@ def ccps2(L: int, k: int, length: int | None = None) -> np.ndarray:
 
 
 def ccps(L: int, k: int, kind: str, length: int | None = None) -> np.ndarray:
-    if kind not in (COS, SIN):
-        raise ValueError(f"unknown CCPS kind {kind!r}")
-    _check_spec(L, k)
+    _check_spec(L, k, kind)
     return _pair_sums(L, k, np.arange(_length(length, L), dtype=np.int64), kind)
 
 
@@ -136,9 +124,7 @@ def ccps_spectrum(L: int, l: int, kind: str) -> np.ndarray:
     +jL at bin L-l; all other bins are zero. Degenerate lengths keep the
     single surviving bin.
     """
-    _check_spec(L, l)
-    if kind not in (COS, SIN):
-        raise ValueError(f"unknown CCPS kind {kind!r}")
+    _check_spec(L, l, kind)
     if L > 2 and l not in half_residues(L):
         raise ValueError(f"residue l={l} not in the lower coprime half of {L}")
     spec = np.zeros(L, dtype=complex)

@@ -26,7 +26,7 @@ import numpy as np
 from . import period as periodmod
 from . import signals as sig
 from . import transform as tr
-from .foccpt import _is_pow2, complexity_table, foccpt, predicted_counts
+from .foccpt import _radix2, complexity_table, foccpt, predicted_counts
 from .matrices import FAMILIES, OCCPT, column_layout
 from .transform import band_filter
 
@@ -219,7 +219,7 @@ def cmd_benchmark(args) -> int:
     report = []
     for n in sizes:
         entry = {"N": n, "table": complexity_table(n)}
-        if n >= 2 and _is_pow2(n):
+        if _radix2(n) is not None:
             _, ctr = foccpt(rng.standard_normal(n))
             predicted = predicted_counts(n, "real")
             entry["family"] = OCCPT

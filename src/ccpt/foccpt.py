@@ -44,8 +44,9 @@ class OpCounter:
         return {"mults": self.real_mults, "adds": self.real_adds}
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _radix2(N: int) -> int | None:
+    """v if N = 2^v with v >= 1, the fast transform's sizes, else None."""
+    return N.bit_length() - 1 if N >= 2 and N & (N - 1) == 0 else None
 
 
 @lru_cache(maxsize=16)
@@ -57,7 +58,7 @@ def _twiddles(M: int):
 @lru_cache(maxsize=16)
 def _bit_reversed(N: int) -> np.ndarray:
     """Bit-reversal permutation of 0..N-1 for N = 2^v (read-only)."""
-    v = N.bit_length() - 1
+    v = _radix2(N)
     i = np.arange(N)
     out = np.zeros(N, dtype=np.intp)
     for b in range(v):
@@ -142,7 +143,7 @@ def foccpt(x):
     """
     x = _checked_samples(x, "fast transform")
     N = len(x)
-    if N < 2 or not _is_pow2(N):
+    if _radix2(N) is None:
         raise ValueError(f"fast transform requires a power-of-two length >= 2, got {N}")
     ctr = OpCounter()
     if np.iscomplexobj(x):
@@ -153,10 +154,11 @@ def foccpt(x):
 
 
 def predicted_counts(N: int, input_kind: str = "real") -> OpCounter:
-    """Closed-form operation counts of the fast transform."""
-    if N < 2 or not _is_pow2(N):
+    """Closed-form operation counts of the fast transform at N = 2^v, v >= 1."""
+    N = positive_int(N, "N")
+    v = _radix2(N)
+    if v is None:
         raise ValueError(f"counts are defined for power-of-two N >= 2, got {N}")
-    v = N.bit_length() - 1
     if input_kind == "real":
         return OpCounter(real_mults=N * v - N + 1, real_adds=2 * N * v - 7 * N // 2 + 5)
     if input_kind == "complex":
@@ -170,8 +172,7 @@ def complexity_table(N: int) -> list[dict]:
     transform and the DFT; everything else is the direct method. N = 1 is
     the identity and costs nothing."""
     N = positive_int(N, "N")
-    fast = N >= 2 and _is_pow2(N)
-    v = N.bit_length() - 1
+    v = _radix2(N)
     direct_half = (2 * N * N, 2 * N * N - 2 * N)  # real basis, complex input
 
     def row(name, mults, adds, method):
@@ -183,7 +184,7 @@ def complexity_table(N: int) -> list[dict]:
         row(CCPT1, *direct_half, "direct"),
         row(CCPT2, *direct_half, "direct"),
     ]
-    if fast:
+    if v is not None:
         occpt = predicted_counts(N, "complex")
         rows.append(row(OCCPT, occpt.real_mults, occpt.real_adds, "fast"))
         rows.append(row(DFT_NPM, 2 * N * v, 3 * N * v, "fast"))

@@ -143,12 +143,17 @@ class ColumnLayout:
         return p, k, values[cos], np.where(paired, values[sin], 0)
 
 
+def _check_family(family: str) -> None:
+    """Require one of FAMILIES: the one family rule."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+
+
 def block_layout(family: str, periods) -> ColumnLayout:
     """Column addresses of the blocks of `periods` (positive, ascending):
     per block, residues ascending, cos before sin, downshift 0 before
     downshift 1. Each block has phi(p) columns."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     periods = np.array(periods, dtype=int)
     if periods.size == 0 or periods[0] < 1 or np.any(np.diff(periods) <= 0):
         raise ValueError(f"block periods must be positive and ascending, got {periods.tolist()}")
@@ -218,8 +223,7 @@ def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
 
 def _check_family_size(family: str, N: int) -> int:
     """N as an int, for a known family and N >= 1."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     return positive_int(N, "matrix size")
 
 

@@ -30,15 +30,17 @@ __all__ = [
 ]
 
 
-def positive_int(n, name: str) -> int:
-    """n as an int, required to be an integer (Python or NumPy) >= 1; the
-    ValueError names it."""
+def positive_int(n, name: str, low: int | None = 1) -> int:
+    """n as an int, required to be an integer (Python or NumPy) >= low, or
+    any integer when low is None; the ValueError names it. The one integer
+    rule of the package."""
     try:
         value = index(n)
     except TypeError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        value = None
+    if value is None or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {n!r}")
     return value
 
 

@@ -8,7 +8,10 @@ estimate is their least common multiple.
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max, built in one pass from their column layout.
 Every dictionary, fat or square, comes from one constructor (farey names
-the dft-npm blocks), and its entries are read-only.
+the dft-npm blocks). A dictionary is an immutable value: its entries,
+penalties and factor are read-only, and the factor is derived from its own
+fields on first use, so it cannot go stale; `dataclasses.replace` gives a
+new dictionary that factors itself.
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
@@ -59,10 +62,11 @@ zipped row; a component compares equal to the plain tuple of its fields.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import repeat
-from math import gcd
+from math import gcd, inf
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +77,7 @@ from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, bl
                        build_columns, column_layout)
 from .numtheory import divisors, lcm_list, positive_int, totient
 from .signals import _checked_rate, _checked_samples
-from .transform import CoefficientSet
+from .transform import CoefficientSet, _require_orthogonal
 
 FAREY = "farey"
 _SQRT2 = np.sqrt(2.0)
@@ -158,9 +162,11 @@ class FrequencyComponent(NamedTuple):
 def _components(p, k, b0, b1, fs: float | None,
                 min_magnitude: float) -> list[FrequencyComponent]:
     """Components of the subspaces (p[i], k[i]) with cosine/sine pairs
-    (b0[i], b1[i]) whose magnitude reaches the floor."""
+    (b0[i], b1[i]) whose magnitude reaches the floor, a finite value >= 0."""
     if fs is not None:
         fs = _checked_rate(fs)
+    if not (isinstance(min_magnitude, Real) and 0 <= min_magnitude < inf):
+        raise ValueError(f"min_magnitude must be finite and >= 0, got {min_magnitude!r}")
     degenerate = p <= 2
     mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
     phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
@@ -181,8 +187,7 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
     The phase convention is atan2(-b1, b0), so an input A*cos(2*pi*k*n/p + phi)
     comes back with magnitude A and phase phi.
     """
-    if c.family != OCCPT:
-        raise ValueError("frequency components require orthogonal-family coefficients")
+    _require_orthogonal("frequency_components", c)
     if c.is_complex:
         raise ValueError("frequency components are defined for real signals")
     p, k, b0, b1 = c.pairs()
@@ -211,7 +216,8 @@ class GramFactor:
 
     `condition` estimates the Gram's condition as 1 / rcond^2, with rcond
     LAPACK's trcon estimate of the reciprocal 1-norm condition of R; it is
-    infinite without full row rank."""
+    infinite without full row rank. Q, R and pinv are read-only: the factor
+    belongs to its dictionary and serves every solve against it."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -220,11 +226,11 @@ class GramFactor:
     condition: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PeriodicDictionary:
     """Stacked subspace bases tiled to N: the fat dictionary of periods
     1..p_max, or the square basis of a candidate set (`p_max` its largest
-    candidate)."""
+    candidate). An immutable value, whose factor derives from its fields."""
 
     N: int
     p_max: int
@@ -233,7 +239,10 @@ class PeriodicDictionary:
     entries: np.ndarray
     layout: ColumnLayout            # column addresses of the blocks
     penalties: np.ndarray
-    _factor: GramFactor | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self.entries, self.penalties):
+            a.setflags(write=False)
 
     @property
     def n_columns(self) -> int:
@@ -249,30 +258,34 @@ class PeriodicDictionary:
         return self.layout.periods
 
     def gram(self) -> GramFactor:
-        """QR factorization of the penalty-scaled dictionary, built once and
-        cached; see the module docstring."""
-        if self._factor is None:
-            F = self.entries
-            if self.layout.family == DFT_NPM:
-                F = _pair_columns(F, self.layout)
-            # A^T comes out Fortran-ordered, so QR overwrites it in place
-            Q, R = qr(F.T / self.penalties[:, None], mode="economic", overwrite_a=True)
-            R = np.asfortranarray(R)
-            tol = np.finfo(float).eps * max(self.n_columns, self.N)
-            rcond, rank, P = 0.0, self.N, None
-            if R.shape[0] == self.N:
-                trcon, = get_lapack_funcs(("trcon",), (R,))
-                rcond, info = trcon(R, norm="1", uplo="U", diag="N")
-                if info:
-                    raise np.linalg.LinAlgError(f"condition estimate failed (trcon info {info})")
-            if rcond <= tol:
-                U, s, Vh = svd(R, full_matrices=False, check_finite=False)
-                rank = int(np.count_nonzero(s > tol * s[0]))
-                if rank < self.N:
-                    P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
-            condition = float("inf") if P is not None else 1.0 / rcond ** 2
-            self._factor = GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
-        return self._factor
+        """QR factorization of the penalty-scaled dictionary, built on first
+        use and kept; see the module docstring."""
+        return self._qr
+
+    @cached_property
+    def _qr(self) -> GramFactor:
+        F = self.entries
+        if self.layout.family == DFT_NPM:
+            F = _pair_columns(F, self.layout)
+        # A^T comes out Fortran-ordered, so QR overwrites it in place
+        Q, R = qr(F.T / self.penalties[:, None], mode="economic", overwrite_a=True)
+        R = np.asfortranarray(R)
+        tol = np.finfo(float).eps * max(self.n_columns, self.N)
+        rcond, rank, P = 0.0, self.N, None
+        if R.shape[0] == self.N:
+            trcon, = get_lapack_funcs(("trcon",), (R,))
+            rcond, info = trcon(R, norm="1", uplo="U", diag="N")
+            if info:
+                raise np.linalg.LinAlgError(f"condition estimate failed (trcon info {info})")
+        if rcond <= tol:
+            U, s, Vh = svd(R, full_matrices=False, check_finite=False)
+            rank = int(np.count_nonzero(s > tol * s[0]))
+            if rank < self.N:
+                P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
+        for a in (Q, R) if P is None else (Q, R, P):
+            a.setflags(write=False)
+        condition = float("inf") if P is not None else 1.0 / rcond ** 2
+        return GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
 
 
 def _pair_columns(entries: np.ndarray, layout: ColumnLayout) -> np.ndarray:
@@ -304,16 +317,14 @@ def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> P
 def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionary:
     """The one constructor of a dictionary: the blocks of the ascending
     `periods` of `family` (farey names the dft-npm blocks) tiled to N, with
-    their penalties and read-only entries."""
+    their penalties."""
     fam = DFT_NPM if family == FAREY else family
     if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
     layout = block_layout(fam, periods)
-    penalties = _penalties(penalty, layout.periods)
-    entries = build_columns(layout, N)
-    entries.setflags(write=False)
     return PeriodicDictionary(N=N, p_max=periods[-1], family=family, penalty_name=penalty,
-                              entries=entries, layout=layout, penalties=penalties)
+                              entries=build_columns(layout, N), layout=layout,
+                              penalties=_penalties(penalty, layout.periods))
 
 
 @dataclass(frozen=True)
@@ -336,9 +347,8 @@ class DictionarySolution:
         return tuple(sorted(p for p, s in self.strengths.items() if s >= 0.01 * ref))
 
     def top_periods(self, count: int) -> tuple[int, ...]:
-        """The `count` strongest periods p >= 2, ascending."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        """The `count` (an integer >= 0) strongest periods p >= 2, ascending."""
+        count = positive_int(count, "count", low=0)
         ranked = sorted((p for p in self.strengths if p >= 2), key=lambda p: -self.strengths[p])
         return tuple(sorted(ranked[:count]))
 

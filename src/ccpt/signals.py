@@ -67,11 +67,16 @@ def _checked_samples(x, caller: str) -> np.ndarray:
         raise ValueError(f"{caller} needs a 1-D signal, got shape {x.shape}")
     if x.size == 0:
         raise ValueError(f"{caller} needs at least one sample")
-    if x.dtype.kind not in "biufc":
-        raise ValueError(f"{caller} needs numeric samples, got dtype {x.dtype}")
+    _check_numeric(x, caller)
     if not np.isfinite(x).all():
         raise ValueError(f"{caller} needs finite samples; the signal has NaN or inf")
     return x
+
+
+def _check_numeric(x: np.ndarray, caller: str) -> None:
+    """Require a boolean, integer, real or complex dtype, naming the caller."""
+    if x.dtype.kind not in "biufc":
+        raise ValueError(f"{caller} needs numeric samples, got dtype {x.dtype}")
 
 
 def _checked_rate(fs) -> float:

@@ -53,17 +53,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import index
 
 import numpy as np
 
 from .ccps import COS, SIN
-from .matrices import (CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, ColumnLayout, build_columns,
-                       column_layout)
+from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _check_family,
+                       build_columns, column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
-from .signals import _checked_rate, _checked_samples
+from .signals import _check_numeric, _checked_rate, _checked_samples
 
 __all__ = [
     "CoefficientSet",
@@ -121,8 +120,8 @@ class CoefficientSet:
 
     For the orthogonal family `flat` is frequency-ordered (see module
     docstring); for the other families it follows the matrix column order.
-    Both views read the same array. `flat` must be 1-D of length N; the set
-    keeps a read-only view of it, so the caller's array stays writable.
+    Both views read the same array. `flat` must be numeric, 1-D, of length
+    N; the set keeps a read-only view, so the caller's array stays writable.
     """
 
     N: int
@@ -130,10 +129,10 @@ class CoefficientSet:
     flat: np.ndarray
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_family(self.family)
         object.__setattr__(self, "N", positive_int(self.N, "N"))
         flat = np.asarray(self.flat).view()
+        _check_numeric(flat, "CoefficientSet flat")
         if flat.shape != (self.N,):
             raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {flat.shape}")
         flat.setflags(write=False)
@@ -154,8 +153,7 @@ class CoefficientSet:
     def pair(self, p: int, k: int):
         """Cosine/sine coefficient pair of the conjugate subspace (p, k);
         the sine slot is 0 for the degenerate periods 1 and 2."""
-        if self.family != OCCPT:
-            raise ValueError("pair view requires the orthogonal family")
+        _require_orthogonal("pair", self)
         b0 = self.flat[self.flat_index(p, k, COS)]
         b1 = self.flat[self.flat_index(p, k, SIN)] if p >= 3 else type(b0)(0)
         return b0, b1
@@ -184,11 +182,17 @@ class CoefficientSet:
         return self.flat
 
 
+def _require_orthogonal(what: str, *sets: CoefficientSet) -> None:
+    """Require orthogonal-family sets, the packed layout's one rule."""
+    if any(c.family != OCCPT for c in sets):
+        raise ValueError(f"{what} requires orthogonal-family coefficients")
+
+
 def _forward_real(x: np.ndarray) -> np.ndarray:
     """Packed real DFT of a real signal, scaled by 1/N."""
     N = len(x)
     h, m = N // 2, _pair_count(N)
-    R = np.fft.rfft(x) / N
+    R = np.fft.rfft(x, norm="forward")
     flat = np.empty(N)
     flat[:h + 1] = R.real
     flat[h + 1:] = -R.imag[m:0:-1]
@@ -202,7 +206,7 @@ def _inverse_real(flat: np.ndarray) -> np.ndarray:
     R = np.zeros(h + 1, dtype=complex)
     R.real = flat[:h + 1]
     R.imag[1:m + 1] = -flat[:h:-1]
-    return np.fft.irfft(R, n=N) * N
+    return np.fft.irfft(R, n=N, norm="forward")
 
 
 def occpt_analysis(x) -> CoefficientSet:
@@ -217,8 +221,7 @@ def occpt_analysis(x) -> CoefficientSet:
 
 def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
     """Exact inverse of occpt_analysis."""
-    if c.family != OCCPT:
-        raise ValueError("occpt_synthesis requires orthogonal-family coefficients")
+    _require_orthogonal("occpt_synthesis", c)
     return _by_parts(_real_synthesis, c.flat, OCCPT)
 
 
@@ -445,8 +448,7 @@ def analyze(x, family: str) -> CoefficientSet:
     Every analysis entry point takes a Signal or array-like of finite
     samples, nonempty and 1-D, and raises ValueError otherwise.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     x = _checked_samples(x, "analyze")
     N = len(x)
     if family == DFT_NPM:
@@ -458,8 +460,6 @@ def analyze(x, family: str) -> CoefficientSet:
 
 def synthesize(c: CoefficientSet) -> np.ndarray:
     """Signal of a coefficient set of any family: the inverse of analyze."""
-    if c.family == OCCPT:
-        return occpt_synthesis(c)
     if c.family == DFT_NPM:
         bins = np.zeros(c.N, dtype=complex)
         bins[_dft_bins(c.N)] = c.flat
@@ -480,8 +480,7 @@ def dft_from_occpt(c: CoefficientSet) -> np.ndarray:
     Bin 0 (and bin N/2 for even N) is N times its cosine slot; bins K and
     N - K of a slot pair are N*(b0 - j*b1) and N*(b0 + j*b1).
     """
-    if c.family != OCCPT:
-        raise ValueError("dft_from_occpt requires orthogonal-family coefficients")
+    _require_orthogonal("dft_from_occpt", c)
     N, flat = c.N, c.flat
     X = N * flat.astype(complex)
     b0, b1 = _pairs(flat)
@@ -498,12 +497,8 @@ def shift_coefficients(c: CoefficientSet, m: int) -> CoefficientSet:
     the product K*delay reduced mod N before scaling; the degenerate slots 0
     and N/2 scale by the cosine alone. m must be an integer (Python or
     NumPy)."""
-    if c.family != OCCPT:
-        raise ValueError("shift_coefficients requires orthogonal-family coefficients")
-    try:
-        m = index(m)
-    except TypeError:
-        raise ValueError(f"shift m must be an integer, got {m!r}") from None
+    _require_orthogonal("shift_coefficients", c)
+    m = positive_int(m, "shift m", low=None)
     N = c.N
     K = np.arange(N // 2 + 1)
     theta = (2 * np.pi / N) * ((K * ((-m) % N)) % N)
@@ -525,8 +520,7 @@ def convolve_coefficients(a: CoefficientSet, b: CoefficientSet) -> CoefficientSe
 
     Every slot pair multiplies as the complex numbers b0 - j*b1, scaled by
     N; the degenerate slots 0 and N/2 multiply as reals."""
-    if a.family != OCCPT or b.family != OCCPT:
-        raise ValueError("convolve_coefficients requires orthogonal-family coefficients")
+    _require_orthogonal("convolve_coefficients", a, b)
     if a.N != b.N:
         raise ValueError(f"size mismatch: {a.N} vs {b.N}")
     N = a.N
@@ -542,8 +536,7 @@ def convolve_coefficients(a: CoefficientSet, b: CoefficientSet) -> CoefficientSe
 def parseval_energy(c: CoefficientSet) -> float:
     """Signal energy recovered from orthogonal coefficients: N times the
     squared DC (and Nyquist, when present) plus 2N times every other square."""
-    if c.family != OCCPT:
-        raise ValueError("parseval_energy requires orthogonal-family coefficients")
+    _require_orthogonal("parseval_energy", c)
     N = c.N
     sq = np.abs(c.flat) ** 2
     edges = sq[0] + (sq[N // 2] if N % 2 == 0 else 0.0)
@@ -566,14 +559,10 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
 
     Test utility, for the small N its callers use (up to 54): it builds all
     N shifted pair sums at once, an N x N array."""
-    if c.family != OCCPT:
-        raise ValueError("coefficient_period_check requires orthogonal-family coefficients")
+    _require_orthogonal("coefficient_period_check", c)
     if c.is_complex:
         raise ValueError("period check is defined for real coefficient sets")
-    try:
-        k_multiple = index(k_multiple)
-    except TypeError:
-        raise ValueError(f"k_multiple must be an integer, got {k_multiple!r}") from None
+    k_multiple = positive_int(k_multiple, "k_multiple", low=None)
     N = c.N
     if x is None:
         x = occpt_synthesis(c)

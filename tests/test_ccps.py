@@ -55,6 +55,13 @@ def test_periods_and_residues_must_be_integers():
     assert np.array_equal(ccps1(np.int64(5), np.int64(2), 5), ccps1(5, 2, 5))
 
 
+def test_kind_rule_has_one_message():
+    for call in (lambda: ccps(5, 1, "tan"), lambda: CcpsSpec(5, 1, "tan"),
+                 lambda: ccps_spectrum(5, 1, "tan")):
+        with pytest.raises(ValueError, match="^kind must be 'cos' or 'sin', got 'tan'$"):
+            call()
+
+
 def test_ramanujan_examples():
     np.testing.assert_allclose(ramanujan_sum(1, 3), [1, 1, 1], atol=1e-12)
     np.testing.assert_allclose(ramanujan_sum(4, 4), [2, 0, -2, 0], atol=1e-12)

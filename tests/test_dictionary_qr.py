@@ -231,3 +231,38 @@ def test_dictionary_solve_rejects_bad_input(p_max, bad, match):
     d = build_dictionary(54, p_max, family="occpt")
     with pytest.raises(ValueError, match=match):
         dictionary_solve(bad, d)
+
+
+def test_replaced_dictionary_factors_itself():
+    """A dictionary is a value: replace() after a solve gives a new one whose
+    factor comes from its own fields, equal to a freshly built one."""
+    x = _mixture(360, 21)
+    d = build_dictionary(360, 48)
+    dictionary_solve(x, d)
+    fresh = build_dictionary(360, 48, penalty="phi")
+    phi = dataclasses.replace(d, penalty_name="phi", penalties=fresh.penalties)
+    got, want = dictionary_solve(x, phi), dictionary_solve(x, fresh)
+    np.testing.assert_array_equal(got.b_hat, want.b_hat)
+    assert got.estimated_period() == want.estimated_period()
+    negated = dictionary_solve(x, dataclasses.replace(d, entries=-d.entries))
+    solution = dictionary_solve(x, d)
+    np.testing.assert_array_equal(negated.b_hat, -solution.b_hat)
+    assert negated.residual == solution.residual
+
+
+def test_dictionary_and_factor_are_read_only():
+    d = build_dictionary(54, 50)
+    for name in ("entries", "penalties", "N"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, getattr(d, name))
+    with pytest.raises(ValueError):
+        d.penalties[0] = 2.0
+    f = d.gram()
+    for a in (f.Q, f.R):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+    # 60/7 takes the least-squares branch, whose pseudo-inverse is kept too
+    f = build_dictionary(60, 7).gram()
+    assert f.pinv is not None
+    with pytest.raises(ValueError):
+        f.pinv[0, 0] = 0.0

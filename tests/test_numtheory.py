@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from ccpt.ccps import ccps1
+from ccpt.foccpt import predicted_counts
 from ccpt.numtheory import (cyclotomic, divisors, gcd, lcm_list, mobius, prime_factors,
                             radical, residue_sets, totient)
+from ccpt.period import build_dictionary, dictionary_solve
+from ccpt.signals import make_x2
+from ccpt.transform import coefficient_period_check, occpt_analysis, shift_coefficients
 
 
 def test_gcd_examples():
@@ -157,3 +162,34 @@ def test_factorization_functions_reject_nonpositive(f):
     for n in (0, 12.0):
         with pytest.raises(ValueError, match="requires n >= 1"):
             f(n)
+
+
+def _integer_sites():
+    """(call, message) of each entry point that takes an integer argument
+    through numtheory.positive_int; call(v) passes v as that argument."""
+    c = occpt_analysis(np.random.default_rng(3).standard_normal(12))
+    sol = dictionary_solve(make_x2().samples, build_dictionary(54, 12))
+    return {
+        "top_periods": (sol.top_periods, "count must be an integer >= 0"),
+        "predicted_counts": (predicted_counts, "N must be an integer >= 1"),
+        "shift": (lambda m: shift_coefficients(c, m).flat, "shift m must be an integer"),
+        "k_multiple": (lambda k: coefficient_period_check(c, k_multiple=k),
+                       "k_multiple must be an integer"),
+        "ccps-length": (lambda n: ccps1(5, 2, n), "length must be an integer >= 0"),
+    }
+
+
+@pytest.mark.parametrize("site", ["top_periods", "predicted_counts", "shift", "k_multiple",
+                                  "ccps-length"])
+def test_integer_arguments_follow_one_rule(site):
+    call, message = _integer_sites()[site]
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match=f"^{message}, got {bad!r}$"):
+            call(bad)
+    got, want = call(np.int64(8)), call(8)
+    if isinstance(want, np.ndarray):
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert got == want
+    if site == "predicted_counts":
+        assert type(got.real_mults) is int and type(got.real_adds) is int

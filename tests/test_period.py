@@ -16,6 +16,11 @@ from ccpt.transform import CoefficientSet, analyze, occpt_analysis
 
 from oracles import block_addresses, column, component_loop, period_square_sums, tile_to
 
+try:
+    from numpy.exceptions import ComplexWarning
+except ImportError:  # NumPy < 1.25
+    from numpy import ComplexWarning
+
 
 def test_single_subspace_signal():
     x = tile_to(ccps1(9, 1, 9), 54)
@@ -217,8 +222,19 @@ def test_top_periods_rejects_negative_count():
     sol = dictionary_solve(make_x2().samples, build_dictionary(54, 12, family=OCCPT))
     assert sol.top_periods(0) == ()
     assert len(sol.top_periods(100)) == 11      # every period p >= 2
-    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="count must be an integer >= 0, got -1"):
         sol.top_periods(-1)
+
+
+@pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, "0"], ids=["nan", "inf", "-1", "str"])
+def test_components_reject_bad_magnitude_floor(floor):
+    x = make_x2().samples
+    sol = dictionary_solve(x, build_dictionary(54, 12, family=OCCPT))
+    for components in (lambda: frequency_components(occpt_analysis(x), min_magnitude=floor),
+                       lambda: sol.components(min_magnitude=floor)):
+        with pytest.raises(ValueError, match="min_magnitude must be finite and >= 0"):
+            components()
+    assert len(frequency_components(occpt_analysis(x), min_magnitude=0.0)) == 28
 
 
 @pytest.mark.parametrize("fs", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
@@ -516,7 +532,7 @@ def test_candidate_solve_of_complex_signal_against_real_basis(monkeypatch, famil
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            warnings.simplefilter("error", ComplexWarning)
             got = candidate_matrix_solve(x + 1j * y, (5, 8), family=family)
             sx = candidate_matrix_solve(x, (5, 8), family=family).strengths
             sy = candidate_matrix_solve(y, (5, 8), family=family).strengths

@@ -8,6 +8,7 @@ from ccpt.ccps import COS, SIN, ccps1, ccps2, pair_scale
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_columns,
                            column_layout)
 from ccpt.numtheory import divisors, residue_sets
+from ccpt.period import frequency_components
 from ccpt.signals import Signal, tone
 from ccpt.transform import (CoefficientSet, analyze, coefficient_period_check,
                             coefficients_to_dict, convolve_coefficients,
@@ -288,15 +289,25 @@ def test_appendix_shift_identities_pointwise():
 
 def test_family_guards():
     c = analyze(np.ones(6), CCPT1)
-    with pytest.raises(ValueError):
-        occpt_synthesis(c)
-    with pytest.raises(ValueError):
-        parseval_energy(c)
-    with pytest.raises(ValueError):
-        dft_from_occpt(c)
     a = occpt_analysis(np.ones(6))
     b = occpt_analysis(np.ones(8))
-    with pytest.raises(ValueError):
+    # every entry point that reads the packed orthogonal layout, by the name
+    # its error gives
+    guarded = [
+        ("occpt_synthesis", lambda: occpt_synthesis(c)),
+        ("dft_from_occpt", lambda: dft_from_occpt(c)),
+        ("shift_coefficients", lambda: shift_coefficients(c, 1)),
+        ("convolve_coefficients", lambda: convolve_coefficients(c, a)),
+        ("convolve_coefficients", lambda: convolve_coefficients(a, c)),
+        ("parseval_energy", lambda: parseval_energy(c)),
+        ("coefficient_period_check", lambda: coefficient_period_check(c)),
+        ("pair", lambda: c.pair(3, 1)),
+        ("frequency_components", lambda: frequency_components(c)),
+    ]
+    for what, call in guarded:
+        with pytest.raises(ValueError, match=f"^{what} requires orthogonal-family coefficients$"):
+            call()
+    with pytest.raises(ValueError, match="size mismatch"):
         convolve_coefficients(a, b)
 
 
@@ -339,6 +350,13 @@ def test_coefficient_set_rejects_unknown_family_and_bad_size(N, family, match):
     flat = np.ones(max(int(N), 0))
     with pytest.raises(ValueError, match=match):
         CoefficientSet(N=N, family=family, flat=flat)
+
+
+@pytest.mark.parametrize("flat", [np.array(["a", "b", "c", "d"]), np.array([None] * 4)],
+                         ids=["strings", "objects"])
+def test_coefficient_set_rejects_non_numeric_flat(flat):
+    with pytest.raises(ValueError, match="CoefficientSet flat needs numeric samples"):
+        CoefficientSet(N=4, family=OCCPT, flat=flat)
 
 
 def test_coefficient_set_takes_numpy_integer_size():
