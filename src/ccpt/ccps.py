@@ -22,7 +22,7 @@ from math import cos, gcd, pi, sin
 
 import numpy as np
 
-from .numtheory import divisors, half_residues, lcm_list, mobius, positive_int
+from .numtheory import divisors, lcm_list, mobius, positive_int
 
 COS = "cos"  # type-1, conjugate pair added
 SIN = "sin"  # type-2, conjugate pair subtracted
@@ -125,7 +125,8 @@ def ccps_spectrum(L: int, l: int, kind: str) -> np.ndarray:
     single surviving bin.
     """
     _check_spec(L, l, kind)
-    if L > 2 and l not in half_residues(L):
+    # l >= 1 is coprime to L, so it is a lower coprime residue when l <= L/2
+    if L > 2 and l > L // 2:
         raise ValueError(f"residue l={l} not in the lower coprime half of {L}")
     spec = np.zeros(L, dtype=complex)
     if L <= 2:

@@ -72,8 +72,9 @@ class ColumnLayout:
     "<U3" array of the strings exp, ram, cos and sin.
 
     The layout is the one table of column order: the transforms take their
-    packed slots and DFT bins from it, and `pairs` is the one cosine/sine
-    split of an orthogonal layout's values."""
+    packed slots and DFT bins from it, `pair_columns` is the one lookup of
+    a cosine/sine pair and `pairs` the one split of an orthogonal layout's
+    values into pairs."""
 
     family: str
     periods: np.ndarray
@@ -132,13 +133,22 @@ class ColumnLayout:
             a.setflags(write=False)
         return out
 
+    def pair_columns(self, p: int, k: int) -> tuple[int, int | None]:
+        """Positions of the cosine and sine columns of the conjugate
+        subspace (p, k) of an orthogonal layout, the sine being None for the
+        degenerate periods 1 and 2; KeyError if the layout has no such
+        subspace."""
+        _require_orthogonal("pair", self.family)
+        i = self.column_index(p, k, COS)
+        # the sine column follows its cosine, as in _pair_positions
+        return i, (i + 1 if p >= 3 else None)
+
     def pairs(self, values: np.ndarray):
         """(p, k, b0, b1) arrays over the conjugate subspaces of an
         orthogonal layout, given `values` in column order: period, residue,
         cosine and sine values, the sine being 0 for the degenerate periods 1
         and 2. p and k are read-only."""
-        if self.family != OCCPT:
-            raise ValueError(f"cosine/sine pairs need the orthogonal family, not {self.family}")
+        _require_orthogonal("pairs", self.family)
         p, k, cos, sin, paired = self._pair_positions
         return p, k, values[cos], np.where(paired, values[sin], 0)
 
@@ -147,6 +157,20 @@ def _check_family(family: str) -> None:
     """Require one of FAMILIES: the one family rule."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+
+
+def _require_orthogonal(what: str, *families: str) -> None:
+    """Require the orthogonal family, whose cosine/sine pairs and packed
+    layout `what` reads: the one orthogonal-only rule."""
+    if any(family != OCCPT for family in families):
+        raise ValueError(f"{what} requires orthogonal-family coefficients")
+
+
+def _require_real(what: str, values: np.ndarray) -> None:
+    """Require real values: the one real-only rule of the magnitude, phase
+    and period checks."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} requires real coefficients")
 
 
 def block_layout(family: str, periods) -> ColumnLayout:

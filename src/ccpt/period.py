@@ -54,9 +54,14 @@ dictionary is built once per family and length (the 64 most recent sets);
 a rank-deficient one takes the least-squares branch and warns on every call.
 
 Frequency components are named tuples (p, k, freq, freq_hz, magnitude,
-phase), one per conjugate subspace above a magnitude floor. The list is
-built in one pass over the coefficient arrays, each tuple straight from its
-zipped row; a component compares equal to the plain tuple of its fields.
+phase), one per conjugate subspace above a magnitude floor. A coefficient
+set and a dictionary solution read their cosine/sine pairs the same way,
+through their column layout: `ColumnLayout.pair_columns` finds the pair of
+one subspace, and `ColumnLayout.pairs` splits a whole coefficient vector.
+One function builds the components of both, from real orthogonal-family
+coefficients only. The list is built in one pass over the coefficient
+arrays, each tuple straight from its zipped row; a component compares equal
+to the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -65,19 +70,18 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import gcd, inf
-from numbers import Real
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr, svd
 
-from .ccps import COS, SIN
-from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, block_layout,
-                       build_columns, column_layout)
+from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex,
+                       _require_orthogonal, _require_real, block_layout, build_columns,
+                       column_layout)
 from .numtheory import divisors, lcm_list, positive_int, totient
-from .signals import _checked_rate, _checked_samples
-from .transform import CoefficientSet, _require_orthogonal
+from .signals import _checked_real, _checked_samples
+from .transform import CoefficientSet
 
 FAREY = "farey"
 _SQRT2 = np.sqrt(2.0)
@@ -125,8 +129,7 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     subspace; `normalized` divides by the subspace dimension phi(p). An
     all-zero signal has no significant periods and reports period 1.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _checked_real(threshold, "threshold", 0.0, 1.0, open_low=True)
     strengths = _strengths(column_layout(c.family, c.N).periods, c.column_values(),
                            divisors(c.N))
     if normalized:
@@ -159,14 +162,17 @@ class FrequencyComponent(NamedTuple):
                 "freq_hz": self.freq_hz, "magnitude": self.magnitude, "phase": self.phase}
 
 
-def _components(p, k, b0, b1, fs: float | None,
+def _components(what: str, layout: ColumnLayout, values: np.ndarray, fs: float | None,
                 min_magnitude: float) -> list[FrequencyComponent]:
-    """Components of the subspaces (p[i], k[i]) with cosine/sine pairs
-    (b0[i], b1[i]) whose magnitude reaches the floor, a finite value >= 0."""
+    """Components of the conjugate subspaces of an orthogonal layout, given
+    its real `values` in column order, whose magnitude reaches the floor, a
+    finite value >= 0; the errors name the caller `what`."""
+    _require_orthogonal(what, layout.family)
+    _require_real(what, values)
     if fs is not None:
-        fs = _checked_rate(fs)
-    if not (isinstance(min_magnitude, Real) and 0 <= min_magnitude < inf):
-        raise ValueError(f"min_magnitude must be finite and >= 0, got {min_magnitude!r}")
+        fs = _checked_real(fs, "sample rate fs", open_low=True)
+    _checked_real(min_magnitude, "min_magnitude")
+    p, k, b0, b1 = layout.pairs(values)
     degenerate = p <= 2
     mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
     phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
@@ -187,11 +193,8 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
     The phase convention is atan2(-b1, b0), so an input A*cos(2*pi*k*n/p + phi)
     comes back with magnitude A and phase phi.
     """
-    _require_orthogonal("frequency_components", c)
-    if c.is_complex:
-        raise ValueError("frequency components are defined for real signals")
-    p, k, b0, b1 = c.pairs()
-    return _components(p, k, b0, b1, fs, min_magnitude)
+    return _components("frequency_components", column_layout(c.family, c.N), c.column_values(),
+                       fs, min_magnitude)
 
 
 def _penalties(penalty: str, periods: np.ndarray) -> np.ndarray:
@@ -359,22 +362,16 @@ class DictionarySolution:
     def components(self, fs: float | None = None,
                    min_magnitude: float = 1e-8) -> list[FrequencyComponent]:
         """Frequency/magnitude/phase triples from the dictionary coefficients
-        (orthogonal-family dictionaries only)."""
-        return _components(*self.dictionary.layout.pairs(self.b_hat.real), fs, min_magnitude)
+        (orthogonal-family dictionaries and real coefficients only)."""
+        return _components("components", self.dictionary.layout, self.b_hat, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
-        """(cosine, sine) coefficients of subspace (p, k); the sine is 0.0
-        for p <= 2."""
-        column_index = self.dictionary.layout.column_index
-        try:
-            i0 = column_index(p, k, COS)
-            if p <= 2:
-                return self.b_hat[i0], 0.0
-            i1 = column_index(p, k, SIN)
-        except KeyError:
-            raise ValueError(f"no subspace ({p}, {k}) in the "
-                             f"{self.dictionary.family} dictionary") from None
-        return self.b_hat[i0], self.b_hat[i1]
+        """(cosine, sine) coefficients of subspace (p, k) of an
+        orthogonal-family dictionary; the sine is 0.0 for p <= 2, and a
+        subspace the dictionary lacks raises KeyError
+        (`ColumnLayout.pair_columns`)."""
+        i, j = self.dictionary.layout.pair_columns(p, k)
+        return self.b_hat[i], (0.0 if j is None else self.b_hat[j])
 
     def to_dict(self) -> dict:
         return {
@@ -386,8 +383,11 @@ class DictionarySolution:
             "significant": list(self.significant_periods()),
             "estimated_period": self.estimated_period(),
             "residual": self.residual,
-            # JSON has no infinity: a singular Gram reports null
-            "gram_condition": self.gram_condition if np.isfinite(self.gram_condition) else None,
+            # an estimate good to a few-fold, whose last bits vary between
+            # processes: 3 significant digits; JSON has no infinity, so a
+            # singular Gram reports null
+            "gram_condition": (float(f"{self.gram_condition:.3g}")
+                               if np.isfinite(self.gram_condition) else None),
             "used_fallback": self.used_fallback,
         }
 

@@ -16,7 +16,7 @@ irreproducible; see the repository notes for the calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class Signal:
     def __post_init__(self):
         object.__setattr__(self, "samples", _checked_samples(self.samples, "Signal"))
         if self.sample_rate is not None:
-            object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
+            fs = _checked_real(self.sample_rate, "sample rate fs", open_low=True)
+            object.__setattr__(self, "sample_rate", fs)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -79,15 +80,20 @@ def _check_numeric(x: np.ndarray, caller: str) -> None:
         raise ValueError(f"{caller} needs numeric samples, got dtype {x.dtype}")
 
 
-def _checked_rate(fs) -> float:
-    """fs as a float, required to be a finite sample rate > 0 (Hz)."""
+def _checked_real(value, name: str, low: float = 0.0, high: float = inf, *,
+                  open_low: bool = False) -> float:
+    """value as a float, required to be a finite real number from low
+    (excluded when open_low) to high: the one number rule of sample rates,
+    thresholds, floors, tolerances and band edges."""
     try:
-        valid = isfinite(fs) and fs > 0
-    except TypeError:
+        valid = isfinite(value) and (low < value if open_low else low <= value) and value <= high
+    except (TypeError, OverflowError):
         valid = False
     if not valid:
-        raise ValueError(f"sample rate fs must be finite and > 0, got {fs!r}")
-    return float(fs)
+        bound = (f"{'>' if open_low else '>='} {low:g}" if high == inf
+                 else f"in {'(' if open_low else '['}{low:g}, {high:g}]")
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return float(value)
 
 
 def hidden_periodic_component(period: int, length: int, seed: int) -> np.ndarray:

@@ -56,13 +56,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ccps import COS, SIN
+from .ccps import SIN
 from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _check_family,
-                       build_columns, column_layout)
+                       _require_orthogonal, _require_real, build_columns, column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
-from .signals import _check_numeric, _checked_rate, _checked_samples
+from .signals import _check_numeric, _checked_real, _checked_samples
 
 __all__ = [
     "CoefficientSet",
@@ -152,11 +152,12 @@ class CoefficientSet:
 
     def pair(self, p: int, k: int):
         """Cosine/sine coefficient pair of the conjugate subspace (p, k);
-        the sine slot is 0 for the degenerate periods 1 and 2."""
-        _require_orthogonal("pair", self)
-        b0 = self.flat[self.flat_index(p, k, COS)]
-        b1 = self.flat[self.flat_index(p, k, SIN)] if p >= 3 else type(b0)(0)
-        return b0, b1
+        the sine slot is 0 for the degenerate periods 1 and 2
+        (`ColumnLayout.pair_columns`)."""
+        i, j = column_layout(self.family, self.N).pair_columns(p, k)
+        slots = _occpt_slots(self.N)
+        b0 = self.flat[slots[i]]
+        return b0, (type(b0)(0) if j is None else self.flat[slots[j]])
 
     def pairs(self):
         """(p, k, b0, b1) arrays over the conjugate subspaces in canonical
@@ -180,12 +181,6 @@ class CoefficientSet:
         if self.family == OCCPT:
             return self.flat[_occpt_slots(self.N)]
         return self.flat
-
-
-def _require_orthogonal(what: str, *sets: CoefficientSet) -> None:
-    """Require orthogonal-family sets, the packed layout's one rule."""
-    if any(c.family != OCCPT for c in sets):
-        raise ValueError(f"{what} requires orthogonal-family coefficients")
 
 
 def _forward_real(x: np.ndarray) -> np.ndarray:
@@ -221,7 +216,7 @@ def occpt_analysis(x) -> CoefficientSet:
 
 def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
     """Exact inverse of occpt_analysis."""
-    _require_orthogonal("occpt_synthesis", c)
+    _require_orthogonal("occpt_synthesis", c.family)
     return _by_parts(_real_synthesis, c.flat, OCCPT)
 
 
@@ -480,7 +475,7 @@ def dft_from_occpt(c: CoefficientSet) -> np.ndarray:
     Bin 0 (and bin N/2 for even N) is N times its cosine slot; bins K and
     N - K of a slot pair are N*(b0 - j*b1) and N*(b0 + j*b1).
     """
-    _require_orthogonal("dft_from_occpt", c)
+    _require_orthogonal("dft_from_occpt", c.family)
     N, flat = c.N, c.flat
     X = N * flat.astype(complex)
     b0, b1 = _pairs(flat)
@@ -497,7 +492,7 @@ def shift_coefficients(c: CoefficientSet, m: int) -> CoefficientSet:
     the product K*delay reduced mod N before scaling; the degenerate slots 0
     and N/2 scale by the cosine alone. m must be an integer (Python or
     NumPy)."""
-    _require_orthogonal("shift_coefficients", c)
+    _require_orthogonal("shift_coefficients", c.family)
     m = positive_int(m, "shift m", low=None)
     N = c.N
     K = np.arange(N // 2 + 1)
@@ -520,7 +515,7 @@ def convolve_coefficients(a: CoefficientSet, b: CoefficientSet) -> CoefficientSe
 
     Every slot pair multiplies as the complex numbers b0 - j*b1, scaled by
     N; the degenerate slots 0 and N/2 multiply as reals."""
-    _require_orthogonal("convolve_coefficients", a, b)
+    _require_orthogonal("convolve_coefficients", a.family, b.family)
     if a.N != b.N:
         raise ValueError(f"size mismatch: {a.N} vs {b.N}")
     N = a.N
@@ -536,7 +531,7 @@ def convolve_coefficients(a: CoefficientSet, b: CoefficientSet) -> CoefficientSe
 def parseval_energy(c: CoefficientSet) -> float:
     """Signal energy recovered from orthogonal coefficients: N times the
     squared DC (and Nyquist, when present) plus 2N times every other square."""
-    _require_orthogonal("parseval_energy", c)
+    _require_orthogonal("parseval_energy", c.family)
     N = c.N
     sq = np.abs(c.flat) ** 2
     edges = sq[0] + (sq[N // 2] if N % 2 == 0 else 0.0)
@@ -559,9 +554,9 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
 
     Test utility, for the small N its callers use (up to 54): it builds all
     N shifted pair sums at once, an N x N array."""
-    _require_orthogonal("coefficient_period_check", c)
-    if c.is_complex:
-        raise ValueError("period check is defined for real coefficient sets")
+    _require_orthogonal("coefficient_period_check", c.family)
+    _require_real("coefficient_period_check", c.flat)
+    _checked_real(tol, "tol")
     k_multiple = positive_int(k_multiple, "k_multiple", low=None)
     N = c.N
     if x is None:
@@ -582,11 +577,9 @@ def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float
     """Zero every component whose frequency k*fs/p lies outside [low, high]
     and return the filtered coefficient set. DC survives only when the band
     includes 0."""
-    fs = _checked_rate(fs)
-    if not 0.0 <= low_hz <= high_hz:
-        raise ValueError(f"invalid band [{low_hz}, {high_hz}]")
-    if high_hz > fs / 2 + 1e-12:
-        raise ValueError(f"band edge {high_hz} Hz exceeds the Nyquist rate {fs / 2} Hz")
+    fs = _checked_real(fs, "sample rate fs", open_low=True)
+    _checked_real(high_hz, "band edge high_hz", 0.0, fs / 2 + 1e-12)
+    _checked_real(low_hz, "band edge low_hz", 0.0, high_hz)
     N = coeffs.N
     # cosine slot K of subspace (p, k) has K/N == k/p as rationals, so the
     # correctly rounded quotients are the same float

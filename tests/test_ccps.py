@@ -6,7 +6,7 @@ import pytest
 from ccpt.ccps import (COS, SIN, CcpsSpec, ccps, ccps1, ccps2,
                        ccps_inner_product, ccps_spectrum, pair_scale,
                        ramanujan_sum)
-from ccpt.numtheory import residue_sets
+from ccpt.numtheory import half_residues, residue_sets
 
 from oracles import brute_dft, shifted_inner_products
 
@@ -112,6 +112,20 @@ def test_spectrum_against_brute_dft():
                 np.testing.assert_allclose(
                     ccps_spectrum(L, k, kind), brute_dft(gen(L, k, L)), atol=1e-9)
 
+
+
+def test_spectrum_residue_rule_is_the_lower_half():
+    """For a coprime l >= 1, being a lower coprime residue of L > 2 is
+    l <= L // 2."""
+    for L in range(1, 80):
+        for l in range(1, 3 * L):
+            if gcd(l, L) != 1:
+                continue
+            if L > 2 and l not in half_residues(L):
+                with pytest.raises(ValueError, match="not in the lower coprime half"):
+                    ccps_spectrum(L, l, COS)
+            else:
+                assert ccps_spectrum(L, l, SIN).shape == (L,)
 
 def test_periodicity_in_n_and_k():
     for L in range(1, 20):

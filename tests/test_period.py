@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ def test_threshold_validation():
     c = occpt_analysis(np.ones(6))
     with pytest.raises(ValueError):
         period_strengths(c, threshold=0.0)
+
+
+@pytest.mark.parametrize("threshold", ["0.2", None, np.nan, 0.0, 1.5],
+                         ids=["str", "none", "nan", "0", "1.5"])
+def test_threshold_follows_the_number_rule(threshold):
+    """A string or None threshold used to raise TypeError."""
+    c = occpt_analysis(np.ones(6))
+    with pytest.raises(ValueError, match=r"^threshold must be finite and in \(0, 1\], got "):
+        period_strengths(c, threshold=threshold)
 
 
 def test_frequency_components_tone():
@@ -267,9 +277,63 @@ def test_dictionary_pair_is_the_column_lookup():
         else:
             assert b1 == sol.b_hat[d.columns.index(SubspaceIndex(c.p, c.k, SIN))]
     for p, k in ((51, 1), (8, 2), (0, 1)):
-        with pytest.raises(ValueError, match="no subspace"):
+        with pytest.raises(KeyError, match="no column"):
             sol.pair(p, k)
 
+
+
+@pytest.mark.parametrize("N", [12, 54, 60])
+def test_square_dictionary_pairs_are_the_transform_pairs(N):
+    """On the square occpt dictionary of N's divisors the solution is the
+    orthogonal analysis, and both read their pairs through the layout."""
+    x = np.random.default_rng(N).standard_normal(N)
+    sol = dictionary_solve(x, period._dictionary(N, divisors(N), OCCPT, "p2"))
+    c = analyze(x, OCCPT)
+    tol = 1e-12 * np.max(np.abs(c.flat))
+    for col in sol.dictionary.columns:
+        if col.kind == COS:
+            np.testing.assert_allclose(sol.pair(col.p, col.k), c.pair(col.p, col.k), rtol=0, atol=tol)
+    got, want = sol.components(360.0, 0.0), frequency_components(c, 360.0, 0.0)
+    assert [g[:4] for g in got] == [w[:4] for w in want]
+    for g, w in zip(got, want):
+        assert abs(g.magnitude * np.exp(1j * g.phase) - w.magnitude * np.exp(1j * w.phase)) <= tol
+
+
+@pytest.mark.parametrize("family", [RPT, CCPT1, CCPT2, DFT_NPM])
+def test_pair_entry_points_have_one_orthogonal_rule(family):
+    """The ccpt1 dictionary's pair(3, 1) used to report no subspace (3, 1),
+    and its components a second wording of the rule."""
+    x = np.ones(12)
+    c = analyze(x, family)
+    sol = dictionary_solve(x, build_dictionary(12, 5, FAREY if family == DFT_NPM else family))
+    for what, call in (("pair", lambda: c.pair(3, 1)),
+                       ("frequency_components", lambda: frequency_components(c)),
+                       ("pair", lambda: sol.pair(3, 1)),
+                       ("components", lambda: sol.components())):
+        with pytest.raises(ValueError, match=f"^{what} requires orthogonal-family coefficients$"):
+            call()
+
+
+def test_components_require_real_coefficients():
+    """A complex signal's dictionary components used to keep only the real
+    part of the solution."""
+    x = make_x2().samples * (1 + 0.5j)
+    sol = dictionary_solve(x, build_dictionary(54, 50, family=OCCPT))
+    for what, call in (("frequency_components", lambda: frequency_components(occpt_analysis(x))),
+                       ("components", lambda: sol.components())):
+        with pytest.raises(ValueError, match=f"^{what} requires real coefficients$"):
+            call()
+
+
+def test_gram_condition_json_is_deterministic():
+    """The condition estimate may differ by an ulp between processes; the
+    JSON keeps 3 significant digits, and the attribute stays exact."""
+    sol = dictionary_solve(make_x2().samples, build_dictionary(54, 50, family=OCCPT))
+    near = replace(sol, gram_condition=np.nextafter(sol.gram_condition, np.inf))
+    assert near.gram_condition != sol.gram_condition
+    assert near.to_dict() == sol.to_dict()
+    assert sol.to_dict()["gram_condition"] == float(f"{sol.gram_condition:.3g}")
+    assert replace(sol, gram_condition=np.inf).to_dict()["gram_condition"] is None
 
 def test_dictionary_families_build():
     for family in (CCPT1, CCPT2, RPT, FAREY):

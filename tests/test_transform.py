@@ -10,7 +10,7 @@ from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_co
 from ccpt.numtheory import divisors, residue_sets
 from ccpt.period import frequency_components
 from ccpt.signals import Signal, tone
-from ccpt.transform import (CoefficientSet, analyze, coefficient_period_check,
+from ccpt.transform import (CoefficientSet, analyze, band_filter, coefficient_period_check,
                             coefficients_to_dict, convolve_coefficients,
                             dft_from_occpt, occpt_analysis, occpt_synthesis,
                             parseval_energy, shift_coefficients, synthesize)
@@ -310,6 +310,36 @@ def test_family_guards():
     with pytest.raises(ValueError, match="size mismatch"):
         convolve_coefficients(a, b)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, "1", None],
+                         ids=["nan", "inf", "-1", "str", "none"])
+def test_number_arguments_follow_one_rule(bad):
+    """Rates, band edges and tolerances are finite real numbers in a range:
+    a NaN tolerance used to pass every comparison as False, and a string
+    one or a string band edge raised TypeError."""
+    c = occpt_analysis(np.random.default_rng(5).standard_normal(12))
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0, got "):
+        coefficient_period_check(c, tol=bad)
+    with pytest.raises(ValueError, match=r"^band edge low_hz must be finite and in \[0, 20\], got "):
+        band_filter(c, 360.0, bad, 20.0)
+    with pytest.raises(ValueError, match=r"^band edge high_hz must be finite and in \[0, 180\], got "):
+        band_filter(c, 360.0, 1.0, bad)
+    with pytest.raises(ValueError, match="^sample rate fs must be finite and > 0, got "):
+        band_filter(c, bad, 1.0, 20.0)
+    # a low edge above the high one, and a high edge above Nyquist
+    with pytest.raises(ValueError, match=r"low_hz must be finite and in \[0, 20\], got 30"):
+        band_filter(c, 360.0, 30.0, 20.0)
+    with pytest.raises(ValueError, match=r"high_hz must be finite and in \[0, 180\], got 181"):
+        band_filter(c, 360.0, 1.0, 181.0)
+    assert coefficient_period_check(c, tol=1e-9)
+    assert np.array_equal(band_filter(c, 360.0, 0, 180).flat, c.flat)
+
+
+def test_period_check_requires_real_coefficients():
+    c = occpt_analysis(np.arange(6.0) + 1j)
+    with pytest.raises(ValueError, match="^coefficient_period_check requires real coefficients$"):
+        coefficient_period_check(c)
 
 def test_coefficients_to_dict_views_agree():
     x = np.random.default_rng(43).standard_normal(12)
