@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -140,8 +140,9 @@ def _coefficients_json(c: tr.CoefficientSet) -> str:
     flat, values = _numbers_json(c)
     flat = ",\n    ".join(flat)
     lay = column_layout(c.family, c.N)
-    rows = ",\n".join([_INDEXED_ROW % row for row in zip(
-        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(), values)])
+    # one % over the repeated row template, as write_signal_csv formats its lines
+    rows = ",\n".join([_INDEXED_ROW] * len(values)) % tuple(chain.from_iterable(zip(
+        lay.k.tolist(), lay.kind.tolist(), lay.periods.tolist(), lay.shift.tolist(), values)))
     return (f'{{\n  "N": {c.N:d},\n  "family": {json.dumps(c.family)},\n'
             f'  "flat": [\n    {flat}\n  ],\n  "indexed": [\n{rows}\n  ]\n}}')
 

@@ -31,11 +31,11 @@ __all__ = [
 
 
 def positive_int(n, name: str, low: int | None = 1) -> int:
-    """n as an int, required to be an integer (Python or NumPy) >= low, or
-    any integer when low is None; the ValueError names it. The one integer
-    rule of the package."""
+    """n as an int, required to be an integer (Python or NumPy, not a
+    boolean) >= low, or any integer when low is None; the ValueError names
+    it. The one integer rule of the package."""
     try:
-        value = index(n)
+        value = None if isinstance(n, (bool, np.bool_)) else index(n)
     except TypeError:
         value = None
     if value is None or low is not None and value < low:

@@ -43,7 +43,12 @@ pseudo-inverse built once from that same SVD, the minimum-norm
 least-squares solution (the pair map from u to T b is unitary, so it keeps
 the norm minimal). The cached Q costs one more real M x N array per
 dictionary. The reported residual ||F b - x|| is taken on the dictionary's
-own entries, complex for Farey.
+own entries, complex for Farey, as an independent check of the solve. It
+costs a full N x M product, as much as the solve itself, so a solution
+computes it on first read and keeps it; its value is the same as if it had
+been computed during the solve. The solution holds a read-only copy of the
+signal and read-only coefficients, so the residual always belongs to the
+coefficients it returns.
 
 Candidate-set scoring solves the same program over a square dictionary:
 the stacked blocks of every divisor of every candidate, with as many
@@ -67,7 +72,7 @@ to the plain tuple of its fields.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import gcd
@@ -332,12 +337,21 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
 
 @dataclass(frozen=True)
 class DictionarySolution:
+    """Coefficients b_hat (read-only) of a signal against a dictionary, with
+    their period strengths. `residual`, ||F b_hat - x|| on the dictionary's
+    own entries, is computed on first read from a read-only copy of the
+    signal and then kept."""
+
     b_hat: np.ndarray
     strengths: dict
-    residual: float
     gram_condition: float       # GramFactor.condition, an estimate; infinite without full row rank
     used_fallback: bool         # the least-squares branch ran (no full row rank)
     dictionary: PeriodicDictionary
+    _signal: np.ndarray = field(repr=False)
+
+    @cached_property
+    def residual(self) -> float:
+        return float(np.linalg.norm(self.dictionary.entries @ self.b_hat - self._signal))
 
     def significant_periods(self) -> tuple[int, ...]:
         """Periods with strength at least 1% of the maximum strength over
@@ -433,7 +447,8 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     one triangular solve when the dictionary has full row rank, otherwise the
     minimum-norm least-squares solution through the cached truncated
     pseudo-inverse (`used_fallback`). x must be a finite 1-D signal of the
-    dictionary's length.
+    dictionary's length. The solution keeps a read-only copy of x and
+    computes its residual on first read.
     """
     x = _checked_samples(x, "dictionary_solve")
     if len(x) != d.N:
@@ -441,10 +456,11 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     f = d.gram()
     b = _coefficients(f, x, d)
     strengths = _strengths(d.periods, b, range(1, d.p_max + 1))
-    residual = float(np.linalg.norm(d.entries @ b - x))
-    return DictionarySolution(b_hat=b, strengths=strengths, residual=residual,
-                              gram_condition=f.condition, used_fallback=f.pinv is not None,
-                              dictionary=d)
+    x = x.copy()
+    for a in (b, x):
+        a.setflags(write=False)
+    return DictionarySolution(b_hat=b, strengths=strengths, gram_condition=f.condition,
+                              used_fallback=f.pinv is not None, dictionary=d, _signal=x)
 
 
 def min_data_length(candidates) -> int:

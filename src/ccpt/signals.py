@@ -82,11 +82,12 @@ def _check_numeric(x: np.ndarray, caller: str) -> None:
 
 def _checked_real(value, name: str, low: float = 0.0, high: float = inf, *,
                   open_low: bool = False) -> float:
-    """value as a float, required to be a finite real number from low
-    (excluded when open_low) to high: the one number rule of sample rates,
-    thresholds, floors, tolerances and band edges."""
+    """value as a float, required to be a finite real number, not a boolean,
+    from low (excluded when open_low) to high: the one number rule of sample
+    rates, thresholds, floors, tolerances and band edges."""
     try:
-        valid = isfinite(value) and (low < value if open_low else low <= value) and value <= high
+        valid = (not isinstance(value, (bool, np.bool_)) and isfinite(value)
+                 and (low < value if open_low else low <= value) and value <= high)
     except (TypeError, OverflowError):
         valid = False
     if not valid:

@@ -128,7 +128,7 @@ def _dumps(c):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_coefficients_json_equals_json_dumps(family):
     rng = np.random.default_rng(11)
-    for N in (1, 2, 3, 7, 8, 12, 54, 625, 1024):
+    for N in (1, 2, 3, 7, 8, 12, 54, 625, 1024, 4096):
         x = rng.standard_normal(N)
         c = analyze(x, family)
         assert _coefficients_json(c) == _dumps(c), N

@@ -266,3 +266,49 @@ def test_dictionary_and_factor_are_read_only():
     assert f.pinv is not None
     with pytest.raises(ValueError):
         f.pinv[0, 0] = 0.0
+
+
+def _eager_residual(d, b, x):
+    """||F b - x|| computed directly, from the caller's x."""
+    return float(np.linalg.norm(d.entries @ b - x))
+
+
+def test_residual_is_not_computed_by_the_solve():
+    sol = dictionary_solve(_mixture(54, 7), build_dictionary(54, 50))
+    assert "residual" not in vars(sol)
+    residual = sol.residual
+    assert vars(sol)["residual"] == residual
+
+
+# 12/5 and 60/7 take the least-squares branch, 54/50 has full row rank
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("penalty", ["p2", "phi"])
+@pytest.mark.parametrize("N,p_max", [(12, 5), (54, 50), (60, 7)])
+@pytest.mark.parametrize("family", ["occpt", "rpt", "ccpt1", "ccpt2", "dft-npm", "farey"])
+def test_residual_on_first_read_equals_the_eager_residual(family, N, p_max, penalty, complex_x):
+    d = build_dictionary(N, p_max, family=family, penalty=penalty)
+    x = _mixture(N, 9) + (0.5j * _mixture(N, 10) if complex_x else 0.0)
+    sol = dictionary_solve(x, d)
+    assert sol.residual == _eager_residual(d, sol.b_hat, x)
+
+
+def test_residual_belongs_to_the_returned_coefficients():
+    """Editing the caller's signal after the solve does not move the
+    residual, and the coefficients cannot be edited."""
+    d = build_dictionary(54, 50)
+    x = _mixture(54, 11)
+    sol = dictionary_solve(x, d)
+    want = _eager_residual(d, sol.b_hat, x)
+    x[:] = 0.0
+    assert sol.residual == want
+    with pytest.raises(ValueError):
+        sol.b_hat[0] = 0.0
+
+
+def test_rank_deficient_solve_reports_its_residual():
+    d = build_dictionary(60, 7)
+    x = _mixture(60, 12)
+    sol = dictionary_solve(x, d)
+    assert sol.used_fallback
+    # no exact representation: the least-squares residual is positive
+    assert 0.0 < sol.residual == _eager_residual(d, sol.b_hat, x)

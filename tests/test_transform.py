@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -7,8 +8,8 @@ import pytest
 from ccpt.ccps import COS, SIN, ccps1, ccps2, pair_scale
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_columns,
                            column_layout)
-from ccpt.numtheory import divisors, residue_sets
-from ccpt.period import frequency_components
+from ccpt.numtheory import divisors, positive_int, residue_sets
+from ccpt.period import frequency_components, period_strengths
 from ccpt.signals import Signal, tone
 from ccpt.transform import (CoefficientSet, analyze, band_filter, coefficient_period_check,
                             coefficients_to_dict, convolve_coefficients,
@@ -334,6 +335,32 @@ def test_number_arguments_follow_one_rule(bad):
         band_filter(c, 360.0, 1.0, 181.0)
     assert coefficient_period_check(c, tol=1e-9)
     assert np.array_equal(band_filter(c, 360.0, 0, 180).flat, c.flat)
+
+
+def _boolean_sites():
+    """(call, message) of the integer rule and of entry points that take a
+    number through the number rule; call(v) passes v as that argument."""
+    c = occpt_analysis(np.random.default_rng(5).standard_normal(12))
+    return {
+        "positive_int": (lambda v: positive_int(v, "n"), "n must be an integer >= 1"),
+        "Signal": (lambda v: Signal([1.0, 2.0], v), "sample rate fs must be finite and > 0"),
+        "threshold": (lambda v: period_strengths(c, threshold=v),
+                      r"threshold must be finite and in \(0, 1\]"),
+        "tol": (lambda v: coefficient_period_check(c, tol=v), "tol must be finite and >= 0"),
+        "min_magnitude": (lambda v: frequency_components(c, min_magnitude=v),
+                          "min_magnitude must be finite and >= 0"),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
+@pytest.mark.parametrize("site", ["positive_int", "Signal", "threshold", "tol", "min_magnitude"])
+def test_booleans_are_neither_integers_nor_numbers(site, bad):
+    """positive_int(True, "n") used to return 1, and a True sample rate,
+    threshold, tolerance or floor read as 1.0."""
+    call, message = _boolean_sites()[site]
+    with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_period_check_requires_real_coefficients():
