@@ -74,7 +74,10 @@ class ColumnLayout:
     The layout is the one table of column order: the transforms take their
     packed slots and DFT bins from it, `pair_columns` is the one lookup of
     a cosine/sine pair and `pairs` the one split of an orthogonal layout's
-    values into pairs."""
+    values into pairs. It also owns, built on first use and kept, the
+    block plan that every period answer reads (the ascending block
+    periods, each column's block index and each block's width phi(p)) and
+    the pair frequencies k/p of its conjugate subspaces."""
 
     family: str
     periods: np.ndarray
@@ -107,16 +110,35 @@ class ColumnLayout:
                            f"in this {self.family} layout") from None
 
     @cached_property
+    def _block_plan(self):
+        # (blocks, index, widths): the ascending block periods and each
+        # block's width phi(p) as tuples of ints, and the read-only block
+        # index of each column. The periods ascend from 1 or more, so the
+        # bounds of the blocks are where their difference, padded with 0 on
+        # both sides, is nonzero
+        p = self.periods
+        bounds = np.flatnonzero(np.diff(p, prepend=0, append=0))
+        widths = np.diff(bounds)
+        index = np.repeat(np.arange(len(widths)), widths)
+        index.setflags(write=False)
+        return tuple(p[bounds[:-1]].tolist()), index, tuple(widths.tolist())
+
+    @cached_property
     def _pair_positions(self):
-        # the sine column follows its cosine for p >= 3; periods 1 and 2
-        # point at their cosine and are masked out
+        # (p, k, cos, sin, freq, e) over the cosine columns: the sine column
+        # follows its cosine for p >= 3, and freq is k/p (0 at p = 1). The
+        # degenerate periods 1 and 2 lead every ascending layout, so they
+        # are the first e pairs; their sine points at their own cosine and
+        # is masked out
         cos = np.flatnonzero(self.kind == COS)
-        p = self.periods[cos]
-        paired = p >= 3
-        out = p, self.k[cos], cos, cos + paired, paired
+        p, k = self.periods[cos], self.k[cos]
+        e = int(np.searchsorted(p, 3))
+        freq = k / p
+        freq[:np.searchsorted(p, 2)] = 0.0
+        out = p, k, cos, cos + (p >= 3), freq
         for a in out:
             a.setflags(write=False)
-        return out
+        return (*out, e)
 
     @cached_property
     def _conjugate_positions(self):
@@ -149,8 +171,10 @@ class ColumnLayout:
         cosine and sine values, the sine being 0 for the degenerate periods 1
         and 2. p and k are read-only."""
         _require_orthogonal("pairs", self.family)
-        p, k, cos, sin, paired = self._pair_positions
-        return p, k, values[cos], np.where(paired, values[sin], 0)
+        p, k, cos, sin, _, e = self._pair_positions
+        b1 = values[sin]
+        b1[:e] = 0
+        return p, k, values[cos], b1
 
 
 def _check_family(family: str) -> None:
@@ -264,7 +288,7 @@ def _column_layout(family: str, N: int) -> ColumnLayout:
     return block_layout(family, divisors(N))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicBasisMatrix:
     """An N x N basis matrix and its column addresses.
 

@@ -5,6 +5,15 @@ coefficients to each divisor subspace; periods holding at least a fraction
 (default 20%) of the maximum strength are significant, and the period
 estimate is their least common multiple.
 
+Every period answer reads the block plan of its column layout
+(`ColumnLayout`), built once per layout and kept: the ascending block
+periods, each column's block index and each block's width phi(p). One rule,
+`_strengths`, turns coefficients in column order into the strength of each
+block period with one bincount over that index; divisor reports, dictionary
+solutions and candidate sets all use it, and the normalized strengths, the
+significant sets and their lcm are worked out from its value list, so no
+call re-derives divisors or totients.
+
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max, built in one pass from their column layout.
 Every dictionary, fat or square, comes from one constructor (farey names
@@ -64,9 +73,14 @@ set and a dictionary solution read their cosine/sine pairs the same way,
 through their column layout: `ColumnLayout.pair_columns` finds the pair of
 one subspace, and `ColumnLayout.pairs` splits a whole coefficient vector.
 One function builds the components of both, from real orthogonal-family
-coefficients only. The list is built in one pass over the coefficient
-arrays, each tuple straight from its zipped row; a component compares equal
-to the plain tuple of its fields.
+coefficients only, with the pair frequencies and the count of degenerate
+pairs (periods 1 and 2, which lead every ascending layout) that the layout
+keeps. The list is built in one pass over the coefficient arrays, each
+tuple straight from its zipped row; a component compares equal to the plain
+tuple of its fields.
+
+The dataclasses here that hold arrays (`GramFactor`, `PeriodicDictionary`,
+`DictionarySolution`) compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -74,8 +88,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
-from math import gcd
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +99,7 @@ from scipy.linalg import get_lapack_funcs, qr, svd
 from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex,
                        _require_orthogonal, _require_real, block_layout, build_columns,
                        column_layout)
-from .numtheory import divisors, lcm_list, positive_int, totient
+from .numtheory import divisors, positive_int, totient
 from .signals import _checked_real, _checked_samples
 from .transform import CoefficientSet
 
@@ -135,21 +150,27 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     all-zero signal has no significant periods and reports period 1.
     """
     _checked_real(threshold, "threshold", 0.0, 1.0, open_low=True)
-    strengths = _strengths(column_layout(c.family, c.N).periods, c.column_values(),
-                           divisors(c.N))
+    layout = column_layout(c.family, c.N)
+    strengths = _strengths(layout, c.column_values())
+    blocks, _, widths = layout._block_plan
+    values = list(strengths.values())
     if normalized:
-        strengths = {p: s / totient(p) for p, s in strengths.items()}
-    peak = max(strengths.values())
+        values = list(map(truediv, values, widths))
+        strengths = dict(zip(blocks, values))
+    peak = max(values)
     if peak <= 0.0:
         warnings.warn("all-zero coefficient set: no significant periods, reporting period 1")
         significant: tuple[int, ...] = ()
-        estimate = 1
     else:
-        significant = tuple(sorted(p for p, s in strengths.items() if s >= threshold * peak))
-        estimate = lcm_list(significant)
+        significant = _at_least(blocks, values, threshold * peak)
     return PeriodReport(N=c.N, family=c.family, strengths=strengths, threshold=threshold,
-                        significant=significant, estimated_period=estimate,
+                        significant=significant, estimated_period=lcm(*significant),
                         normalized=normalized)
+
+
+def _at_least(periods, values, cut) -> tuple[int, ...]:
+    """The periods whose value reaches `cut`, in the given (ascending) order."""
+    return tuple(compress(periods, [s >= cut for s in values]))
 
 
 class FrequencyComponent(NamedTuple):
@@ -178,15 +199,20 @@ def _components(what: str, layout: ColumnLayout, values: np.ndarray, fs: float |
         fs = _checked_real(fs, "sample rate fs", open_low=True)
     _checked_real(min_magnitude, "min_magnitude")
     p, k, b0, b1 = layout.pairs(values)
-    degenerate = p <= 2
-    mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
-    phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
-    freq = np.where(p == 1, 0.0, k / p)
-    i = np.flatnonzero(mag >= min_magnitude)
-    freq_hz = [None] * len(i) if fs is None else (freq[i] * fs).tolist()
+    freq, e = layout._pair_positions[4:]
+    mag = 2.0 * np.hypot(b0, b1)
+    phase = np.arctan2(-b1, b0)
+    # the first e pairs (e <= 2) are the degenerate periods 1 and 2: one
+    # real line each, whose phase is the sign of its cosine
+    mag[:e] = np.abs(b0[:e])
+    for i in range(e):
+        phase[i] = 0.0 if b0[i] >= 0 else np.pi
+    keep = mag >= min_magnitude
+    if np.count_nonzero(keep) < len(keep):
+        p, k, freq, mag, phase = (a[keep] for a in (p, k, freq, mag, phase))
+    freq_hz = repeat(None) if fs is None else (freq * fs).tolist()
     # tuple.__new__ on each zipped row skips the per-field keyword call
-    rows = zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(), freq_hz, mag[i].tolist(),
-               phase[i].tolist())
+    rows = zip(p.tolist(), k.tolist(), freq.tolist(), freq_hz, mag.tolist(), phase.tolist())
     return list(map(tuple.__new__, repeat(FrequencyComponent), rows))
 
 
@@ -212,7 +238,7 @@ def _penalties(penalty: str, periods: np.ndarray) -> np.ndarray:
     raise ValueError(f"penalty must be 'p2' or 'phi', got {penalty!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFactor:
     """Real economic QR of A^T = Q R for a dictionary with M columns and N
     rows: Q is M x K with orthonormal columns and R is K x N upper
@@ -335,12 +361,12 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
                               penalties=_penalties(penalty, layout.periods))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DictionarySolution:
     """Coefficients b_hat (read-only) of a signal against a dictionary, with
-    their period strengths. `residual`, ||F b_hat - x|| on the dictionary's
-    own entries, is computed on first read from a read-only copy of the
-    signal and then kept."""
+    the strength of each of its block periods, ascending from period 1.
+    `residual`, ||F b_hat - x|| on the dictionary's own entries, is computed
+    on first read from a read-only copy of the signal and then kept."""
 
     b_hat: np.ndarray
     strengths: dict
@@ -358,20 +384,23 @@ class DictionarySolution:
         p >= 2. The weighted minimum-norm solution spreads component
         energies over orders of magnitude, so the floor is deliberately low;
         p = 1 only carries the offset and never changes the lcm."""
-        ref = max((s for p, s in self.strengths.items() if p >= 2), default=0.0)
+        periods, values = list(self.strengths), list(self.strengths.values())
+        # periods[0] is 1, so values[1:] are the strengths of p >= 2
+        ref = max(values[1:], default=0.0)
         if ref <= 0.0:
-            return (1,) if self.strengths.get(1, 0.0) > 0.0 else ()
-        return tuple(sorted(p for p, s in self.strengths.items() if s >= 0.01 * ref))
+            return (1,) if values[0] > 0.0 else ()
+        return _at_least(periods, values, 0.01 * ref)
 
     def top_periods(self, count: int) -> tuple[int, ...]:
-        """The `count` (an integer >= 0) strongest periods p >= 2, ascending."""
+        """The `count` (an integer >= 0) strongest periods p >= 2 with a
+        positive strength, ascending; fewer when fewer periods have one."""
         count = positive_int(count, "count", low=0)
-        ranked = sorted((p for p in self.strengths if p >= 2), key=lambda p: -self.strengths[p])
-        return tuple(sorted(ranked[:count]))
+        strong = [(-s, p) for p, s in self.strengths.items() if p >= 2 and s > 0.0]
+        return tuple(sorted(p for _, p in sorted(strong)[:count]))
 
     def estimated_period(self) -> int:
-        sig = self.significant_periods()
-        return lcm_list(sig) if sig else 1
+        """The lcm of the significant periods; 1 when there are none."""
+        return lcm(*self.significant_periods())
 
     def components(self, fs: float | None = None,
                    min_magnitude: float = 1e-8) -> list[FrequencyComponent]:
@@ -409,16 +438,22 @@ class DictionarySolution:
         return sorted(self.strengths.items())
 
 
+@lru_cache(maxsize=32)
+def _trtrs(r_type: np.dtype, x_type: np.dtype):
+    """The LAPACK routine under solve_triangular, without its wrapper, for a
+    factor and a signal of these dtypes: picked from both, so a complex x
+    also solves against a real R. Looked up once per pair of dtypes."""
+    trtrs, = get_lapack_funcs(("trtrs",), (np.empty(0, r_type), np.empty(0, x_type)))
+    return trtrs
+
+
 def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.ndarray:
     """Weighted minimum-norm coefficients b = T^-1 Q R^-T x from the factor f
     of dictionary d, through the truncated pseudo-inverse without full row
     rank; a dft-npm dictionary's pair map then turns the real pair
     coordinates into exponential coefficients."""
     if f.pinv is None:
-        # the LAPACK routine under solve_triangular, without its wrapper;
-        # picked from both dtypes, so a complex x also solves against a real R
-        trtrs, = get_lapack_funcs(("trtrs",), (f.R, x))
-        y, info = trtrs(f.R, x, lower=0, trans=2)
+        y, info = _trtrs(f.R.dtype, x.dtype)(f.R, x, lower=0, trans=2)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
         u = f.Q @ y
@@ -433,11 +468,13 @@ def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.nda
     return u / d.penalties
 
 
-def _strengths(column_periods: np.ndarray, b: np.ndarray, periods) -> dict:
-    """Square sum of the coefficients of each of `periods`, given the period
-    of each column."""
-    sums = np.bincount(column_periods, weights=np.abs(b) ** 2)
-    return {p: float(sums[p]) for p in periods}
+def _strengths(layout: ColumnLayout, b: np.ndarray) -> dict:
+    """Square sum of the coefficients b, in the layout's column order, of
+    each block period of the layout, ascending: the one strength rule of
+    divisor reports, dictionary solutions and candidate sets."""
+    blocks, index, _ = layout._block_plan
+    sums = np.bincount(index, weights=np.abs(b) ** 2, minlength=len(blocks))
+    return dict(zip(blocks, sums.tolist()))
 
 
 def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
@@ -455,7 +492,7 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
     f = d.gram()
     b = _coefficients(f, x, d)
-    strengths = _strengths(d.periods, b, range(1, d.p_max + 1))
+    strengths = _strengths(d.layout, b)
     x = x.copy()
     for a in (b, x):
         a.setflags(write=False)
@@ -538,7 +575,7 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     if not full_rank:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({f.rank}/{d.N}); falling back to least squares")
-    strengths = _strengths(d.periods, _coefficients(f, x, d), periods)
+    strengths = _strengths(d.layout, _coefficients(f, x, d))
     return CandidateReport(candidates=cand, basis_periods=periods, width=d.N, rank=f.rank,
                            full_rank=full_rank, strengths=strengths,
                            candidate_strengths={p: strengths[p] for p in cand})

@@ -36,7 +36,7 @@ X2_NOISE_SEED = 10010
 ECG_SEED = 625
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A finite sample sequence with an optional sample rate in Hz."""
 

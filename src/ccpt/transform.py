@@ -114,7 +114,7 @@ def _pair_count(N: int) -> int:
     return (N - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Transform coefficients with flat and subspace-indexed views.
 

@@ -9,6 +9,10 @@ accessors and applies the component formulas one subspace at a time, and
 `block_columns` and `block_entries` build addresses and entries one period
 block at a time, and `column_entries` one column at a time.
 `read_signal_csv_loop` parses a signal file one line at a time.
+`strengths_by_comprehension`, `period_report_by_generators`,
+`dictionary_significant_by_generators` and `components_by_where` keep the
+earlier expressions of the period answers, which the block-plan rewrite
+must reproduce bit for bit.
 """
 
 import math
@@ -19,7 +23,8 @@ import numpy as np
 from ccpt.ccps import ramanujan_sum
 from ccpt.cli import CsvParseError
 from ccpt.foccpt import OpCounter
-from ccpt.numtheory import divisors, half_residues, residue_sets, totient
+from ccpt.matrices import column_layout
+from ccpt.numtheory import divisors, half_residues, lcm_list, residue_sets, totient
 
 
 def brute_dft(x):
@@ -340,3 +345,58 @@ def period_square_sums(coeffs):
     for p, v in zip(periods, coeffs.flat.tolist()):
         sums[p] += abs(v) ** 2
     return sums
+
+
+def strengths_by_comprehension(column_periods, b, periods):
+    """{p: square sum of b over the columns of period p} for each of
+    `periods`, as one dict comprehension over np.bincount(column_periods,
+    |b|^2): the earlier strength expression, the bit-for-bit reference for
+    the block plan's `_strengths`."""
+    sums = np.bincount(column_periods, weights=np.abs(b) ** 2)
+    return {p: float(sums[p]) for p in periods}
+
+
+def period_report_by_generators(coeffs, threshold=0.2, normalized=False):
+    """(strengths, significant, estimated period) of a divisor report from
+    `strengths_by_comprehension` over divisors(N), with the significant set
+    taken by a generator and sorted, and its lcm by `lcm_list`: the earlier
+    `period_strengths` expressions, its bit-for-bit reference."""
+    strengths = strengths_by_comprehension(column_layout(coeffs.family, coeffs.N).periods,
+                                           coeffs.column_values(), divisors(coeffs.N))
+    if normalized:
+        strengths = {p: s / totient(p) for p, s in strengths.items()}
+    peak = max(strengths.values())
+    if peak <= 0.0:
+        return strengths, (), 1
+    significant = tuple(sorted(p for p, s in strengths.items() if s >= threshold * peak))
+    return strengths, significant, lcm_list(significant)
+
+
+def dictionary_significant_by_generators(strengths):
+    """The significant periods of a dictionary solution's strengths, by a
+    generator max over p >= 2 and a sorted generator: the earlier
+    `DictionarySolution.significant_periods`, its bit-for-bit reference."""
+    ref = max((s for p, s in strengths.items() if p >= 2), default=0.0)
+    if ref <= 0.0:
+        return (1,) if strengths.get(1, 0.0) > 0.0 else ()
+    return tuple(sorted(p for p, s in strengths.items() if s >= 0.01 * ref))
+
+
+def components_by_where(layout, values, fs=None, min_magnitude=1e-8):
+    """Components of an orthogonal layout's real `values` (column order)
+    with magnitude, phase and frequency each one full-length np.where over
+    the degenerate periods 1 and 2, and the pairs read from the layout's
+    kind and period arrays: the earlier `_components`, its bit-for-bit
+    reference."""
+    cos = np.flatnonzero(layout.kind == "cos")
+    p, k = layout.periods[cos], layout.k[cos]
+    b0 = values[cos]
+    b1 = np.where(p >= 3, values[cos + (p >= 3)], 0)
+    degenerate = p <= 2
+    mag = np.where(degenerate, np.abs(b0), 2.0 * np.hypot(b0, b1))
+    phase = np.where(degenerate, np.where(b0 >= 0, 0.0, np.pi), np.arctan2(-b1, b0))
+    freq = np.where(p == 1, 0.0, k / p)
+    i = np.flatnonzero(mag >= min_magnitude)
+    freq_hz = [None] * len(i) if fs is None else (freq[i] * fs).tolist()
+    return list(zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(), freq_hz,
+                    mag[i].tolist(), phase[i].tolist()))

@@ -6,13 +6,14 @@ import pytest
 
 import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
-from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, SubspaceIndex
+from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, SubspaceIndex,
+                           build_matrix)
 from ccpt.numtheory import divisors, totient
 from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
                          frequency_components, min_data_length,
                          period_strengths)
-from ccpt.signals import make_x1, make_x2, tone, x1_clean
+from ccpt.signals import Signal, make_x1, make_x2, tone, x1_clean
 from ccpt.transform import CoefficientSet, analyze, occpt_analysis
 
 from oracles import block_addresses, column, component_loop, period_square_sums, tile_to
@@ -234,6 +235,39 @@ def test_top_periods_rejects_negative_count():
     assert len(sol.top_periods(100)) == 11      # every period p >= 2
     with pytest.raises(ValueError, match="count must be an integer >= 0, got -1"):
         sol.top_periods(-1)
+
+
+def test_top_periods_names_only_periods_with_strength():
+    """An all-zero signal has no strength anywhere: no top period, as no
+    significant one. Used to return (2, 3)."""
+    sol = dictionary_solve(np.zeros(12), build_dictionary(12, 5))
+    assert set(sol.strengths.values()) == {0.0}
+    assert sol.top_periods(2) == () and sol.significant_periods() == ()
+    assert sol.estimated_period() == 1
+
+
+def _equal_valued_pairs():
+    x, d = np.arange(12.0), build_dictionary(12, 5)
+    return {
+        "DictionarySolution": (dictionary_solve(x, d), dictionary_solve(x, d)),
+        "GramFactor": (d.gram(), replace(d).gram()),
+        "CoefficientSet": (analyze(x, OCCPT), analyze(x, OCCPT)),
+        "Signal": (Signal([1.0, 2.0]), Signal([1.0, 2.0])),
+        "PeriodicBasisMatrix": (build_matrix(OCCPT, 6), build_matrix(OCCPT, 6)),
+    }
+
+
+@pytest.mark.parametrize("name", ["DictionarySolution", "GramFactor", "CoefficientSet", "Signal",
+                                  "PeriodicBasisMatrix"])
+def test_array_values_compare_by_identity(name):
+    """These values hold arrays, so they compare and hash by identity; two
+    equal-valued instances used to raise ValueError on == and TypeError on
+    hash."""
+    a, b = _equal_valued_pairs()[name]
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 @pytest.mark.parametrize("floor", [np.nan, np.inf, -1.0, "0"], ids=["nan", "inf", "-1", "str"])
