@@ -213,7 +213,10 @@ def cmd_filter_band(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError(f"invalid size list {args.sizes!r}")
     rng = np.random.default_rng(args.seed)

@@ -102,7 +102,11 @@ class ColumnLayout:
         return {address: i for i, address in enumerate(zip(*self._rows()))}
 
     def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
-        """0-based position of the column addressed by (p, k, kind, shift)."""
+        """0-based position of the column addressed by (p, k, kind, shift):
+        ValueError unless p, k and shift are integers (shift >= 0), KeyError
+        if the layout has no such column."""
+        p, k = positive_int(p, "p", low=None), positive_int(k, "k", low=None)
+        shift = positive_int(shift, "shift", low=0)
         try:
             return self._position[p, k, kind, shift]
         except KeyError:
@@ -293,19 +297,28 @@ class PeriodicBasisMatrix:
     """An N x N basis matrix and its column addresses.
 
     `entries` is dense (complex for dft-npm, real otherwise) and read-only;
-    `layout` addresses its columns.
+    `layout` addresses its columns. N (the rows of the entries) and the
+    family (the layout's) derive from them.
     """
 
-    N: int
-    family: str
     entries: np.ndarray
     layout: ColumnLayout
 
     def __post_init__(self):
         self.entries.setflags(write=False)
 
+    @property
+    def N(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def family(self) -> str:
+        return self.layout.family
+
     def subspace_columns(self, p: int) -> range:
-        """Contiguous column range of the period-p block."""
+        """Contiguous column range of the period-p block: ValueError unless
+        p is an integer, KeyError if the matrix has no such block."""
+        p = positive_int(p, "p", low=None)
         start, stop = np.searchsorted(self.layout.periods, [p, p + 1]).tolist()
         if start == stop:
             raise KeyError(f"{p} is not a divisor period of this matrix (N={self.N})")
@@ -321,8 +334,7 @@ def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
     if N > MAX_DIRECT_N:
         raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
     layout = column_layout(family, N)
-    return PeriodicBasisMatrix(N=N, family=family, entries=build_columns(layout, N),
-                               layout=layout)
+    return PeriodicBasisMatrix(entries=build_columns(layout, N), layout=layout)
 
 
 @lru_cache(maxsize=64)

@@ -12,15 +12,19 @@ periods, each column's block index and each block's width phi(p). One rule,
 block period with one bincount over that index; divisor reports, dictionary
 solutions and candidate sets all use it, and the normalized strengths, the
 significant sets and their lcm are worked out from its value list, so no
-call re-derives divisors or totients.
+call re-derives divisors or totients. Its mapping is read-only
+(`types.MappingProxyType`), so no answer can be edited after the fact;
+`to_dict()` spells it for JSON.
 
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max, built in one pass from their column layout.
 Every dictionary, fat or square, comes from one constructor (farey names
-the dft-npm blocks). A dictionary is an immutable value: its entries,
-penalties and factor are read-only, and the factor is derived from its own
-fields on first use, so it cannot go stale; `dataclasses.replace` gives a
-new dictionary that factors itself.
+the dft-npm blocks). A dictionary is an immutable value that stores each
+fact once: its family, penalty name, read-only entries and layout. N,
+p_max, the read-only penalties and the factor derive from them, so
+`dataclasses.replace` gives a new, consistent dictionary that factors
+itself, and a derived name given to it raises. The report values store
+their independent facts the same way and derive the rest.
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
@@ -90,7 +94,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import truediv
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -116,13 +120,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodReport:
+    """Divisor-period strengths (a read-only mapping) of a coefficient set,
+    the significant set at the threshold and, derived, its lcm."""
+
     N: int
     family: str
-    strengths: dict
+    strengths: MappingProxyType
     threshold: float
     significant: tuple[int, ...]
-    estimated_period: int
     normalized: bool = False
+
+    @property
+    def estimated_period(self) -> int:
+        """The lcm of the significant periods; 1 when there are none."""
+        return lcm(*self.significant)
 
     def to_dict(self) -> dict:
         return {
@@ -130,7 +141,7 @@ class PeriodReport:
             "family": self.family,
             "threshold": self.threshold,
             "normalized": self.normalized,
-            "strengths": {str(p): float(s) for p, s in sorted(self.strengths.items())},
+            "strengths": _strengths_json(self.strengths),
             "significant": list(self.significant),
             "estimated_period": self.estimated_period,
         }
@@ -150,22 +161,16 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     all-zero signal has no significant periods and reports period 1.
     """
     _checked_real(threshold, "threshold", 0.0, 1.0, open_low=True)
-    layout = column_layout(c.family, c.N)
-    strengths = _strengths(layout, c.column_values())
-    blocks, _, widths = layout._block_plan
+    strengths = _strengths(column_layout(c.family, c.N), c.column_values(), normalized)
     values = list(strengths.values())
-    if normalized:
-        values = list(map(truediv, values, widths))
-        strengths = dict(zip(blocks, values))
     peak = max(values)
     if peak <= 0.0:
         warnings.warn("all-zero coefficient set: no significant periods, reporting period 1")
         significant: tuple[int, ...] = ()
     else:
-        significant = _at_least(blocks, values, threshold * peak)
+        significant = _at_least(strengths, values, threshold * peak)
     return PeriodReport(N=c.N, family=c.family, strengths=strengths, threshold=threshold,
-                        significant=significant, estimated_period=lcm(*significant),
-                        normalized=normalized)
+                        significant=significant, normalized=normalized)
 
 
 def _at_least(periods, values, cut) -> tuple[int, ...]:
@@ -228,16 +233,6 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
                        fs, min_magnitude)
 
 
-def _penalties(penalty: str, periods: np.ndarray) -> np.ndarray:
-    """Penalty f(p) of each column, given the columns' periods."""
-    if penalty == "p2":
-        return (periods * periods).astype(float)
-    if penalty == "phi":
-        # every block of period p has phi(p) columns
-        return np.bincount(periods)[periods].astype(float)
-    raise ValueError(f"penalty must be 'p2' or 'phi', got {penalty!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class GramFactor:
     """Real economic QR of A^T = Q R for a dictionary with M columns and N
@@ -264,19 +259,45 @@ class GramFactor:
 class PeriodicDictionary:
     """Stacked subspace bases tiled to N: the fat dictionary of periods
     1..p_max, or the square basis of a candidate set (`p_max` its largest
-    candidate). An immutable value, whose factor derives from its fields."""
+    candidate). An immutable value of four fields: its family (farey names
+    the dft-npm blocks), penalty name, read-only entries and the layout
+    addressing their columns. N (the rows of the entries), p_max (the last
+    block period), the penalties and the factor derive from them; entries
+    that do not fit the layout, a family that is not the layout's own and
+    an unknown penalty are rejected."""
 
-    N: int
-    p_max: int
     family: str
     penalty_name: str
     entries: np.ndarray
-    layout: ColumnLayout            # column addresses of the blocks
-    penalties: np.ndarray
+    layout: ColumnLayout
 
     def __post_init__(self):
-        for a in (self.entries, self.penalties):
-            a.setflags(write=False)
+        F, n, fam = self.entries, len(self.layout.periods), self.layout.family
+        if F.ndim != 2 or F.shape[1] != n:
+            raise ValueError(f"dictionary entries must be 2-D with {n} columns, got {F.shape}")
+        if (DFT_NPM if self.family == FAREY else self.family) != fam:
+            raise ValueError(f"dictionary family {self.family!r} does not match its {fam} layout")
+        F.setflags(write=False)
+        self.penalties          # checks the penalty name, at construction
+
+    @property
+    def N(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def p_max(self) -> int:
+        return int(self.layout.periods[-1])
+
+    @cached_property
+    def penalties(self) -> np.ndarray:
+        """Penalty f(p) of each column (read-only): p^2, or phi(p), the
+        width of the block of period p."""
+        if self.penalty_name not in ("p2", "phi"):
+            raise ValueError(f"penalty must be 'p2' or 'phi', got {self.penalty_name!r}")
+        p = self.layout.periods
+        f = (p * p if self.penalty_name == "p2" else np.bincount(p)[p]).astype(float)
+        f.setflags(write=False)
+        return f
 
     @property
     def n_columns(self) -> int:
@@ -356,24 +377,37 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
     if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
     layout = block_layout(fam, periods)
-    return PeriodicDictionary(N=N, p_max=periods[-1], family=family, penalty_name=penalty,
-                              entries=build_columns(layout, N), layout=layout,
-                              penalties=_penalties(penalty, layout.periods))
+    return PeriodicDictionary(family=family, penalty_name=penalty,
+                              entries=build_columns(layout, N), layout=layout)
 
 
 @dataclass(frozen=True, eq=False)
 class DictionarySolution:
-    """Coefficients b_hat (read-only) of a signal against a dictionary, with
-    the strength of each of its block periods, ascending from period 1.
-    `residual`, ||F b_hat - x|| on the dictionary's own entries, is computed
-    on first read from a read-only copy of the signal and then kept."""
+    """Coefficients b_hat (read-only) of a signal against a dictionary, and
+    a read-only copy of the signal. Derived from them: the strength of each
+    block period, ascending from period 1 (a read-only mapping), the
+    factor's condition estimate and branch, and `residual`, ||F b_hat - x||
+    on the dictionary's own entries, computed on first read and kept."""
 
     b_hat: np.ndarray
-    strengths: dict
-    gram_condition: float       # GramFactor.condition, an estimate; infinite without full row rank
-    used_fallback: bool         # the least-squares branch ran (no full row rank)
     dictionary: PeriodicDictionary
     _signal: np.ndarray = field(repr=False)
+
+    @cached_property
+    def strengths(self) -> MappingProxyType:
+        return _strengths(self.dictionary.layout, self.b_hat)
+
+    # both read the dictionary's cached factor, not gram(), so reading them
+    # is not counted as a factorization call (perfbench traces gram)
+    @property
+    def gram_condition(self) -> float:
+        """GramFactor.condition, an estimate; infinite without full row rank."""
+        return self.dictionary._qr.condition
+
+    @property
+    def used_fallback(self) -> bool:
+        """Whether the least-squares branch ran (no full row rank)."""
+        return self.dictionary._qr.pinv is not None
 
     @cached_property
     def residual(self) -> float:
@@ -422,7 +456,7 @@ class DictionarySolution:
             "p_max": self.dictionary.p_max,
             "family": self.dictionary.family,
             "penalty": self.dictionary.penalty_name,
-            "strengths": {str(p): float(s) for p, s in sorted(self.strengths.items())},
+            "strengths": _strengths_json(self.strengths),
             "significant": list(self.significant_periods()),
             "estimated_period": self.estimated_period(),
             "residual": self.residual,
@@ -468,13 +502,22 @@ def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.nda
     return u / d.penalties
 
 
-def _strengths(layout: ColumnLayout, b: np.ndarray) -> dict:
+def _strengths(layout: ColumnLayout, b: np.ndarray, normalized=False) -> MappingProxyType:
     """Square sum of the coefficients b, in the layout's column order, of
-    each block period of the layout, ascending: the one strength rule of
-    divisor reports, dictionary solutions and candidate sets."""
-    blocks, index, _ = layout._block_plan
+    each block period of the layout, ascending, divided by the block's
+    width phi(p) when `normalized`: the one strength rule of divisor
+    reports, dictionary solutions and candidate sets. The mapping is
+    read-only."""
+    blocks, index, widths = layout._block_plan
     sums = np.bincount(index, weights=np.abs(b) ** 2, minlength=len(blocks))
-    return dict(zip(blocks, sums.tolist()))
+    if normalized:
+        sums /= widths
+    return MappingProxyType(dict(zip(blocks, sums.tolist())))
+
+
+def _strengths_json(strengths) -> dict:
+    """JSON spelling of a strengths mapping: string keys, ascending."""
+    return {str(p): float(s) for p, s in sorted(strengths.items())}
 
 
 def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
@@ -490,14 +533,11 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     x = _checked_samples(x, "dictionary_solve")
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
-    f = d.gram()
-    b = _coefficients(f, x, d)
-    strengths = _strengths(d.layout, b)
+    b = _coefficients(d.gram(), x, d)
     x = x.copy()
     for a in (b, x):
         a.setflags(write=False)
-    return DictionarySolution(b_hat=b, strengths=strengths, gram_condition=f.condition,
-                              used_fallback=f.pinv is not None, dictionary=d, _signal=x)
+    return DictionarySolution(b_hat=b, dictionary=d, _signal=x)
 
 
 def min_data_length(candidates) -> int:
@@ -515,13 +555,27 @@ def min_data_length(candidates) -> int:
 
 @dataclass(frozen=True)
 class CandidateReport:
+    """Strengths (a read-only mapping) of the basis periods of a candidate
+    set's square dictionary, with its width and rank. The basis periods
+    (the strength keys), full rank (rank == width) and the candidates'
+    own strengths derive from them."""
+
     candidates: tuple[int, ...]
-    basis_periods: tuple[int, ...]
     width: int
     rank: int
-    full_rank: bool
-    strengths: dict
-    candidate_strengths: dict
+    strengths: MappingProxyType
+
+    @property
+    def basis_periods(self) -> tuple[int, ...]:
+        return tuple(self.strengths)
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.width
+
+    @property
+    def candidate_strengths(self) -> MappingProxyType:
+        return MappingProxyType({p: self.strengths[p] for p in self.candidates})
 
     def to_dict(self) -> dict:
         return {
@@ -530,9 +584,8 @@ class CandidateReport:
             "width": self.width,
             "rank": self.rank,
             "full_rank": self.full_rank,
-            "strengths": {str(p): float(s) for p, s in sorted(self.strengths.items())},
-            "candidate_strengths": {str(p): float(s)
-                                    for p, s in sorted(self.candidate_strengths.items())},
+            "strengths": _strengths_json(self.strengths),
+            "candidate_strengths": _strengths_json(self.candidate_strengths),
         }
 
 
@@ -569,13 +622,10 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     cand = tuple(sorted({positive_int(p, "candidate period") for p in candidates}))
     if not cand:
         raise ValueError("need at least one candidate period")
-    periods, d = _candidate_dictionary(cand, family, len(x))
+    _, d = _candidate_dictionary(cand, family, len(x))
     f = d.gram()
-    full_rank = f.pinv is None
-    if not full_rank:
+    if f.pinv is not None:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({f.rank}/{d.N}); falling back to least squares")
-    strengths = _strengths(d.layout, _coefficients(f, x, d))
-    return CandidateReport(candidates=cand, basis_periods=periods, width=d.N, rank=f.rank,
-                           full_rank=full_rank, strengths=strengths,
-                           candidate_strengths={p: strengths[p] for p in cand})
+    return CandidateReport(candidates=cand, width=d.N, rank=f.rank,
+                           strengths=_strengths(d.layout, _coefficients(f, x, d)))

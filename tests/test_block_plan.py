@@ -1,6 +1,7 @@
 """The per-layout block plan behind every period answer: bit for bit the
 earlier expressions (tests/oracles.py), built once per layout, read-only."""
 
+import json
 import warnings
 
 import numpy as np
@@ -153,3 +154,62 @@ def test_block_plan_is_read_only(family):
         with pytest.raises(ValueError):
             a[0] = 0
     assert layout._block_plan[1] is index
+
+
+@pytest.mark.parametrize("penalty", ["p2", "phi"])
+@pytest.mark.parametrize("family, N, p_max", DICTIONARIES)
+def test_dictionary_json_is_the_earlier_fields(family, N, p_max, penalty):
+    """to_dict() spells, key for key and bit for bit, the values a solution
+    used to store: strengths, condition and branch from the factor, N and
+    p_max from the build arguments."""
+    d = build_dictionary(N, p_max, family, penalty=penalty)
+    f = d.gram()
+    x = np.random.default_rng(N + p_max).standard_normal(N)
+    for signal in (x, np.zeros(N), np.resize(make_x1().samples, N)):
+        sol = dictionary_solve(signal, d)
+        want = strengths_by_comprehension(d.periods, sol.b_hat, range(1, p_max + 1))
+        sig = dictionary_significant_by_generators(want)
+        expected = {
+            "N": N, "p_max": p_max, "family": family, "penalty": penalty,
+            "strengths": {str(p): s for p, s in want.items()},
+            "significant": list(sig),
+            "estimated_period": numtheory.lcm_list(sig) if sig else 1,
+            "residual": float(np.linalg.norm(d.entries @ sol.b_hat - signal)),
+            "gram_condition": (float(f"{f.condition:.3g}") if np.isfinite(f.condition)
+                               else None),
+            "used_fallback": f.pinv is not None,
+        }
+        assert json.dumps(sol.to_dict()) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, FAREY])
+@pytest.mark.parametrize("cand", [(5, 8), (3, 4), (7, 9)])
+def test_candidate_json_is_the_earlier_fields(family, cand):
+    periods, d = period._candidate_dictionary(cand, family, sum(
+        totient(q) for q in {q for p in cand for q in divisors(p)}))
+    x = np.random.default_rng(sum(cand)).standard_normal(d.N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        report = candidate_matrix_solve(x, cand, family=family)
+    f = d.gram()
+    want = strengths_by_comprehension(d.periods, period._coefficients(f, x, d), periods)
+    assert json.dumps(report.to_dict()) == json.dumps({
+        "candidates": list(cand), "basis_periods": list(periods), "width": d.N,
+        "rank": f.rank, "full_rank": f.pinv is None,
+        "strengths": {str(p): s for p, s in want.items()},
+        "candidate_strengths": {str(p): want[p] for p in cand},
+    })
+
+
+@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_period_json_is_the_earlier_fields(family, N):
+    for x in _signals(N).values():
+        c = analyze(x, family)
+        for normalized in (False, True):
+            got, (strengths, significant, estimate) = _report(c, 0.2, normalized)
+            assert json.dumps(got.to_dict()) == json.dumps({
+                "N": N, "family": family, "threshold": 0.2, "normalized": normalized,
+                "strengths": {str(p): s for p, s in strengths.items()},
+                "significant": list(significant), "estimated_period": estimate,
+            })

@@ -347,3 +347,14 @@ def test_missing_input_and_bad_args(tmp_path):
 
 def test_benchmark_invalid_sizes():
     assert main(["benchmark", "--sizes", "0,4"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("sizes", ["x", "8,x", "2.5"])
+def test_benchmark_rejects_sizes_that_are_not_integers(tmp_path, capsys, sizes):
+    """A size that is not an integer used to surface int()'s own message;
+    empty entries are skipped."""
+    assert main(["benchmark", "--sizes", sizes]) == EXIT_USAGE
+    assert f"ccpt: invalid size list {sizes!r}" in capsys.readouterr().err
+    out = tmp_path / "bench.json"
+    assert main(["benchmark", "--sizes", "8,,12", "--out", str(out)]) == EXIT_OK
+    assert [e["N"] for e in json.loads(out.read_text())["benchmark"]] == [8, 12]

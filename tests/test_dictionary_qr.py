@@ -10,7 +10,7 @@ from scipy.linalg import solve_triangular, svdvals
 
 import ccpt.period as period
 from ccpt.period import build_dictionary, dictionary_solve
-from ccpt.signals import hidden_periodic_component
+from ccpt.signals import hidden_periodic_component, make_x2
 
 from oracles import dictionary_oracle, weighted_min_norm
 
@@ -82,7 +82,7 @@ def test_dictionary_solve_matches_oracle(family, N, p_max, full_rank):
 def test_fat_rank_deficient_dictionary_takes_least_squares_branch():
     # every row twice: 46 columns, 24 rows, rank 12
     d = build_dictionary(12, 12, family="occpt")
-    d = dataclasses.replace(d, N=24, entries=np.vstack([d.entries, d.entries]))
+    d = dataclasses.replace(d, entries=np.vstack([d.entries, d.entries]))
     x = np.random.default_rng(5).standard_normal(24)
     sol = dictionary_solve(x, d)
     assert d.gram().rank == 12
@@ -240,10 +240,11 @@ def test_replaced_dictionary_factors_itself():
     d = build_dictionary(360, 48)
     dictionary_solve(x, d)
     fresh = build_dictionary(360, 48, penalty="phi")
-    phi = dataclasses.replace(d, penalty_name="phi", penalties=fresh.penalties)
+    phi = dataclasses.replace(d, penalty_name="phi")
     got, want = dictionary_solve(x, phi), dictionary_solve(x, fresh)
     np.testing.assert_array_equal(got.b_hat, want.b_hat)
     assert got.estimated_period() == want.estimated_period()
+    assert got.to_dict()["penalty"] == "phi"
     negated = dictionary_solve(x, dataclasses.replace(d, entries=-d.entries))
     solution = dictionary_solve(x, d)
     np.testing.assert_array_equal(negated.b_hat, -solution.b_hat)
@@ -312,3 +313,42 @@ def test_rank_deficient_solve_reports_its_residual():
     assert sol.used_fallback
     # no exact representation: the least-squares residual is positive
     assert 0.0 < sol.residual == _eager_residual(d, sol.b_hat, x)
+
+
+def test_replaced_penalty_solves_like_a_built_dictionary():
+    """replace() of the penalty name re-derives the penalties: on x2 the
+    solution and its JSON are those of a dictionary built with phi. The
+    replaced one used to keep its p2 penalties and report period 40."""
+    x = make_x2().samples
+    phi = dataclasses.replace(build_dictionary(54, 50), penalty_name="phi")
+    want = dictionary_solve(x, build_dictionary(54, 50, penalty="phi"))
+    got = dictionary_solve(x, phi)
+    np.testing.assert_array_equal(got.b_hat, want.b_hat)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_dict()["penalty"] == "phi" and got.estimated_period() == 5040
+
+
+def test_inconsistent_dictionaries_are_rejected():
+    """N, p_max and the penalties derive from the entries, the layout and
+    the penalty name; a family other than the layout's, entries that do not
+    fit the layout and an unknown penalty raise. replace(d, N=60) used to
+    die in the solve, and p_max, penalties and family were written as
+    given."""
+    d = build_dictionary(54, 50)
+    for name, value in (("N", 60), ("p_max", 7), ("penalties", d.penalties)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            dataclasses.replace(d, **{name: value})
+    with pytest.raises(ValueError, match="^dictionary family 'ccpt1' does not match its occpt "
+                                         "layout$"):
+        dataclasses.replace(d, family="ccpt1")
+    for entries in (d.entries[:, :-1], d.entries[0], d.entries[None]):
+        with pytest.raises(ValueError, match="^dictionary entries must be 2-D with 774 columns"):
+            dataclasses.replace(d, entries=entries)
+    with pytest.raises(ValueError, match="^penalty must be 'p2' or 'phi', got 'p'$"):
+        dataclasses.replace(d, penalty_name="p")
+    farey = build_dictionary(24, 10, family=period.FAREY)
+    assert dataclasses.replace(farey, family="dft-npm").layout is farey.layout
+    with pytest.raises(ValueError, match="^dictionary family 'occpt' does not match its dft-npm"):
+        dataclasses.replace(farey, family="occpt")
+    taller = dataclasses.replace(d, entries=np.vstack([d.entries, d.entries]))
+    assert (taller.N, taller.p_max, d.N, d.p_max) == (108, 50, 54, 50)

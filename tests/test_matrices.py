@@ -11,6 +11,7 @@ from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                            export_matrix_metadata, matrix_rank, validate_npm)
 from ccpt import period
 from ccpt.numtheory import divisors, residue_sets, totient
+from ccpt.transform import analyze
 
 from oracles import block_columns, block_entries, column_entries, minimal_period, tile_to
 
@@ -332,3 +333,30 @@ def test_dft_npm_conjugate_positions_pair_k_with_p_minus_k(periods):
     # every column of period >= 3 is in exactly one pair; periods 1 and 2 in none
     np.testing.assert_array_equal(np.sort(np.concatenate([lower, upper])),
                                   np.flatnonzero(p >= 3))
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", np.float64(4)])
+def test_column_lookups_take_integers_only(bad):
+    """p, k and shift follow the one integer rule at every lookup. A float
+    used to find the column of its integer value (2.5 found the period-3
+    block) and a string raised TypeError."""
+    m = build_matrix(OCCPT, 12)
+    c = analyze(np.arange(12.0), OCCPT)
+    sol = period.dictionary_solve(np.arange(12.0), period.build_dictionary(12, 5))
+    calls = {
+        "p": (lambda: m.subspace_columns(bad), lambda: m.layout.column_index(bad, 1, COS),
+              lambda: c.pair(bad, 1), lambda: c.value(bad, 1, COS), lambda: sol.pair(bad, 1)),
+        "k": (lambda: m.layout.column_index(4, bad, COS), lambda: c.pair(4, bad),
+              lambda: c.value(4, bad, COS), lambda: sol.pair(4, bad)),
+        "shift": (lambda: m.layout.column_index(4, 1, COS, bad),
+                  lambda: c.flat_index(4, 1, COS, bad)),
+    }
+    for name, lookups in calls.items():
+        bound = " >= 0" if name == "shift" else ""
+        for lookup in lookups:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer{bound}, got "):
+                lookup()
+    four, one = np.int64(4), np.int32(1)
+    assert m.subspace_columns(four) == m.subspace_columns(4) == range(4, 6)
+    assert m.layout.column_index(four, one, COS, np.int64(0)) == m.layout.column_index(4, 1, COS)
+    assert c.pair(four, one) == c.pair(4, 1) and sol.pair(four, one) == sol.pair(4, 1)

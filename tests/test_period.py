@@ -1,13 +1,13 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
-from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, SubspaceIndex,
-                           build_matrix)
+from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
+                           PeriodicBasisMatrix, SubspaceIndex, build_matrix)
 from ccpt.numtheory import divisors, totient
 from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
@@ -362,12 +362,21 @@ def test_components_require_real_coefficients():
 def test_gram_condition_json_is_deterministic():
     """The condition estimate may differ by an ulp between processes; the
     JSON keeps 3 significant digits, and the attribute stays exact."""
-    sol = dictionary_solve(make_x2().samples, build_dictionary(54, 50, family=OCCPT))
-    near = replace(sol, gram_condition=np.nextafter(sol.gram_condition, np.inf))
+    d = build_dictionary(54, 50, family=OCCPT)
+    sol = dictionary_solve(make_x2().samples, d)
+
+    def with_condition(condition):
+        # the condition is read from the dictionary's factor: give the
+        # solution a copy of d whose cached factor reports `condition`
+        other = replace(d)
+        object.__setattr__(other, "_qr", replace(d.gram(), condition=condition))
+        return replace(sol, dictionary=other)
+
+    near = with_condition(np.nextafter(sol.gram_condition, np.inf))
     assert near.gram_condition != sol.gram_condition
     assert near.to_dict() == sol.to_dict()
     assert sol.to_dict()["gram_condition"] == float(f"{sol.gram_condition:.3g}")
-    assert replace(sol, gram_condition=np.inf).to_dict()["gram_condition"] is None
+    assert with_condition(np.inf).to_dict()["gram_condition"] is None
 
 def test_dictionary_families_build():
     for family in (CCPT1, CCPT2, RPT, FAREY):
@@ -639,3 +648,63 @@ def test_candidate_solve_of_complex_signal_against_real_basis(monkeypatch, famil
     assert got.full_rank == (branch == "lu")
     for q in got.strengths:
         assert got.strengths[q] == pytest.approx(sx[q] + sy[q], rel=1e-12)
+
+
+def _reports():
+    x = make_x2().samples
+    return {
+        "PeriodReport": period_strengths(occpt_analysis(x)),
+        "normalized PeriodReport": period_strengths(occpt_analysis(x), normalized=True),
+        "DictionarySolution": dictionary_solve(x, build_dictionary(54, 50)),
+        "CandidateReport": candidate_matrix_solve(np.resize(x, 12), (5, 8)),
+    }
+
+
+@pytest.mark.parametrize("name", ["PeriodReport", "normalized PeriodReport",
+                                  "DictionarySolution", "CandidateReport"])
+def test_strengths_are_read_only(name):
+    """Writing a strength used to change the answers of a frozen value:
+    on x2, sol.strengths[8] = 0.0 turned the dictionary estimate 40 into 5."""
+    report = _reports()[name]
+    before = report.to_dict()
+    views = [report.strengths]
+    if name == "CandidateReport":
+        views.append(report.candidate_strengths)
+    for strengths in views:
+        with pytest.raises(TypeError):
+            strengths[8] = 0.0
+        with pytest.raises(TypeError):
+            del strengths[1]
+    assert report.to_dict() == before
+
+
+# the fields each value stores; every other attribute derives from them
+STORED = {
+    period.PeriodicDictionary: ("family", "penalty_name", "entries", "layout"),
+    period.DictionarySolution: ("b_hat", "dictionary", "_signal"),
+    period.CandidateReport: ("candidates", "width", "rank", "strengths"),
+    period.PeriodReport: ("N", "family", "strengths", "threshold", "significant", "normalized"),
+    PeriodicBasisMatrix: ("entries", "layout"),
+}
+DERIVED = {
+    period.PeriodicDictionary: ("N", "p_max", "penalties"),
+    period.DictionarySolution: ("strengths", "gram_condition", "used_fallback", "residual"),
+    period.CandidateReport: ("basis_periods", "full_rank", "candidate_strengths"),
+    period.PeriodReport: ("estimated_period",),
+    PeriodicBasisMatrix: ("N", "family"),
+}
+
+
+def test_values_store_each_fact_once():
+    """19 stored fields in all; a derived name given to replace() raises."""
+    reports = _reports()
+    sol = reports["DictionarySolution"]
+    values = [sol.dictionary, sol, reports["CandidateReport"], reports["PeriodReport"],
+              build_matrix(OCCPT, 12)]
+    assert sum(map(len, STORED.values())) == 19
+    for value in values:
+        cls = type(value)
+        assert tuple(f.name for f in fields(cls)) == STORED[cls]
+        for name in DERIVED[cls]:
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                replace(value, **{name: getattr(value, name)})
