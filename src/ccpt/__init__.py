@@ -11,7 +11,7 @@ from .matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                        export_matrix_csv, export_matrix_metadata,
                        matrix_metadata, validate_npm)
 from .numtheory import divisors, gcd, lcm_list, residue_sets, totient
-from .period import (FAREY, CandidateReport, DictionarySolution,
+from .period import (FAREY, CandidateReport, ComponentTable, DictionarySolution,
                      FrequencyComponent, GramFactor, PeriodicDictionary, PeriodReport,
                      build_dictionary, candidate_matrix_solve,
                      dictionary_solve, frequency_components, min_data_length,

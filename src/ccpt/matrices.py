@@ -305,7 +305,10 @@ class PeriodicBasisMatrix:
     layout: ColumnLayout
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        # a read-only view, so the caller's array stays writable
+        entries = self.entries.view()
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def N(self) -> int:

@@ -71,29 +71,35 @@ is the unique one, so the penalty does not change it. Each candidate set's
 dictionary is built once per family and length (the 64 most recent sets);
 a rank-deficient one takes the least-squares branch and warns on every call.
 
-Frequency components are named tuples (p, k, freq, freq_hz, magnitude,
-phase), one per conjugate subspace above a magnitude floor. A coefficient
-set and a dictionary solution read their cosine/sine pairs the same way,
-through their column layout: `ColumnLayout.pair_columns` finds the pair of
-one subspace, and `ColumnLayout.pairs` splits a whole coefficient vector.
-One function builds the components of both, from real orthogonal-family
-coefficients only, with the pair frequencies and the count of degenerate
-pairs (periods 1 and 2, which lead every ascending layout) that the layout
-keeps. The list is built in one pass over the coefficient arrays, each
-tuple straight from its zipped row; a component compares equal to the plain
-tuple of its fields.
+Frequency components come as a `ComponentTable`, one row per conjugate
+subspace above a magnitude floor: read-only columns p, k, freq, freq_hz
+(None without a sample rate), magnitude and phase, straight from the vector
+math. A coefficient set and a dictionary solution read their cosine/sine
+pairs the same way, through their column layout: `ColumnLayout.pair_columns`
+finds the pair of one subspace, and `ColumnLayout.pairs` splits a whole
+coefficient vector. One function builds the table of both, from real
+orthogonal-family coefficients only, with the pair frequencies and the
+count of degenerate pairs (periods 1 and 2, which lead every ascending
+layout) that the layout keeps. The table is also a sequence of
+`FrequencyComponent` named tuples, each built when it is read, so a call
+holds no records: `list(table)` gives them all, and
+`[c.to_dict() for c in table]` spells them for JSON. A record compares
+equal to the plain tuple of its fields.
 
 The dataclasses here that hold arrays (`GramFactor`, `PeriodicDictionary`,
-`DictionarySolution`) compare and hash by identity.
+`DictionarySolution`) compare and hash by identity; the reports
+(`PeriodReport`, `CandidateReport`) compare and hash by value.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
+from operator import eq
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -111,7 +117,7 @@ FAREY = "farey"
 _SQRT2 = np.sqrt(2.0)
 
 __all__ = [
-    "PeriodReport", "FrequencyComponent", "PeriodicDictionary", "GramFactor",
+    "PeriodReport", "FrequencyComponent", "ComponentTable", "PeriodicDictionary", "GramFactor",
     "DictionarySolution", "CandidateReport", "FAREY",
     "period_strengths", "frequency_components", "build_dictionary",
     "dictionary_solve", "min_data_length", "candidate_matrix_solve",
@@ -121,7 +127,8 @@ __all__ = [
 @dataclass(frozen=True)
 class PeriodReport:
     """Divisor-period strengths (a read-only mapping) of a coefficient set,
-    the significant set at the threshold and, derived, its lcm."""
+    the significant set at the threshold and, derived, its lcm. Compares
+    and hashes by value."""
 
     N: int
     family: str
@@ -134,6 +141,11 @@ class PeriodReport:
     def estimated_period(self) -> int:
         """The lcm of the significant periods; 1 when there are none."""
         return lcm(*self.significant)
+
+    def __hash__(self):
+        # equal mappings may list their items in any order: hash them as a set
+        return hash((self.N, self.family, frozenset(self.strengths.items()), self.threshold,
+                     self.significant, self.normalized))
 
     def to_dict(self) -> dict:
         return {
@@ -193,8 +205,72 @@ class FrequencyComponent(NamedTuple):
                 "freq_hz": self.freq_hz, "magnitude": self.magnitude, "phase": self.phase}
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class ComponentTable(Sequence):
+    """Frequency components as a read-only column table: `p` and `k` (int),
+    `freq`, `freq_hz` (None without a sample rate), `magnitude` and `phase`,
+    one row per conjugate subspace.
+
+    The columns are read-only 1-D arrays of equal length. The table is also
+    a sequence of `FrequencyComponent`: indexing and iteration build each
+    record when it is read, with Python int, float and None fields, and
+    `list(table)` gives them all. A slice is a table; `==` compares record
+    by record with any sequence; a table cannot be hashed or changed."""
+
+    p: np.ndarray
+    k: np.ndarray
+    freq: np.ndarray
+    freq_hz: np.ndarray | None
+    magnitude: np.ndarray
+    phase: np.ndarray
+
+    __hash__ = None
+
+    def __post_init__(self):
+        for name, a in zip(FrequencyComponent._fields, self._columns()):
+            if a is not None:
+                # a read-only view, so the caller's array stays writable
+                a = a.view()
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+
+    def _columns(self):
+        return self.p, self.k, self.freq, self.freq_hz, self.magnitude, self.phase
+
+    def __reduce__(self):
+        # through the constructor: unpickled arrays come back writable
+        return ComponentTable, self._columns()
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ComponentTable(*(None if a is None else a[i] for a in self._columns()))
+        i = range(len(self.p))[i]       # any integer index, as a list takes it
+        hz = self.freq_hz
+        return FrequencyComponent(self.p.item(i), self.k.item(i), self.freq.item(i),
+                                  None if hz is None else hz.item(i),
+                                  self.magnitude.item(i), self.phase.item(i))
+
+    def __iter__(self):
+        hz = repeat(None) if self.freq_hz is None else self.freq_hz.tolist()
+        rows = zip(self.p.tolist(), self.k.tolist(), self.freq.tolist(), hz,
+                   self.magnitude.tolist(), self.phase.tolist())
+        # tuple.__new__ on each zipped row skips the per-field keyword call
+        return map(tuple.__new__, repeat(FrequencyComponent), rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ComponentTable({list(self)!r})"
+
+
 def _components(what: str, layout: ColumnLayout, values: np.ndarray, fs: float | None,
-                min_magnitude: float) -> list[FrequencyComponent]:
+                min_magnitude: float) -> ComponentTable:
     """Components of the conjugate subspaces of an orthogonal layout, given
     its real `values` in column order, whose magnitude reaches the floor, a
     finite value >= 0; the errors name the caller `what`."""
@@ -215,16 +291,13 @@ def _components(what: str, layout: ColumnLayout, values: np.ndarray, fs: float |
     keep = mag >= min_magnitude
     if np.count_nonzero(keep) < len(keep):
         p, k, freq, mag, phase = (a[keep] for a in (p, k, freq, mag, phase))
-    freq_hz = repeat(None) if fs is None else (freq * fs).tolist()
-    # tuple.__new__ on each zipped row skips the per-field keyword call
-    rows = zip(p.tolist(), k.tolist(), freq.tolist(), freq_hz, mag.tolist(), phase.tolist())
-    return list(map(tuple.__new__, repeat(FrequencyComponent), rows))
+    return ComponentTable(p, k, freq, None if fs is None else freq * fs, mag, phase)
 
 
 def frequency_components(c: CoefficientSet, fs: float | None = None,
-                         min_magnitude: float = 1e-8) -> list[FrequencyComponent]:
-    """One (frequency, magnitude, phase) triple per conjugate subspace with
-    magnitude above the floor.
+                         min_magnitude: float = 1e-8) -> ComponentTable:
+    """One (frequency, magnitude, phase) row per conjugate subspace with
+    magnitude above the floor, as a `ComponentTable`.
 
     The phase convention is atan2(-b1, b0), so an input A*cos(2*pi*k*n/p + phi)
     comes back with magnitude A and phase phi.
@@ -264,7 +337,9 @@ class PeriodicDictionary:
     addressing their columns. N (the rows of the entries), p_max (the last
     block period), the penalties and the factor derive from them; entries
     that do not fit the layout, a family that is not the layout's own and
-    an unknown penalty are rejected."""
+    an unknown penalty are rejected. Entries that are writable, or a view,
+    are copied, so no later write to the caller's array reaches the cached
+    factor; a read-only array that owns its data is kept as it is."""
 
     family: str
     penalty_name: str
@@ -277,7 +352,12 @@ class PeriodicDictionary:
             raise ValueError(f"dictionary entries must be 2-D with {n} columns, got {F.shape}")
         if (DFT_NPM if self.family == FAREY else self.family) != fam:
             raise ValueError(f"dictionary family {self.family!r} does not match its {fam} layout")
-        F.setflags(write=False)
+        if F.flags.writeable or not F.flags.owndata:
+            # the factor is cached, so entries that could still change under
+            # it are copied; the caller's array stays writable
+            F = F.copy()
+            F.setflags(write=False)
+            object.__setattr__(self, "entries", F)
         self.penalties          # checks the penalty name, at construction
 
     @property
@@ -377,8 +457,9 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
     if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
     layout = block_layout(fam, periods)
-    return PeriodicDictionary(family=family, penalty_name=penalty,
-                              entries=build_columns(layout, N), layout=layout)
+    F = build_columns(layout, N)
+    F.setflags(write=False)         # a fresh array, so the value keeps it as is
+    return PeriodicDictionary(family=family, penalty_name=penalty, entries=F, layout=layout)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,9 +518,10 @@ class DictionarySolution:
         return lcm(*self.significant_periods())
 
     def components(self, fs: float | None = None,
-                   min_magnitude: float = 1e-8) -> list[FrequencyComponent]:
-        """Frequency/magnitude/phase triples from the dictionary coefficients
-        (orthogonal-family dictionaries and real coefficients only)."""
+                   min_magnitude: float = 1e-8) -> ComponentTable:
+        """Frequency/magnitude/phase rows from the dictionary coefficients, as
+        a `ComponentTable` (orthogonal-family dictionaries and real
+        coefficients only)."""
         return _components("components", self.dictionary.layout, self.b_hat, fs, min_magnitude)
 
     def pair(self, p: int, k: int):
@@ -558,12 +640,15 @@ class CandidateReport:
     """Strengths (a read-only mapping) of the basis periods of a candidate
     set's square dictionary, with its width and rank. The basis periods
     (the strength keys), full rank (rank == width) and the candidates'
-    own strengths derive from them."""
+    own strengths derive from them. Compares and hashes by value."""
 
     candidates: tuple[int, ...]
     width: int
     rank: int
     strengths: MappingProxyType
+
+    def __hash__(self):
+        return hash((self.candidates, self.width, self.rank, frozenset(self.strengths.items())))
 
     @property
     def basis_periods(self) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import fields, replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -549,6 +550,52 @@ def test_dictionary_entries_are_read_only(family):
     assert not d.entries.flags.writeable
     with pytest.raises(ValueError):
         d.entries[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("value", ["PeriodicDictionary", "PeriodicBasisMatrix"])
+def test_values_keep_the_callers_entries_writable(value):
+    """The value keeps a read-only view: setting the flag on the caller's
+    own array used to make `a[0, 0] = 1.0` raise after replace()."""
+    v = build_dictionary(12, 5) if value == "PeriodicDictionary" else build_matrix(OCCPT, 6)
+    a = np.array(v.entries)
+    w = replace(v, entries=a)
+    assert a.flags.writeable and not w.entries.flags.writeable
+    a[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w.entries[0, 0] = 1.0
+
+
+def test_dictionary_factor_ignores_later_writes_to_the_callers_entries():
+    """The factor is cached, so a dictionary copies entries that can still
+    change: writing to the caller's array after the first solve used to
+    leave a stale factor (residual 8.485 -> 20.857 on this case)."""
+    d = build_dictionary(12, 5)
+    x = np.cos(2 * np.pi * np.arange(12) / 4) + (np.arange(12) % 3)
+    fresh = dictionary_solve(x, d)
+    for solve_first in (True, False):
+        a = np.array(d.entries)
+        w = replace(d, entries=a)
+        if solve_first:
+            dictionary_solve(x, w)
+        a[:] = 0.0
+        sol = dictionary_solve(x, w)
+        np.testing.assert_allclose(sol.b_hat, fresh.b_hat, atol=1e-12)
+        assert sol.residual == pytest.approx(fresh.residual, abs=1e-9)
+    # a read-only array that owns its data is kept, not copied
+    assert replace(d, penalty_name="phi").entries is d.entries
+
+
+def test_reports_hash_by_value():
+    """Equal reports used to raise TypeError (unhashable mappingproxy) on
+    hash; strengths listed in another order are still the same report."""
+    for name in ("PeriodReport", "normalized PeriodReport", "CandidateReport"):
+        a, b = _reports()[name], _reports()[name]
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and b in {a}
+        c = replace(a, strengths=MappingProxyType(dict(reversed(a.strengths.items()))))
+        assert c == a and hash(c) == hash(a)
+    plain, normalized = _reports()["PeriodReport"], _reports()["normalized PeriodReport"]
+    assert plain != normalized and len({plain, normalized}) == 2
 
 
 def test_candidate_basis_is_built_once(monkeypatch):
