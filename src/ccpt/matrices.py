@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -53,6 +53,28 @@ __all__ = [
 ]
 
 
+class _ArrayValue:
+    """Base of the frozen dataclasses that hold arrays: their one read-only
+    rule and one pickle rule. `__post_init__` keeps a read-only view of each
+    field named in `_arrays` (None stays None), so the caller's array stays
+    writable. `__reduce__` pickles and copies through the constructor, so
+    its checks and views apply again (numpy restores arrays writable) and
+    cached values are derived anew."""
+
+    _arrays = ()
+
+    def __post_init__(self):
+        for name in self._arrays:
+            a = getattr(self, name)
+            if a is not None:
+                a = a.view()
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class SubspaceIndex:
     """Address of one basis column: divisor period p, residue k, generator
@@ -65,7 +87,7 @@ class SubspaceIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class ColumnLayout:
+class ColumnLayout(_ArrayValue):
     """Canonical column addresses of one family over an ascending set of
     block periods, without the matrix entries. Column i is (periods[i],
     k[i], kind[i], shift[i]); the arrays are read-only, and `kind` is a
@@ -85,9 +107,7 @@ class ColumnLayout:
     kind: np.ndarray
     shift: np.ndarray
 
-    def __post_init__(self):
-        for a in (self.periods, self.k, self.kind, self.shift):
-            a.setflags(write=False)
+    _arrays = ("periods", "k", "kind", "shift")
 
     def _rows(self):
         return self.periods.tolist(), self.k.tolist(), self.kind.tolist(), self.shift.tolist()
@@ -293,7 +313,7 @@ def _column_layout(family: str, N: int) -> ColumnLayout:
 
 
 @dataclass(frozen=True, eq=False)
-class PeriodicBasisMatrix:
+class PeriodicBasisMatrix(_ArrayValue):
     """An N x N basis matrix and its column addresses.
 
     `entries` is dense (complex for dft-npm, real otherwise) and read-only;
@@ -304,11 +324,7 @@ class PeriodicBasisMatrix:
     entries: np.ndarray
     layout: ColumnLayout
 
-    def __post_init__(self):
-        # a read-only view, so the caller's array stays writable
-        entries = self.entries.view()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+    _arrays = ("entries",)
 
     @property
     def N(self) -> int:

@@ -17,33 +17,35 @@ call re-derives divisors or totients. Its mapping is read-only
 `to_dict()` spells it for JSON.
 
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
-candidate periods 1..P_max, built in one pass from their column layout.
-Every dictionary, fat or square, comes from one constructor (farey names
-the dft-npm blocks). A dictionary is an immutable value that stores each
-fact once: its family, penalty name, read-only entries and layout. N,
-p_max, the read-only penalties and the factor derive from them, so
-`dataclasses.replace` gives a new, consistent dictionary that factors
-itself, and a derived name given to it raises. The report values store
-their independent facts the same way and derive the rest.
+candidate periods 1..P_max, addressed by their column layout. Every
+dictionary, fat or square, comes from one constructor (farey names the
+dft-npm blocks). A dictionary is an immutable value that stores each fact
+once: its family, penalty name, length N and layout. p_max, the read-only
+penalties, the factor and the read-only entries (the blocks tiled to N,
+built on first read) derive from them, so `dataclasses.replace` gives a
+new, consistent dictionary that factors itself, and a derived name given
+to it raises. The report values store their independent facts the same
+way and derive the rest.
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
 
 Each dictionary is factored once, in real arithmetic, by an economic QR of
 a real M x N matrix A^T = Q R whose Gram A A^T is F T^-2 F^H. For the real
-families A is F T^-1 itself. A dft-npm (Farey) block is complex, but its
-Gram is real: penalties are equal within a block, and the conjugate pair
-e_k, e_(p-k) contributes e_k e_k^H + conj(e_k e_k^H) =
-2 (Re e_k Re e_k^T + Im e_k Im e_k^T). So its A has, in the layout's own
-order, the column sqrt(2) Re e_k / f(p) at each lower residue k < p/2,
-sqrt(2) Im e_(p-k) / f(p) at its conjugate p - k, and e / f(p) for the
-periods 1 and 2. Then R^T R = F T^-2 F^H, so R is the Cholesky factor of
-the Gram and the Gram is never formed; a solve is one triangular solve and
-one product, u = Q R^-T x, and b = T^-1 u for the real families. A Farey
-solve ends with the pair map back to the exponentials: b_i = (u_i + j u_j)
-/ (sqrt(2) f) at a lower position i and b_j = (u_i - j u_j) / (sqrt(2) f)
-at its partner j (the residues of a block are symmetric, so j mirrors i),
-and b = u / f for periods 1 and 2.
+families A is F T^-1, from the dictionary's own entries. A dft-npm (Farey)
+block is complex, but the occpt pair 2 cos, 2 sin of a residue k spans the
+same plane as e_k, e_(p-k): a 2cos + c 2sin = (a - jc) e_k + (a + jc)
+e_(p-k), whose weighted norm f(p)^2 (|a - jc|^2 + |a + jc|^2) is
+(sqrt(2) f(p))^2 (a^2 + c^2). So a Farey A is the occpt columns of the same
+blocks, built for the factor only and divided by sqrt(2) f(p) for p >= 3
+and f(p) for the shared columns of periods 1 and 2; a Farey solve never
+builds the complex entries. Then R^T R = F T^-2 F^H, so R is the Cholesky
+factor of the Gram and the Gram is never formed; a solve is one triangular
+solve and one product, u = Q R^-T x, and b = T^-1 u for the real families.
+A Farey solve divides u by its own scale, then maps each occpt pair (a, c)
+(`ColumnLayout.pairs`) onto the exponentials: b_k = a - jc at the residue
+k < p/2 and b_(p-k) = a + jc at its conjugate (`_conjugate_positions`), and
+b = a for periods 1 and 2.
 
 Full row rank is certified without an SVD: LAPACK's trcon estimates the
 reciprocal 1-norm condition rcond of the square R in O(N^2), and
@@ -58,8 +60,9 @@ the norm minimal). The cached Q costs one more real M x N array per
 dictionary. The reported residual ||F b - x|| is taken on the dictionary's
 own entries, complex for Farey, as an independent check of the solve. It
 costs a full N x M product, as much as the solve itself, so a solution
-computes it on first read and keeps it; its value is the same as if it had
-been computed during the solve. The solution holds a read-only copy of the
+computes it on first read and keeps it (building a Farey dictionary's
+entries then); its value is the same as if it had been computed during the
+solve. The solution holds a read-only copy of the
 signal and read-only coefficients, so the residual always belongs to the
 coefficients it returns.
 
@@ -86,9 +89,12 @@ holds no records: `list(table)` gives them all, and
 `[c.to_dict() for c in table]` spells them for JSON. A record compares
 equal to the plain tuple of its fields.
 
-The dataclasses here that hold arrays (`GramFactor`, `PeriodicDictionary`,
-`DictionarySolution`) compare and hash by identity; the reports
-(`PeriodReport`, `CandidateReport`) compare and hash by value.
+The dataclasses here that hold arrays (`ComponentTable`, `GramFactor`,
+`PeriodicDictionary`, `DictionarySolution`) keep read-only views of them
+and pickle through their constructors, so an unpickled value is read-only
+too and derives its caches anew; all but the table compare and hash by
+identity. The reports (`PeriodReport`, `CandidateReport`) compare and hash
+by value.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs, qr, svd
 
-from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex,
+from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, _ArrayValue,
                        _require_orthogonal, _require_real, block_layout, build_columns,
                        column_layout)
 from .numtheory import divisors, positive_int, totient
@@ -114,7 +120,6 @@ from .signals import _checked_real, _checked_samples
 from .transform import CoefficientSet
 
 FAREY = "farey"
-_SQRT2 = np.sqrt(2.0)
 
 __all__ = [
     "PeriodReport", "FrequencyComponent", "ComponentTable", "PeriodicDictionary", "GramFactor",
@@ -206,7 +211,7 @@ class FrequencyComponent(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class ComponentTable(Sequence):
+class ComponentTable(_ArrayValue, Sequence):
     """Frequency components as a read-only column table: `p` and `k` (int),
     `freq`, `freq_hz` (None without a sample rate), `magnitude` and `phase`,
     one row per conjugate subspace.
@@ -225,21 +230,10 @@ class ComponentTable(Sequence):
     phase: np.ndarray
 
     __hash__ = None
-
-    def __post_init__(self):
-        for name, a in zip(FrequencyComponent._fields, self._columns()):
-            if a is not None:
-                # a read-only view, so the caller's array stays writable
-                a = a.view()
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)
+    _arrays = FrequencyComponent._fields
 
     def _columns(self):
         return self.p, self.k, self.freq, self.freq_hz, self.magnitude, self.phase
-
-    def __reduce__(self):
-        # through the constructor: unpickled arrays come back writable
-        return ComponentTable, self._columns()
 
     def __len__(self) -> int:
         return len(self.p)
@@ -307,14 +301,15 @@ def frequency_components(c: CoefficientSet, fs: float | None = None,
 
 
 @dataclass(frozen=True, eq=False)
-class GramFactor:
+class GramFactor(_ArrayValue):
     """Real economic QR of A^T = Q R for a dictionary with M columns and N
     rows: Q is M x K with orthonormal columns and R is K x N upper
     triangular (Fortran order, so triangular solves use it in place), with
     K = min(M, N). Q and R are real for every family: A is F T^-1 for the
-    real families, and for a Farey dictionary its columns are the Re/Im
-    pair columns of the module docstring, not F T^-1. Either way R^T R is
-    the Gram F T^-2 F^H.
+    real families, and for a Farey dictionary the occpt columns of the same
+    blocks divided by sqrt(2) f(p) for p >= 3 and f(p) for periods 1 and 2
+    (module docstring), so the rows of Q follow the occpt layout, not F.
+    Either way R^T R is the Gram F T^-2 F^H.
 
     `condition` estimates the Gram's condition as 1 / rcond^2, with rcond
     LAPACK's trcon estimate of the reciprocal 1-norm condition of R; it is
@@ -327,42 +322,40 @@ class GramFactor:
     pinv: np.ndarray | None         # truncated pinv(R^H) without full row rank
     condition: float
 
+    _arrays = ("Q", "R", "pinv")
+
 
 @dataclass(frozen=True, eq=False)
-class PeriodicDictionary:
+class PeriodicDictionary(_ArrayValue):
     """Stacked subspace bases tiled to N: the fat dictionary of periods
     1..p_max, or the square basis of a candidate set (`p_max` its largest
     candidate). An immutable value of four fields: its family (farey names
-    the dft-npm blocks), penalty name, read-only entries and the layout
-    addressing their columns. N (the rows of the entries), p_max (the last
-    block period), the penalties and the factor derive from them; entries
-    that do not fit the layout, a family that is not the layout's own and
-    an unknown penalty are rejected. Entries that are writable, or a view,
-    are copied, so no later write to the caller's array reaches the cached
-    factor; a read-only array that owns its data is kept as it is."""
+    the dft-npm blocks), penalty name, length N and the layout addressing
+    its columns. The entries, p_max (the last block period), the penalties
+    and the factor derive from them and are built on first use; an N that
+    is not an integer >= 1, a family that is not the layout's own and an
+    unknown penalty are rejected. A Farey factor and solve never build the
+    complex entries; the residual, export and tests read them."""
 
     family: str
     penalty_name: str
-    entries: np.ndarray
+    N: int
     layout: ColumnLayout
 
     def __post_init__(self):
-        F, n, fam = self.entries, len(self.layout.periods), self.layout.family
-        if F.ndim != 2 or F.shape[1] != n:
-            raise ValueError(f"dictionary entries must be 2-D with {n} columns, got {F.shape}")
+        object.__setattr__(self, "N", positive_int(self.N, "dictionary length N"))
+        fam = self.layout.family
         if (DFT_NPM if self.family == FAREY else self.family) != fam:
             raise ValueError(f"dictionary family {self.family!r} does not match its {fam} layout")
-        if F.flags.writeable or not F.flags.owndata:
-            # the factor is cached, so entries that could still change under
-            # it are copied; the caller's array stays writable
-            F = F.copy()
-            F.setflags(write=False)
-            object.__setattr__(self, "entries", F)
         self.penalties          # checks the penalty name, at construction
 
-    @property
-    def N(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The blocks tiled to N (read-only), complex for dft-npm blocks;
+        built on first read and kept."""
+        F = build_columns(self.layout, self.N)
+        F.setflags(write=False)
+        return F
 
     @property
     def p_max(self) -> int:
@@ -381,7 +374,7 @@ class PeriodicDictionary:
 
     @property
     def n_columns(self) -> int:
-        return self.entries.shape[1]
+        return len(self.layout.periods)
 
     @property
     def columns(self) -> tuple[SubspaceIndex, ...]:
@@ -398,12 +391,21 @@ class PeriodicDictionary:
         return self._qr
 
     @cached_property
+    def _real_columns(self) -> tuple[ColumnLayout, np.ndarray]:
+        # (layout, scale) of the real columns the factor is built from: the
+        # dictionary's own with their penalties, or for dft-npm blocks the
+        # occpt pairs of the same blocks, scaled by sqrt(2) f(p) for p >= 3
+        if self.layout.family != DFT_NPM:
+            return self.layout, self.penalties
+        scale = np.where(self.periods >= 3, np.sqrt(2.0), 1.0) * self.penalties
+        return block_layout(OCCPT, self.layout._block_plan[0]), scale
+
+    @cached_property
     def _qr(self) -> GramFactor:
-        F = self.entries
-        if self.layout.family == DFT_NPM:
-            F = _pair_columns(F, self.layout)
+        layout, scale = self._real_columns
+        F = self.entries if layout is self.layout else build_columns(layout, self.N)
         # A^T comes out Fortran-ordered, so QR overwrites it in place
-        Q, R = qr(F.T / self.penalties[:, None], mode="economic", overwrite_a=True)
+        Q, R = qr(F.T / scale[:, None], mode="economic", overwrite_a=True)
         R = np.asfortranarray(R)
         tol = np.finfo(float).eps * max(self.n_columns, self.N)
         rcond, rank, P = 0.0, self.N, None
@@ -417,29 +419,17 @@ class PeriodicDictionary:
             rank = int(np.count_nonzero(s > tol * s[0]))
             if rank < self.N:
                 P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
-        for a in (Q, R) if P is None else (Q, R, P):
-            a.setflags(write=False)
         condition = float("inf") if P is not None else 1.0 / rcond ** 2
         return GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
-
-
-def _pair_columns(entries: np.ndarray, layout: ColumnLayout) -> np.ndarray:
-    """Real columns spanning the same Gram as a dft-npm dictionary's
-    exponentials: sqrt(2) Re e_k at the lower residue k < p/2, sqrt(2) Im
-    e_(p-k) at its conjugate p - k, and e itself for periods 1 and 2."""
-    lower, upper = layout._conjugate_positions
-    F = entries.real.copy()
-    F[:, lower] *= _SQRT2
-    F[:, upper] = entries.imag[:, upper] * _SQRT2
-    return F
 
 
 def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> PeriodicDictionary:
     """Stack the family's subspace bases for every period 1..p_max.
 
     The dictionary has sum(phi(p)) columns; columns of non-divisor periods
-    are truncated mid-period, and its entries are read-only. p_max beyond N
-    duplicates spanned content and triggers a warning.
+    are truncated mid-period, and its entries, built on first read, are
+    read-only. p_max beyond N duplicates spanned content and triggers a
+    warning.
     """
     N = positive_int(N, "dictionary length N")
     p_max = positive_int(p_max, "p_max")
@@ -456,14 +446,12 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
     fam = DFT_NPM if family == FAREY else family
     if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
-    layout = block_layout(fam, periods)
-    F = build_columns(layout, N)
-    F.setflags(write=False)         # a fresh array, so the value keeps it as is
-    return PeriodicDictionary(family=family, penalty_name=penalty, entries=F, layout=layout)
+    return PeriodicDictionary(family=family, penalty_name=penalty, N=N,
+                              layout=block_layout(fam, periods))
 
 
 @dataclass(frozen=True, eq=False)
-class DictionarySolution:
+class DictionarySolution(_ArrayValue):
     """Coefficients b_hat (read-only) of a signal against a dictionary, and
     a read-only copy of the signal. Derived from them: the strength of each
     block period, ascending from period 1 (a read-only mapping), the
@@ -473,6 +461,8 @@ class DictionarySolution:
     b_hat: np.ndarray
     dictionary: PeriodicDictionary
     _signal: np.ndarray = field(repr=False)
+
+    _arrays = ("b_hat", "_signal")
 
     @cached_property
     def strengths(self) -> MappingProxyType:
@@ -566,8 +556,8 @@ def _trtrs(r_type: np.dtype, x_type: np.dtype):
 def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.ndarray:
     """Weighted minimum-norm coefficients b = T^-1 Q R^-T x from the factor f
     of dictionary d, through the truncated pseudo-inverse without full row
-    rank; a dft-npm dictionary's pair map then turns the real pair
-    coordinates into exponential coefficients."""
+    rank; for dft-npm blocks Q R^-T x holds occpt pair coordinates, scaled
+    and then mapped onto the exponentials (module docstring)."""
     if f.pinv is None:
         y, info = _trtrs(f.R.dtype, x.dtype)(f.R, x, lower=0, trans=2)
         if info:
@@ -575,13 +565,20 @@ def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.nda
         u = f.Q @ y
     else:
         u = f.Q @ (f.pinv @ x)
-    if d.layout.family == DFT_NPM:
-        lower, upper = d.layout._conjugate_positions
-        lo, hi = u[lower], 1j * u[upper]
-        u = u.astype(complex)
-        u[lower] = (lo + hi) / _SQRT2
-        u[upper] = (lo - hi) / _SQRT2
-    return u / d.penalties
+    layout, scale = d._real_columns
+    u /= scale
+    if layout is d.layout:
+        return u
+    # an occpt pair (b0, b1) is b0 (e_k + e_(p-k)) - j b1 (e_k - e_(p-k));
+    # the first e pairs, periods 1 and 2, lead both layouts with one column
+    _, _, b0, b1 = layout.pairs(u)
+    lower, upper = d.layout._conjugate_positions
+    e = len(b0) - len(lower)
+    b = np.empty(len(u), complex)
+    b[:e] = b0[:e]
+    b[lower] = b0[e:] - 1j * b1[e:]
+    b[upper] = b0[e:] + 1j * b1[e:]
+    return b
 
 
 def _strengths(layout: ColumnLayout, b: np.ndarray, normalized=False) -> MappingProxyType:
@@ -615,11 +612,7 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     x = _checked_samples(x, "dictionary_solve")
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
-    b = _coefficients(d.gram(), x, d)
-    x = x.copy()
-    for a in (b, x):
-        a.setflags(write=False)
-    return DictionarySolution(b_hat=b, dictionary=d, _signal=x)
+    return DictionarySolution(b_hat=_coefficients(d.gram(), x, d), dictionary=d, _signal=x.copy())
 
 
 def min_data_length(candidates) -> int:

@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ccps import SIN
-from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _check_family,
+from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _ArrayValue, _check_family,
                        _require_orthogonal, _require_real, build_columns, column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
@@ -115,7 +115,7 @@ def _pair_count(N: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientSet:
+class CoefficientSet(_ArrayValue):
     """Transform coefficients with flat and subspace-indexed views.
 
     For the orthogonal family `flat` is frequency-ordered (see module
@@ -128,15 +128,16 @@ class CoefficientSet:
     family: str
     flat: np.ndarray
 
+    _arrays = ("flat",)
+
     def __post_init__(self):
         _check_family(self.family)
         object.__setattr__(self, "N", positive_int(self.N, "N"))
-        flat = np.asarray(self.flat).view()
-        _check_numeric(flat, "CoefficientSet flat")
-        if flat.shape != (self.N,):
-            raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {flat.shape}")
-        flat.setflags(write=False)
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "flat", np.asarray(self.flat))
+        _check_numeric(self.flat, "CoefficientSet flat")
+        if self.flat.shape != (self.N,):
+            raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {self.flat.shape}")
+        super().__post_init__()
 
     @property
     def is_complex(self) -> bool:

@@ -9,6 +9,8 @@ import pytest
 from scipy.linalg import solve_triangular, svdvals
 
 import ccpt.period as period
+from ccpt.matrices import block_layout
+from ccpt.numtheory import divisors, totient
 from ccpt.period import build_dictionary, dictionary_solve
 from ccpt.signals import hidden_periodic_component, make_x2
 
@@ -65,7 +67,8 @@ def test_ill_conditioned_dictionary_matches_oracle(family, N, p_max):
 
 @pytest.mark.parametrize("family,N,p_max,full_rank", [
     ("occpt", 54, 50, True), ("rpt", 54, 50, True), ("farey", 24, 10, True),
-    ("occpt", 54, 5, False), ("occpt", 100, 12, False), ("farey", 60, 7, False)])
+    ("occpt", 54, 5, False), ("occpt", 100, 12, False), ("farey", 60, 7, False),
+    ("farey", 54, 50, True), ("farey", 24, 6, False)])
 def test_dictionary_solve_matches_oracle(family, N, p_max, full_rank):
     d = build_dictionary(N, p_max, family=family)
     x = _mixture(N, 3)
@@ -80,9 +83,8 @@ def test_dictionary_solve_matches_oracle(family, N, p_max, full_rank):
 
 
 def test_fat_rank_deficient_dictionary_takes_least_squares_branch():
-    # every row twice: 46 columns, 24 rows, rank 12
-    d = build_dictionary(12, 12, family="occpt")
-    d = dataclasses.replace(d, entries=np.vstack([d.entries, d.entries]))
+    # 12 columns for 24 samples: rank 12
+    d = build_dictionary(24, 6, family="occpt")
     x = np.random.default_rng(5).standard_normal(24)
     sol = dictionary_solve(x, d)
     assert d.gram().rank == 12
@@ -126,13 +128,58 @@ def test_every_family_factors_in_real_arithmetic(monkeypatch, family):
     assert dtypes == [np.float64]
 
 
-# 24/10 has full row rank, 60/7 takes the least-squares branch
-@pytest.mark.parametrize("N,p_max", [(24, 10), (60, 7)])
+# 24/10 and 54/50 have full row rank, 60/7 and 24/6 take the least-squares
+# branch
+@pytest.mark.parametrize("N,p_max", [(24, 10), (60, 7), (54, 50), (24, 6)])
 def test_complex_signal_against_farey_matches_oracle(N, p_max):
     d = build_dictionary(N, p_max, family="farey")
     x = _mixture(N, 3) + 0.5j * _mixture(N, 4)
     _, b, _ = _oracle_solution(d, x)
     assert _rel(dictionary_solve(x, d).b_hat, b) <= 1e-10
+
+
+# 54/50 has full row rank; 256/30 and 360/48 too, near the rank cutoff
+# (Gram condition 1e22 to 1e25); 24/6 has 12 columns for 24 samples and
+# takes the least-squares branch
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("penalty", ["p2", "phi"])
+@pytest.mark.parametrize("N,p_max,rtol", [(54, 50, 1e-10), (24, 6, 1e-10), (256, 30, 1e-4),
+                                          (360, 48, 1e-4)])
+def test_farey_matches_the_oracle_on_its_complex_entries(N, p_max, rtol, penalty, complex_x):
+    """The factor of a farey dictionary is built from occpt columns; its
+    coefficients are the weighted minimum-norm ones of its complex entries."""
+    d = build_dictionary(N, p_max, family="farey", penalty=penalty)
+    x = _mixture(N, 5) + (0.5j * _mixture(N, 6) if complex_x else 0.0)
+    b = dictionary_solve(x, d).b_hat
+    assert _rel(b, weighted_min_norm(d.entries, d.penalties, x)) <= rtol
+
+
+@pytest.mark.parametrize("cand", [(5, 8), (3, 4), (4, 6, 9)])
+def test_farey_candidate_strengths_match_the_oracle(cand):
+    n = sum(map(totient, {q for p in cand for q in divisors(p)}))
+    x = _mixture(n, 8)
+    got = period.candidate_matrix_solve(x, cand, family="farey").strengths
+    _, d = period._candidate_dictionary(tuple(sorted(cand)), "farey", n)
+    b = weighted_min_norm(d.entries, d.penalties, x)
+    sums = np.bincount(d.periods, weights=np.abs(b) ** 2)
+    for p, s in got.items():
+        assert s == pytest.approx(sums[p], rel=1e-9, abs=1e-12 * sums.max())
+
+
+@pytest.mark.parametrize("family", ["farey", "dft-npm"])
+def test_farey_solve_builds_no_complex_entries(family):
+    """A solve and every answer but the residual read only the real factor;
+    the complex entries are built on the residual's first read."""
+    d = build_dictionary(54, 50, family=family)
+    d.gram()
+    sol = dictionary_solve(make_x2().samples, d)
+    assert sol.estimated_period() == 40 and sol.strengths[8] > 0.0
+    assert "entries" not in vars(d)
+    sol.residual
+    assert "entries" in vars(d)
+    period._candidate_dictionary.cache_clear()
+    period.candidate_matrix_solve(_mixture(12, 2), (5, 8), family=family)
+    assert "entries" not in vars(period._candidate_dictionary((5, 8), family, 12)[1])
 
 
 def test_repeated_solves_factor_once(monkeypatch):
@@ -153,18 +200,23 @@ def test_repeated_solves_factor_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _pair_map(u, periods):
-    """Exponential coefficients from the real pair coordinates u of a farey
-    dictionary, one conjugate pair at a time: in a block of period p >= 3
-    the residues are symmetric, so position i of the lower half (its cosine
-    row) pairs with the mirrored position j (its sine row)."""
-    b = u.astype(complex)
-    for p in np.unique(periods[periods >= 3]).tolist():
-        start, end = np.searchsorted(periods, [p, p + 1]).tolist()
-        for i in range(start, (start + end) // 2):
-            j = start + end - 1 - i
-            lo, hi = u[i], 1j * u[j]
-            b[i], b[j] = (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+def _pair_map(u, d):
+    """Exponential coefficients of a farey dictionary d from the coordinates
+    u of its real factor, one conjugate pair at a time. u follows the occpt
+    layout of the same blocks, scaled by sqrt(2) f(p) for p >= 3 and f(p)
+    for periods 1 and 2, and the occpt pair (b0, b1) of residue k is
+    b_k = b0 - j b1 at the column of k and b_(p-k) = b0 + j b1 at that of
+    p - k."""
+    occpt = block_layout("occpt", np.unique(d.periods))
+    b = np.zeros(len(u), complex)
+    for i, c in enumerate(occpt.columns):
+        f = d.penalties[i] * (np.sqrt(2) if c.p >= 3 else 1.0)
+        if c.p <= 2:
+            b[d.layout.column_index(c.p, c.k, "exp")] = u[i] / f
+        elif c.kind == "cos":
+            b0, b1 = u[i] / f, u[i + 1] / f
+            b[d.layout.column_index(c.p, c.k, "exp")] = b0 - 1j * b1
+            b[d.layout.column_index(c.p, c.p - c.k, "exp")] = b0 + 1j * b1
     return b
 
 
@@ -178,9 +230,8 @@ def test_triangular_solve_matches_solve_triangular(family, N, p_max):
     # a complex signal against a real R takes the complex routine, as before
     for signal in (x, x + 0.5j * _mixture(N, 32)):
         u = f.Q @ solve_triangular(f.R, signal, trans=2, check_finite=False)
-        if family == "farey":
-            u = _pair_map(u, d.periods)
-        assert np.array_equal(dictionary_solve(signal, d).b_hat, u / d.penalties)
+        want = _pair_map(u, d) if family == "farey" else u / d.penalties
+        assert np.array_equal(dictionary_solve(signal, d).b_hat, want)
 
 
 @pytest.mark.parametrize("family,N,p_max,svds", [
@@ -245,10 +296,6 @@ def test_replaced_dictionary_factors_itself():
     np.testing.assert_array_equal(got.b_hat, want.b_hat)
     assert got.estimated_period() == want.estimated_period()
     assert got.to_dict()["penalty"] == "phi"
-    negated = dictionary_solve(x, dataclasses.replace(d, entries=-d.entries))
-    solution = dictionary_solve(x, d)
-    np.testing.assert_array_equal(negated.b_hat, -solution.b_hat)
-    assert negated.residual == solution.residual
 
 
 def test_dictionary_and_factor_are_read_only():
@@ -329,26 +376,29 @@ def test_replaced_penalty_solves_like_a_built_dictionary():
 
 
 def test_inconsistent_dictionaries_are_rejected():
-    """N, p_max and the penalties derive from the entries, the layout and
-    the penalty name; a family other than the layout's, entries that do not
-    fit the layout and an unknown penalty raise. replace(d, N=60) used to
-    die in the solve, and p_max, penalties and family were written as
-    given."""
+    """The entries, p_max and the penalties derive from the family, the
+    layout, N and the penalty name; a family other than the layout's, an N
+    that is not an integer >= 1 and an unknown penalty raise. Entries given
+    to replace() used to be kept even when they were not the layout's
+    blocks (negated, or rows stacked twice), and p_max, penalties and
+    family were written as given."""
     d = build_dictionary(54, 50)
-    for name, value in (("N", 60), ("p_max", 7), ("penalties", d.penalties)):
+    for name, value in (("entries", d.entries), ("p_max", 7), ("penalties", d.penalties)):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             dataclasses.replace(d, **{name: value})
     with pytest.raises(ValueError, match="^dictionary family 'ccpt1' does not match its occpt "
                                          "layout$"):
         dataclasses.replace(d, family="ccpt1")
-    for entries in (d.entries[:, :-1], d.entries[0], d.entries[None]):
-        with pytest.raises(ValueError, match="^dictionary entries must be 2-D with 774 columns"):
-            dataclasses.replace(d, entries=entries)
+    for N in (0, 2.5, True):
+        with pytest.raises(ValueError, match=f"^dictionary length N must be an integer >= 1, "
+                                             f"got {N}$"):
+            dataclasses.replace(d, N=N)
     with pytest.raises(ValueError, match="^penalty must be 'p2' or 'phi', got 'p'$"):
         dataclasses.replace(d, penalty_name="p")
     farey = build_dictionary(24, 10, family=period.FAREY)
     assert dataclasses.replace(farey, family="dft-npm").layout is farey.layout
     with pytest.raises(ValueError, match="^dictionary family 'occpt' does not match its dft-npm"):
         dataclasses.replace(farey, family="occpt")
-    taller = dataclasses.replace(d, entries=np.vstack([d.entries, d.entries]))
+    taller = dataclasses.replace(d, N=108)
     assert (taller.N, taller.p_max, d.N, d.p_max) == (108, 50, 54, 50)
+    assert np.array_equal(taller.entries, build_dictionary(108, 50).entries)

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 from dataclasses import fields, replace
 from types import MappingProxyType
@@ -552,11 +553,13 @@ def test_dictionary_entries_are_read_only(family):
         d.entries[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("value", ["PeriodicDictionary", "PeriodicBasisMatrix"])
+# a dictionary derives its entries; a basis matrix keeps the caller's, since
+# validate_npm must see broken ones
+@pytest.mark.parametrize("value", ["PeriodicBasisMatrix"])
 def test_values_keep_the_callers_entries_writable(value):
     """The value keeps a read-only view: setting the flag on the caller's
     own array used to make `a[0, 0] = 1.0` raise after replace()."""
-    v = build_dictionary(12, 5) if value == "PeriodicDictionary" else build_matrix(OCCPT, 6)
+    v = build_matrix(OCCPT, 6)
     a = np.array(v.entries)
     w = replace(v, entries=a)
     assert a.flags.writeable and not w.entries.flags.writeable
@@ -565,24 +568,45 @@ def test_values_keep_the_callers_entries_writable(value):
         w.entries[0, 0] = 1.0
 
 
-def test_dictionary_factor_ignores_later_writes_to_the_callers_entries():
-    """The factor is cached, so a dictionary copies entries that can still
-    change: writing to the caller's array after the first solve used to
-    leave a stale factor (residual 8.485 -> 20.857 on this case)."""
-    d = build_dictionary(12, 5)
-    x = np.cos(2 * np.pi * np.arange(12) / 4) + (np.arange(12) % 3)
-    fresh = dictionary_solve(x, d)
-    for solve_first in (True, False):
-        a = np.array(d.entries)
-        w = replace(d, entries=a)
-        if solve_first:
-            dictionary_solve(x, w)
-        a[:] = 0.0
-        sol = dictionary_solve(x, w)
-        np.testing.assert_allclose(sol.b_hat, fresh.b_hat, atol=1e-12)
-        assert sol.residual == pytest.approx(fresh.residual, abs=1e-9)
-    # a read-only array that owns its data is kept, not copied
-    assert replace(d, penalty_name="phi").entries is d.entries
+def _pickled_values():
+    """Each value that holds arrays, and the names of its arrays."""
+    x, d = np.cos(2 * np.pi * np.arange(12) / 4) + (np.arange(12) % 3), build_dictionary(12, 5)
+    sol = dictionary_solve(x, d)
+    d.entries       # cached, so a pickle that kept it would show here
+    return {
+        "CoefficientSet": (analyze(x, OCCPT), ("flat",)),
+        "ColumnLayout": (d.layout, ("periods", "k", "kind", "shift")),
+        "PeriodicBasisMatrix": (build_matrix(OCCPT, 6), ("entries",)),
+        "DictionarySolution": (sol, ("b_hat", "_signal")),
+        "GramFactor": (build_dictionary(60, 7).gram(), ("Q", "R", "pinv")),
+        "PeriodicDictionary": (d, ("entries", "penalties")),
+        "ComponentTable": (frequency_components(analyze(x, OCCPT), fs=2.0),
+                           FrequencyComponent._fields),
+    }
+
+
+@pytest.mark.parametrize("name", ["CoefficientSet", "ColumnLayout", "PeriodicBasisMatrix",
+                                  "DictionarySolution", "GramFactor", "PeriodicDictionary",
+                                  "ComponentTable"])
+def test_pickle_keeps_values_read_only(name):
+    """A pickle goes through the constructor, so the arrays of the copy are
+    read-only too. numpy restores them writable, so an unpickled value could
+    be changed, and writing to an unpickled dictionary's entries left its
+    cached factor stale. A dictionary re-derives its caches."""
+    value, arrays = _pickled_values()[name]
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back is not value
+    if name == "PeriodicDictionary":
+        assert "entries" not in vars(back) and "_qr" not in vars(back)
+        arrays += ("gram().Q",)
+        x = np.arange(12.0) ** 2
+        want = dictionary_solve(x, value)
+        got = dictionary_solve(x, back)
+        assert np.array_equal(got.b_hat, want.b_hat) and got.residual == want.residual
+    for a in arrays:
+        got = back.gram().Q if a == "gram().Q" else getattr(back, a)
+        want = value.gram().Q if a == "gram().Q" else getattr(value, a)
+        assert np.array_equal(got, want) and not got.flags.writeable, a
 
 
 def test_reports_hash_by_value():
@@ -727,14 +751,14 @@ def test_strengths_are_read_only(name):
 
 # the fields each value stores; every other attribute derives from them
 STORED = {
-    period.PeriodicDictionary: ("family", "penalty_name", "entries", "layout"),
+    period.PeriodicDictionary: ("family", "penalty_name", "N", "layout"),
     period.DictionarySolution: ("b_hat", "dictionary", "_signal"),
     period.CandidateReport: ("candidates", "width", "rank", "strengths"),
     period.PeriodReport: ("N", "family", "strengths", "threshold", "significant", "normalized"),
     PeriodicBasisMatrix: ("entries", "layout"),
 }
 DERIVED = {
-    period.PeriodicDictionary: ("N", "p_max", "penalties"),
+    period.PeriodicDictionary: ("entries", "p_max", "penalties"),
     period.DictionarySolution: ("strengths", "gram_condition", "used_fallback", "residual"),
     period.CandidateReport: ("basis_periods", "full_rank", "candidate_strengths"),
     period.PeriodReport: ("estimated_period",),
