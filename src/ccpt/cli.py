@@ -175,20 +175,16 @@ def cmd_transform(args) -> int:
 def cmd_periods(args) -> int:
     x = read_signal_csv(args.input)
     if args.method == "matrix":
-        coeffs = tr.analyze(x, args.family)
-        report = periodmod.period_strengths(coeffs, threshold=args.threshold)
-        payload = report.to_dict()
-        rows = report.strength_rows()
+        answer = periodmod.period_strengths(tr.analyze(x, args.family), threshold=args.threshold)
     else:
         d = periodmod.build_dictionary(len(x), args.pmax, family=args.family,
                                        penalty=args.penalty)
-        solution = periodmod.dictionary_solve(x, d)
-        payload = solution.to_dict()
-        rows = solution.strength_rows()
+        answer = periodmod.dictionary_solve(x, d)
+    payload = answer.to_dict()
     payload["method"] = args.method
     _dump_json(payload, args.out)
     if args.strengths_csv:
-        _write_strength_csv(rows, args.strengths_csv)
+        _write_strength_csv(answer.strength_rows(), args.strengths_csv)
     return EXIT_OK
 
 

@@ -3,7 +3,10 @@
 Divisor-period analysis attributes the square sum of a signal's transform
 coefficients to each divisor subspace; periods holding at least a fraction
 (default 20%) of the maximum strength are significant, and the period
-estimate is their least common multiple.
+estimate is their least common multiple. One significance rule,
+`_significant`, makes every cut: the periods whose strength reaches a
+fraction of the peak over periods >= a first one (divisor reports: their
+threshold from period 1; dictionary solutions: 1% from period 2).
 
 Every period answer reads the block plan of its column layout
 (`ColumnLayout`), built once per layout and kept: the ascending block
@@ -25,7 +28,9 @@ penalties, the factor and the read-only entries (the blocks tiled to N,
 built on first read) derive from them, so `dataclasses.replace` gives a
 new, consistent dictionary that factors itself, and a derived name given
 to it raises. The report values store their independent facts the same
-way and derive the rest.
+way and derive the rest: a divisor report derives its length N (the last
+divisor period) and significant set, a candidate report its width (the
+sum of phi(p) over the basis periods).
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
@@ -94,16 +99,16 @@ The dataclasses here that hold arrays (`ComponentTable`, `GramFactor`,
 and pickle through their constructors, so an unpickled value is read-only
 too and derives its caches anew; all but the table compare and hash by
 identity. The reports (`PeriodReport`, `CandidateReport`) compare and hash
-by value.
+by value, through one hash over their dataclass fields (`_value_hash`).
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import combinations, repeat
 from math import gcd, lcm
 from operator import eq
 from types import MappingProxyType
@@ -129,28 +134,54 @@ __all__ = [
 ]
 
 
+def _value_hash(self) -> int:
+    """Hash of a report by the values of its dataclass fields; a mapping
+    hashes as the set of its items, since equal mappings may list them in
+    any order."""
+    return hash(tuple(frozenset(v.items()) if isinstance(v, Mapping) else v
+                      for v in (getattr(self, f.name) for f in fields(self))))
+
+
+def _significant(strengths, fraction: float, first: int = 1) -> tuple[int, ...]:
+    """The periods, ascending, whose strength reaches `fraction` of the peak
+    over periods >= `first`, or of the overall peak when that one is 0; none
+    when every strength is 0. The one significance rule of divisor reports
+    and dictionary solutions; the peak is taken by period, not by position."""
+    peak = max((s for p, s in strengths.items() if p >= first), default=0.0)
+    peak = peak or max(strengths.values())
+    if peak <= 0.0:
+        return ()
+    cut = fraction * peak
+    return tuple(p for p, s in strengths.items() if s >= cut)
+
+
 @dataclass(frozen=True)
 class PeriodReport:
     """Divisor-period strengths (a read-only mapping) of a coefficient set,
-    the significant set at the threshold and, derived, its lcm. Compares
-    and hashes by value."""
+    its family, threshold and normalization. Derived: `N` (the last divisor
+    period), the significant set at the threshold and its lcm. Compares and
+    hashes by value."""
 
-    N: int
     family: str
     strengths: MappingProxyType
     threshold: float
-    significant: tuple[int, ...]
     normalized: bool = False
+
+    __hash__ = _value_hash
+
+    @property
+    def N(self) -> int:
+        return next(reversed(self.strengths))
+
+    @property
+    def significant(self) -> tuple[int, ...]:
+        """Periods whose strength reaches `threshold` of the peak strength."""
+        return _significant(self.strengths, self.threshold)
 
     @property
     def estimated_period(self) -> int:
         """The lcm of the significant periods; 1 when there are none."""
         return lcm(*self.significant)
-
-    def __hash__(self):
-        # equal mappings may list their items in any order: hash them as a set
-        return hash((self.N, self.family, frozenset(self.strengths.items()), self.threshold,
-                     self.significant, self.normalized))
 
     def to_dict(self) -> dict:
         return {
@@ -179,20 +210,10 @@ def period_strengths(c: CoefficientSet, threshold: float = 0.2,
     """
     _checked_real(threshold, "threshold", 0.0, 1.0, open_low=True)
     strengths = _strengths(column_layout(c.family, c.N), c.column_values(), normalized)
-    values = list(strengths.values())
-    peak = max(values)
-    if peak <= 0.0:
+    if not any(strengths.values()):
         warnings.warn("all-zero coefficient set: no significant periods, reporting period 1")
-        significant: tuple[int, ...] = ()
-    else:
-        significant = _at_least(strengths, values, threshold * peak)
-    return PeriodReport(N=c.N, family=c.family, strengths=strengths, threshold=threshold,
-                        significant=significant, normalized=normalized)
-
-
-def _at_least(periods, values, cut) -> tuple[int, ...]:
-    """The periods whose value reaches `cut`, in the given (ascending) order."""
-    return tuple(compress(periods, [s >= cut for s in values]))
+    return PeriodReport(family=c.family, strengths=strengths, threshold=threshold,
+                        normalized=normalized)
 
 
 class FrequencyComponent(NamedTuple):
@@ -489,12 +510,7 @@ class DictionarySolution(_ArrayValue):
         p >= 2. The weighted minimum-norm solution spreads component
         energies over orders of magnitude, so the floor is deliberately low;
         p = 1 only carries the offset and never changes the lcm."""
-        periods, values = list(self.strengths), list(self.strengths.values())
-        # periods[0] is 1, so values[1:] are the strengths of p >= 2
-        ref = max(values[1:], default=0.0)
-        if ref <= 0.0:
-            return (1,) if values[0] > 0.0 else ()
-        return _at_least(periods, values, 0.01 * ref)
+        return _significant(self.strengths, 0.01, first=2)
 
     def top_periods(self, count: int) -> tuple[int, ...]:
         """The `count` (an integer >= 0) strongest periods p >= 2 with a
@@ -621,31 +637,30 @@ def min_data_length(candidates) -> int:
     P = [positive_int(p, "candidate period") for p in candidates]
     if len(P) < 2:
         raise ValueError("need at least two candidate periods")
-    best = 0
-    for i in range(len(P)):
-        for j in range(i + 1, len(P)):
-            best = max(best, P[i] + P[j] - gcd(P[i], P[j]))
-    return best
+    return max(p + q - gcd(p, q) for p, q in combinations(P, 2))
 
 
 @dataclass(frozen=True)
 class CandidateReport:
     """Strengths (a read-only mapping) of the basis periods of a candidate
-    set's square dictionary, with its width and rank. The basis periods
-    (the strength keys), full rank (rank == width) and the candidates'
-    own strengths derive from them. Compares and hashes by value."""
+    set's square dictionary, with its rank. The basis periods (the strength
+    keys), the width (the sum of their phi(p)), full rank (rank == width)
+    and the candidates' own strengths derive from them. Compares and hashes
+    by value."""
 
     candidates: tuple[int, ...]
-    width: int
     rank: int
     strengths: MappingProxyType
 
-    def __hash__(self):
-        return hash((self.candidates, self.width, self.rank, frozenset(self.strengths.items())))
+    __hash__ = _value_hash
 
     @property
     def basis_periods(self) -> tuple[int, ...]:
         return tuple(self.strengths)
+
+    @property
+    def width(self) -> int:
+        return sum(map(totient, self.strengths))
 
     @property
     def full_rank(self) -> bool:
@@ -668,11 +683,10 @@ class CandidateReport:
 
 
 @lru_cache(maxsize=64)
-def _candidate_dictionary(cand: tuple[int, ...], family: str,
-                          n: int) -> tuple[tuple[int, ...], PeriodicDictionary]:
-    """Block periods (every divisor of every candidate, ascending) and square
-    dictionary of a sorted candidate set for data length n; the dictionary
-    caches its factor on the first solve. A length other than the
+def _candidate_dictionary(cand: tuple[int, ...], family: str, n: int) -> PeriodicDictionary:
+    """Square dictionary of a sorted candidate set for data length n, whose
+    blocks are every divisor of every candidate, ascending; it caches its
+    factor on the first solve. A length other than the
     dictionary's width is rejected before anything is built, and the error
     is not cached."""
     periods = tuple(sorted({d for p in cand for d in divisors(p)}))
@@ -681,7 +695,7 @@ def _candidate_dictionary(cand: tuple[int, ...], family: str,
         raise ValueError(
             f"data length {n} does not match the basis dimension {width} "
             f"of candidate set {cand}; this construction needs a square system")
-    return periods, _dictionary(width, periods, family, "p2")
+    return _dictionary(width, periods, family, "p2")
 
 
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:
@@ -700,10 +714,10 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     cand = tuple(sorted({positive_int(p, "candidate period") for p in candidates}))
     if not cand:
         raise ValueError("need at least one candidate period")
-    _, d = _candidate_dictionary(cand, family, len(x))
+    d = _candidate_dictionary(cand, family, len(x))
     f = d.gram()
     if f.pinv is not None:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({f.rank}/{d.N}); falling back to least squares")
-    return CandidateReport(candidates=cand, width=d.N, rank=f.rank,
+    return CandidateReport(candidates=cand, rank=f.rank,
                            strengths=_strengths(d.layout, _coefficients(f, x, d)))

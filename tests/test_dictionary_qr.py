@@ -159,7 +159,7 @@ def test_farey_candidate_strengths_match_the_oracle(cand):
     n = sum(map(totient, {q for p in cand for q in divisors(p)}))
     x = _mixture(n, 8)
     got = period.candidate_matrix_solve(x, cand, family="farey").strengths
-    _, d = period._candidate_dictionary(tuple(sorted(cand)), "farey", n)
+    d = period._candidate_dictionary(tuple(sorted(cand)), "farey", n)
     b = weighted_min_norm(d.entries, d.penalties, x)
     sums = np.bincount(d.periods, weights=np.abs(b) ** 2)
     for p, s in got.items():
@@ -179,7 +179,7 @@ def test_farey_solve_builds_no_complex_entries(family):
     assert "entries" in vars(d)
     period._candidate_dictionary.cache_clear()
     period.candidate_matrix_solve(_mixture(12, 2), (5, 8), family=family)
-    assert "entries" not in vars(period._candidate_dictionary((5, 8), family, 12)[1])
+    assert "entries" not in vars(period._candidate_dictionary((5, 8), family, 12))
 
 
 def test_repeated_solves_factor_once(monkeypatch):

@@ -255,7 +255,7 @@ def test_build_columns_match_column_by_column_build(family):
     """The shared-segment table gives every column bit for bit as building it
     alone from its own period: dictionaries (54, 1..50) and (512, 1..64) and
     a candidate set at N = 12."""
-    candidate = period._candidate_dictionary((5, 8), family, 12)[1]
+    candidate = period._candidate_dictionary((5, 8), family, 12)
     cases = [(block_layout(family, range(1, 51)), 54, None),
              (block_layout(family, range(1, 65)), 512, None),
              (candidate.layout, 12, candidate.entries)]

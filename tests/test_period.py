@@ -9,7 +9,7 @@ import pytest
 import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
-                           PeriodicBasisMatrix, SubspaceIndex, build_matrix)
+                           PeriodicBasisMatrix, SubspaceIndex, block_layout, build_matrix)
 from ccpt.numtheory import divisors, totient
 from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
@@ -403,15 +403,18 @@ def test_penalty_is_p2_or_phi():
 
 def test_min_data_length_examples():
     assert min_data_length([6, 8]) == 12
-    assert min_data_length([3, 3]) == 3
+    assert min_data_length([3, 3]) == 3 and min_data_length([5, 5]) == 5
     assert min_data_length([5, 7, 9]) == 15
 
 
 def test_min_data_length_properties():
     assert min_data_length([8, 6]) == min_data_length([6, 8])
     assert min_data_length([5, 7, 9, 9, 5]) == min_data_length([5, 7, 9])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two candidate periods"):
         min_data_length([6])
+    # each period is checked before the count
+    with pytest.raises(ValueError, match="candidate period must be an integer"):
+        min_data_length([2.5])
 
 
 def test_candidate_matrix_structure():
@@ -622,6 +625,26 @@ def test_reports_hash_by_value():
     assert plain != normalized and len({plain, normalized}) == 2
 
 
+@pytest.mark.parametrize("threshold", [0.05, 0.5, 0.9, 1.0])
+def test_replaced_threshold_is_a_fresh_report(threshold):
+    """The significant set follows the threshold: replace() used to keep
+    x1's (3, 9, 18) at 0.9, where a fresh report reads (9,)."""
+    c = occpt_analysis(make_x1().samples)
+    got, want = replace(period_strengths(c), threshold=threshold), period_strengths(c, threshold)
+    assert got == want and hash(got) == hash(want)
+    assert got.significant == want.significant and got.to_dict() == want.to_dict()
+
+
+def test_dictionary_significance_peak_is_taken_by_period():
+    """The 1% floor is taken from the peak over periods >= 2, wherever the
+    layout starts: one whose first block is period 3 used to skip it and
+    call every period significant."""
+    d = replace(build_dictionary(24, 6), layout=block_layout(OCCPT, [3, 4, 6]))
+    sol = dictionary_solve(np.cos(2 * np.pi * np.arange(24) / 3), d)
+    assert sol.strengths[3] == pytest.approx(0.25)
+    assert sol.significant_periods() == (3,) and sol.estimated_period() == 3
+
+
 def test_candidate_basis_is_built_once(monkeypatch):
     calls = []
     real_builder = period.build_columns
@@ -645,8 +668,8 @@ def test_candidate_basis_is_built_once(monkeypatch):
 
 
 def test_candidate_basis_is_read_only():
-    periods, d = period._candidate_dictionary((5, 8), OCCPT, 12)
-    assert periods == (1, 2, 4, 5, 8) and d.entries.shape == (12, 12)
+    d = period._candidate_dictionary((5, 8), OCCPT, 12)
+    assert d.layout._block_plan[0] == (1, 2, 4, 5, 8) and d.entries.shape == (12, 12)
     assert not d.entries.flags.writeable
     with pytest.raises(ValueError):
         d.entries[0, 0] = 1.0
@@ -675,7 +698,7 @@ def test_rank_deficient_candidate_basis_warns_every_call(monkeypatch):
     x = np.random.default_rng(6).standard_normal(6)
     # the minimum-norm least-squares solution against the basis truncated to
     # its five largest singular values, written here from an SVD of F T^-1
-    _, d = period._candidate_dictionary((3, 4), CCPT2, 6)
+    d = period._candidate_dictionary((3, 4), CCPT2, 6)
     U, s, Vh = np.linalg.svd(d.entries / d.penalties)
     b = Vh[:5].T @ ((U[:, :5].T @ x) / s[:5]) / d.penalties
     sums = np.bincount(d.periods, weights=b ** 2)
@@ -753,26 +776,26 @@ def test_strengths_are_read_only(name):
 STORED = {
     period.PeriodicDictionary: ("family", "penalty_name", "N", "layout"),
     period.DictionarySolution: ("b_hat", "dictionary", "_signal"),
-    period.CandidateReport: ("candidates", "width", "rank", "strengths"),
-    period.PeriodReport: ("N", "family", "strengths", "threshold", "significant", "normalized"),
+    period.CandidateReport: ("candidates", "rank", "strengths"),
+    period.PeriodReport: ("family", "strengths", "threshold", "normalized"),
     PeriodicBasisMatrix: ("entries", "layout"),
 }
 DERIVED = {
     period.PeriodicDictionary: ("entries", "p_max", "penalties"),
     period.DictionarySolution: ("strengths", "gram_condition", "used_fallback", "residual"),
-    period.CandidateReport: ("basis_periods", "full_rank", "candidate_strengths"),
-    period.PeriodReport: ("estimated_period",),
+    period.CandidateReport: ("basis_periods", "width", "full_rank", "candidate_strengths"),
+    period.PeriodReport: ("N", "significant", "estimated_period"),
     PeriodicBasisMatrix: ("N", "family"),
 }
 
 
 def test_values_store_each_fact_once():
-    """19 stored fields in all; a derived name given to replace() raises."""
+    """16 stored fields in all; a derived name given to replace() raises."""
     reports = _reports()
     sol = reports["DictionarySolution"]
     values = [sol.dictionary, sol, reports["CandidateReport"], reports["PeriodReport"],
               build_matrix(OCCPT, 12)]
-    assert sum(map(len, STORED.values())) == 19
+    assert sum(map(len, STORED.values())) == 16
     for value in values:
         cls = type(value)
         assert tuple(f.name for f in fields(cls)) == STORED[cls]
