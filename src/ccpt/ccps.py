@@ -150,8 +150,9 @@ def ccps_inner_product(spec_a: CcpsSpec, shift_a: int, spec_b: CcpsSpec, shift_b
     specs share (L, k), else 0. Cross-kind pairs with L >= 3:
     2*L*sin(2*pi*k*(shift_a - shift_b)/L_a) with the type-1 factor's shift
     first; cross-kind with L <= 2 falls back to the same-kind form because
-    the two sums coincide there.
+    the two sums coincide there. The shifts are integers of either sign.
     """
+    shift_a, shift_b = (positive_int(s, "shift", low=None) for s in (shift_a, shift_b))
     L = lcm_list([spec_a.L, spec_b.L])
     if spec_a.L != spec_b.L or spec_a.k != spec_b.k:
         return 0.0

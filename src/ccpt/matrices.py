@@ -14,9 +14,13 @@ Column order is canonical and fixed: divisors ascending, residues ascending,
 cos before sin, downshift 0 before downshift 1. Coefficient indices therefore
 mean the same thing across runs.
 
-A `ColumnLayout` holds the addresses as arrays over any ascending set of
-block periods (divisors of N, or 1..P_max for a dictionary), and
-`build_columns` is the one builder of entries for every basis.
+A `ColumnLayout` is a family and an ascending tuple of block periods
+(divisors of N, or 1..P_max for a dictionary): it stores those two and
+works out the column addresses, as read-only arrays, when it is made.
+`build_columns` is the one builder of entries for every basis. A
+`ValidationReport` stores the block checks and overall rank of a matrix,
+and a `BlockCheck` a block's rank and periodicity; their pass flags and
+widths derive from them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .ccps import COS, SIN, _pair_sums, pair_scale, ramanujan_sum
 from .numtheory import divisors, positive_int, totient
+from .signals import _checked_real
 
 DFT_NPM = "dft-npm"
 RPT = "rpt"
@@ -86,28 +91,37 @@ class SubspaceIndex:
     shift: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ColumnLayout(_ArrayValue):
-    """Canonical column addresses of one family over an ascending set of
-    block periods, without the matrix entries. Column i is (periods[i],
-    k[i], kind[i], shift[i]); the arrays are read-only, and `kind` is a
-    "<U3" array of the strings exp, ram, cos and sin.
+    """Canonical column addresses of one family over an ascending tuple of
+    block periods, without the matrix entries. A layout is its family and
+    its block periods: it compares, hashes and pickles by those two, and
+    its read-only address arrays are worked out from them when it is made.
+    Column i is (periods[i], k[i], kind[i], shift[i]), and `kind` is a
+    "<U3" array of the strings exp, ram, cos and sin. Each block has phi(p)
+    columns: residues ascending, cos before sin, downshift 0 before
+    downshift 1.
 
     The layout is the one table of column order: the transforms take their
     packed slots and DFT bins from it, `pair_columns` is the one lookup of
     a cosine/sine pair and `pairs` the one split of an orthogonal layout's
     values into pairs. It also owns, built on first use and kept, the
-    block plan that every period answer reads (the ascending block
-    periods, each column's block index and each block's width phi(p)) and
-    the pair frequencies k/p of its conjugate subspaces."""
+    block plan that every period answer reads (the block periods, each
+    column's block index and each block's width phi(p)) and the pair
+    frequencies k/p of its conjugate subspaces."""
 
     family: str
-    periods: np.ndarray
-    k: np.ndarray
-    kind: np.ndarray
-    shift: np.ndarray
+    blocks: tuple[int, ...]
 
-    _arrays = ("periods", "k", "kind", "shift")
+    def __post_init__(self):
+        _check_family(self.family)
+        p = np.array(self.blocks, dtype=int)
+        if p.size == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
+            raise ValueError(f"block periods must be positive and ascending, got {p.tolist()}")
+        arrays = _addresses(self.family, p)
+        for a in arrays:
+            a.setflags(write=False)
+        vars(self).update(zip(("periods", "k", "kind", "shift"), arrays), blocks=tuple(p.tolist()))
 
     def _rows(self):
         return self.periods.tolist(), self.k.tolist(), self.kind.tolist(), self.shift.tolist()
@@ -135,17 +149,11 @@ class ColumnLayout(_ArrayValue):
 
     @cached_property
     def _block_plan(self):
-        # (blocks, index, widths): the ascending block periods and each
-        # block's width phi(p) as tuples of ints, and the read-only block
-        # index of each column. The periods ascend from 1 or more, so the
-        # bounds of the blocks are where their difference, padded with 0 on
-        # both sides, is nonzero
-        p = self.periods
-        bounds = np.flatnonzero(np.diff(p, prepend=0, append=0))
-        widths = np.diff(bounds)
-        index = np.repeat(np.arange(len(widths)), widths)
+        # (blocks, index, widths): the block periods, the read-only block
+        # index of each column and each block's width phi(p) as ints
+        index = np.searchsorted(self.blocks, self.periods)
         index.setflags(write=False)
-        return tuple(p[bounds[:-1]].tolist()), index, tuple(widths.tolist())
+        return self.blocks, index, tuple(np.bincount(index).tolist())
 
     @cached_property
     def _pair_positions(self):
@@ -222,13 +230,14 @@ def _require_real(what: str, values: np.ndarray) -> None:
 
 
 def block_layout(family: str, periods) -> ColumnLayout:
-    """Column addresses of the blocks of `periods` (positive, ascending):
-    per block, residues ascending, cos before sin, downshift 0 before
-    downshift 1. Each block has phi(p) columns."""
-    _check_family(family)
-    periods = np.array(periods, dtype=int)
-    if periods.size == 0 or periods[0] < 1 or np.any(np.diff(periods) <= 0):
-        raise ValueError(f"block periods must be positive and ascending, got {periods.tolist()}")
+    """The layout of `family` over the blocks of `periods` (positive,
+    ascending): ColumnLayout(family, periods)."""
+    return ColumnLayout(family, periods)
+
+
+def _addresses(family: str, periods: np.ndarray):
+    """(periods, k, kind, shift) of each column of the blocks of `periods`,
+    in canonical order: the arrays of a `ColumnLayout`."""
     # candidate residues 1..top of each period: the full residue system, or
     # its lower half (just 1 for periods 1 and 2)
     top = periods if family in (DFT_NPM, RPT) else np.maximum(periods // 2, 1)
@@ -237,20 +246,19 @@ def block_layout(family: str, periods) -> ColumnLayout:
     coprime = np.gcd(k, p) == 1
     p, k = p[coprime], k[coprime]
     if family == DFT_NPM:
-        return ColumnLayout(family, p, k, np.full(len(p), EXP), np.zeros_like(p))
+        return p, k, np.full(len(p), EXP), np.zeros_like(p)
     if family == RPT:
         # phi(p) downshifts of the Ramanujan sum c_p; no single residue
         shift = np.arange(len(p)) - np.searchsorted(p, p)
-        return ColumnLayout(family, p, np.zeros_like(p), np.full(len(p), RAM), shift)
+        return p, np.zeros_like(p), np.full(len(p), RAM), shift
     # a cos/sin (occpt) or shift 0/1 (ccpt1, ccpt2) pair per residue;
     # periods 1 and 2 keep the first column alone
     p, k, second = np.repeat(p, 2), np.repeat(k, 2), np.tile([False, True], len(p))
     keep = ~second | (p >= 3)
     p, k, second = p[keep], k[keep], second[keep]
     if family == OCCPT:
-        return ColumnLayout(family, p, k, np.where(second, SIN, COS), np.zeros_like(p))
-    kind = COS if family == CCPT1 else SIN
-    return ColumnLayout(family, p, k, np.full(len(p), kind), second.astype(int))
+        return p, k, np.where(second, SIN, COS), np.zeros_like(p)
+    return p, k, np.full(len(p), COS if family == CCPT1 else SIN), second.astype(int)
 
 
 def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
@@ -309,7 +317,7 @@ def column_layout(family: str, N: int) -> ColumnLayout:
 
 @lru_cache(maxsize=64)
 def _column_layout(family: str, N: int) -> ColumnLayout:
-    return block_layout(family, divisors(N))
+    return ColumnLayout(family, divisors(N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,21 +385,41 @@ def matrix_rank(a: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class BlockCheck:
+    """The check of one block of period p: its rank and whether every
+    column is p-periodic. Derived: `width` phi(p) and `rank_ok`, whether
+    the rank is phi(p)."""
+
     p: int
-    width: int
     rank: int
-    rank_ok: bool
     periodic_ok: bool
+
+    @property
+    def width(self) -> int:
+        return totient(self.p)
+
+    @property
+    def rank_ok(self) -> bool:
+        return self.rank == self.width
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The block checks and overall rank of an N x N basis matrix of
+    `family`. Derived: `full_rank` (rank == N) and `passed`, full rank with
+    every block's rank and periodicity right."""
+
     N: int
     family: str
     blocks: tuple[BlockCheck, ...]
     rank: int
-    full_rank: bool
-    passed: bool
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.N
+
+    @property
+    def passed(self) -> bool:
+        return self.full_rank and all(c.rank_ok and c.periodic_ok for c in self.blocks)
 
     def to_dict(self) -> dict:
         return {
@@ -400,28 +428,27 @@ class ValidationReport:
             "rank": self.rank,
             "full_rank": self.full_rank,
             "passed": self.passed,
-            "blocks": [vars(b) for b in self.blocks],
+            "blocks": [{"p": b.p, "width": b.width, "rank": b.rank, "rank_ok": b.rank_ok,
+                        "periodic_ok": b.periodic_ok} for b in self.blocks],
         }
 
 
 def validate_npm(m: PeriodicBasisMatrix, tol: float = 1e-9) -> ValidationReport:
-    """Check the three nested-periodic-matrix axioms: per-divisor block rank
-    phi(p), overall full rank, and exact p-periodicity of every column."""
+    """Check the three nested-periodic-matrix axioms: per-block rank
+    phi(p), overall full rank, and exact p-periodicity of every column to
+    within tol (relative to the column's largest entry, or 1), a finite
+    number >= 0."""
+    tol = _checked_real(tol, "tol")
     checks = []
     n = np.arange(m.N)
-    for p in divisors(m.N):
+    for p in m.layout.blocks:
         rng = m.subspace_columns(p)
         block = m.entries[:, rng.start:rng.stop]
-        r = matrix_rank(block)
         periodic = bool(np.all(np.max(np.abs(block - block[n % p]), axis=0)
                                <= tol * np.maximum(1.0, np.max(np.abs(block), axis=0))))
-        checks.append(BlockCheck(p=p, width=block.shape[1], rank=r,
-                                 rank_ok=(r == totient(p)), periodic_ok=periodic))
-    rank = matrix_rank(m.entries)
-    full = rank == m.N
-    passed = full and all(c.rank_ok and c.periodic_ok for c in checks)
+        checks.append(BlockCheck(p=p, rank=matrix_rank(block), periodic_ok=periodic))
     return ValidationReport(N=m.N, family=m.family, blocks=tuple(checks),
-                            rank=rank, full_rank=full, passed=passed)
+                            rank=matrix_rank(m.entries))
 
 
 def export_matrix_csv(m: PeriodicBasisMatrix, path) -> None:

@@ -139,7 +139,8 @@ def divisors(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ResidueSets:
-    """Coprime residues of n: the full set, its lower half, and the rest.
+    """Coprime residues of n: the full set, its lower half, and the rest,
+    derived from n, an integer >= 1.
 
     For n >= 3 the halves split the full set evenly (totient(n) is even);
     for n in {1, 2} the half set is {1} by convention so every period
@@ -147,21 +148,25 @@ class ResidueSets:
     """
 
     n: int
-    full: tuple[int, ...]
-    half: tuple[int, ...]
-    complement: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _checked_n(self.n, "residue_sets"))
+
+    @property
+    def full(self) -> tuple[int, ...]:
+        return tuple(k for k in range(1, self.n + 1) if gcd(k, self.n) == 1)
+
+    @property
+    def half(self) -> tuple[int, ...]:
+        return tuple(k for k in self.full if k <= max(self.n // 2, 1))
+
+    @property
+    def complement(self) -> tuple[int, ...]:
+        return self.full[len(self.half):]
 
 
 def residue_sets(n: int) -> ResidueSets:
-    n = _checked_n(n, "residue_sets")
-    full = tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
-    if n <= 2:
-        half = (1,)
-        complement = tuple(k for k in full if k != 1)
-    else:
-        half = tuple(k for k in full if k <= n // 2)
-        complement = tuple(k for k in full if k > n // 2)
-    return ResidueSets(n=n, full=full, half=half, complement=complement)
+    return ResidueSets(n)
 
 
 def half_residues(n: int) -> tuple[int, ...]:

@@ -52,24 +52,26 @@ A Farey solve divides u by its own scale, then maps each occpt pair (a, c)
 k < p/2 and b_(p-k) = a + jc at its conjugate (`_conjugate_positions`), and
 b = a for periods 1 and 2.
 
-Full row rank is certified without an SVD: LAPACK's trcon estimates the
-reciprocal 1-norm condition rcond of the square R in O(N^2), and
-rcond > eps * max(M, N) (the cutoff ratio least squares uses) settles it.
-Otherwise, and always when the dictionary has fewer columns M than samples
-N, one SVD of R decides: the rank counts the singular values above
-eps * max(M, N) * sigma_max, and a dictionary without full row rank takes
-the least-squares branch, u = Q pinv(R^T) x with the truncated
-pseudo-inverse built once from that same SVD, the minimum-norm
-least-squares solution (the pair map from u to T b is unitary, so it keeps
-the norm minimal). The cached Q costs one more real M x N array per
-dictionary. The reported residual ||F b - x|| is taken on the dictionary's
-own entries, complex for Farey, as an independent check of the solve. It
-costs a full N x M product, as much as the solve itself, so a solution
-computes it on first read and keeps it (building a Farey dictionary's
-entries then); its value is the same as if it had been computed during the
-solve. The solution holds a read-only copy of the
-signal and read-only coefficients, so the residual always belongs to the
-coefficients it returns.
+A factor (`GramFactor`) stores only Q and R, and makes its one rank
+decision when it is made. Full row rank is certified without an SVD:
+LAPACK's trcon estimates the reciprocal 1-norm condition rcond of the
+square R in O(N^2), and rcond > eps * max(M, N) (the cutoff ratio least
+squares uses) settles it. Otherwise, and always when the dictionary has
+fewer columns M than samples N, one SVD of R decides: the rank counts the
+singular values above eps * max(M, N) * sigma_max, and a dictionary
+without full row rank takes the least-squares branch, u = Q pinv(R^T) x
+with the truncated pseudo-inverse built once from that same SVD, the
+minimum-norm least-squares solution (the pair map from u to T b is
+unitary, so it keeps the norm minimal). Its rank, pseudo-inverse and
+condition derive from R that way, so they cannot disagree. The cached Q
+costs one more real M x N array per dictionary. The reported residual
+||F b - x|| is taken on the dictionary's own entries, complex for Farey,
+as an independent check of the solve. It costs a full N x M product, as
+much as the solve itself, so a solution computes it on first read and
+keeps it (building a Farey dictionary's entries then); its value is the
+same as if it had been computed during the solve. The solution holds a
+read-only copy of the signal and read-only coefficients, so the residual
+always belongs to the coefficients it returns.
 
 Candidate-set scoring solves the same program over a square dictionary:
 the stacked blocks of every divisor of every candidate, with as many
@@ -97,9 +99,10 @@ equal to the plain tuple of its fields.
 The dataclasses here that hold arrays (`ComponentTable`, `GramFactor`,
 `PeriodicDictionary`, `DictionarySolution`) keep read-only views of them
 and pickle through their constructors, so an unpickled value is read-only
-too and derives its caches anew; all but the table compare and hash by
-identity. The reports (`PeriodReport`, `CandidateReport`) compare and hash
-by value, through one hash over their dataclass fields (`_value_hash`).
+too and derives its caches (and a factor its rank decision) anew; all but
+the table compare and hash by identity. The reports (`PeriodReport`,
+`CandidateReport`) compare and hash by value, through one hash over their
+dataclass fields (`_value_hash`).
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, qr, svd
 
 from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, _ArrayValue,
-                       _require_orthogonal, _require_real, block_layout, build_columns,
-                       column_layout)
+                       _require_orthogonal, _require_real, build_columns, column_layout)
 from .numtheory import divisors, positive_int, totient
 from .signals import _checked_real, _checked_samples
 from .transform import CoefficientSet
@@ -332,18 +334,39 @@ class GramFactor(_ArrayValue):
     (module docstring), so the rows of Q follow the occpt layout, not F.
     Either way R^T R is the Gram F T^-2 F^H.
 
-    `condition` estimates the Gram's condition as 1 / rcond^2, with rcond
-    LAPACK's trcon estimate of the reciprocal 1-norm condition of R; it is
-    infinite without full row rank. Q, R and pinv are read-only: the factor
-    belongs to its dictionary and serves every solve against it."""
+    A factor is its Q and R, the two arrays it stores (read-only views);
+    `rank`, `pinv` and `condition` derive from R by one rank decision when
+    the factor is made (module docstring): LAPACK's trcon estimate rcond of
+    the reciprocal 1-norm condition of a square R, and an SVD of R only when
+    rcond <= eps * max(M, N) or R is not square. `rank` counts the singular
+    values above eps * max(M, N) * sigma_max (N without the SVD); `pinv`,
+    the truncated pinv(R^H) (read-only), is None with full row rank; and
+    `condition`, the Gram's condition estimate 1 / rcond^2, is infinite
+    without full row rank. The factor belongs to its dictionary and serves
+    every solve against it."""
 
     Q: np.ndarray
     R: np.ndarray
-    rank: int
-    pinv: np.ndarray | None         # truncated pinv(R^H) without full row rank
-    condition: float
 
-    _arrays = ("Q", "R", "pinv")
+    _arrays = ("Q", "R")
+
+    def __post_init__(self):
+        super().__post_init__()
+        R, (K, N) = self.R, self.R.shape
+        tol = np.finfo(float).eps * max(len(self.Q), N)
+        rcond, rank, P = 0.0, N, None
+        if K == N:
+            trcon, = get_lapack_funcs(("trcon",), (R,))
+            rcond, info = trcon(R, norm="1", uplo="U", diag="N")
+            if info:
+                raise np.linalg.LinAlgError(f"condition estimate failed (trcon info {info})")
+        if rcond <= tol:
+            U, s, Vh = svd(R, full_matrices=False, check_finite=False)
+            rank = int(np.count_nonzero(s > tol * s[0]))
+            if rank < N:
+                P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
+                P.setflags(write=False)
+        vars(self).update(rank=rank, pinv=P, condition=np.inf if P is not None else 1.0 / rcond ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +403,7 @@ class PeriodicDictionary(_ArrayValue):
 
     @property
     def p_max(self) -> int:
-        return int(self.layout.periods[-1])
+        return self.layout.blocks[-1]
 
     @cached_property
     def penalties(self) -> np.ndarray:
@@ -419,7 +442,7 @@ class PeriodicDictionary(_ArrayValue):
         if self.layout.family != DFT_NPM:
             return self.layout, self.penalties
         scale = np.where(self.periods >= 3, np.sqrt(2.0), 1.0) * self.penalties
-        return block_layout(OCCPT, self.layout._block_plan[0]), scale
+        return ColumnLayout(OCCPT, self.layout.blocks), scale
 
     @cached_property
     def _qr(self) -> GramFactor:
@@ -427,21 +450,7 @@ class PeriodicDictionary(_ArrayValue):
         F = self.entries if layout is self.layout else build_columns(layout, self.N)
         # A^T comes out Fortran-ordered, so QR overwrites it in place
         Q, R = qr(F.T / scale[:, None], mode="economic", overwrite_a=True)
-        R = np.asfortranarray(R)
-        tol = np.finfo(float).eps * max(self.n_columns, self.N)
-        rcond, rank, P = 0.0, self.N, None
-        if R.shape[0] == self.N:
-            trcon, = get_lapack_funcs(("trcon",), (R,))
-            rcond, info = trcon(R, norm="1", uplo="U", diag="N")
-            if info:
-                raise np.linalg.LinAlgError(f"condition estimate failed (trcon info {info})")
-        if rcond <= tol:
-            U, s, Vh = svd(R, full_matrices=False, check_finite=False)
-            rank = int(np.count_nonzero(s > tol * s[0]))
-            if rank < self.N:
-                P = (U[:, :rank] / s[:rank]) @ Vh[:rank]
-        condition = float("inf") if P is not None else 1.0 / rcond ** 2
-        return GramFactor(Q=Q, R=R, rank=rank, pinv=P, condition=condition)
+        return GramFactor(Q, np.asfortranarray(R))
 
 
 def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> PeriodicDictionary:
@@ -468,7 +477,7 @@ def _dictionary(N: int, periods, family: str, penalty: str) -> PeriodicDictionar
     if fam not in FAMILIES:
         raise ValueError(f"unknown dictionary family {family!r}")
     return PeriodicDictionary(family=family, penalty_name=penalty, N=N,
-                              layout=block_layout(fam, periods))
+                              layout=ColumnLayout(fam, periods))
 
 
 @dataclass(frozen=True, eq=False)

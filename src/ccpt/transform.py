@@ -51,14 +51,14 @@ coefficients come back as one complex flat array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .ccps import SIN
+from .ccps import COS, SIN, _pair_sums
 from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _ArrayValue, _check_family,
-                       _require_orthogonal, _require_real, build_columns, column_layout)
+                       _require_orthogonal, _require_real, column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
@@ -553,8 +553,8 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
     (Python or NumPy), of either sign; x, when given, a finite signal of
     length N.
 
-    Test utility, for the small N its callers use (up to 54): it builds all
-    N shifted pair sums at once, an N x N array."""
+    Test utility, for the small N its callers use (up to 54): it builds the
+    cosine and sine pair sums of all N columns at once, two N x N arrays."""
     _require_orthogonal("coefficient_period_check", c.family)
     _require_real("coefficient_period_check", c.flat)
     _checked_real(tol, "tol")
@@ -567,10 +567,11 @@ def coefficient_period_check(c: CoefficientSet, k_multiple: int = 1, tol: float 
         if len(x) != N:
             raise ValueError(f"signal length {len(x)} does not match the coefficient set's {N}")
     layout = column_layout(OCCPT, N)
-    shifted = replace(layout, k=layout.k + k_multiple * N)
-    # a pair sum has norm^2 2N, or N for the single columns of periods 1 and 2
-    norms = np.where(layout.periods <= 2, N, 2 * N)
-    sums = x @ build_columns(shifted, N) / norms
+    p, k, n = layout.periods, layout.k + k_multiple * N, np.arange(N)[:, None]
+    # each column's pair sum at residue k + k_multiple*N; a pair sum has
+    # norm^2 2N, or N for the single columns of periods 1 and 2
+    columns = np.where(layout.kind == SIN, _pair_sums(p, k, n, SIN), _pair_sums(p, k, n, COS))
+    sums = x @ columns / np.where(p <= 2, N, 2 * N)
     return bool(np.all(np.abs(sums - c.column_values()) <= tol))
 
 

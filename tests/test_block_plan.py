@@ -111,7 +111,7 @@ def test_candidate_strengths_are_the_earlier_expressions(family, cand):
     want = strengths_by_comprehension(d.periods, b, periods)
     assert list(report.strengths.items()) == list(want.items())
     assert report.candidate_strengths == {p: want[p] for p in cand}
-    assert report.basis_periods == periods == d.layout._block_plan[0]
+    assert report.basis_periods == periods == d.layout.blocks
 
 
 def test_second_report_recomputes_no_divisors_or_totients(monkeypatch):

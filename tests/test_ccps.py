@@ -187,6 +187,16 @@ def test_inner_product_examples():
     assert ccps_inner_product(CcpsSpec(5, 2, COS), 0, CcpsSpec(5, 2, SIN), 0) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("shift", [0.5, True, "1", None, np.float64(2.0)])
+def test_inner_product_takes_integer_shifts(shift):
+    """A shift of 0.5 or True used to return a number."""
+    spec = CcpsSpec(5, 2, COS)
+    for shifts in ((shift, 0), (0, shift)):
+        with pytest.raises(ValueError, match="shift must be an integer, got"):
+            ccps_inner_product(spec, shifts[0], spec, shifts[1])
+    assert ccps_inner_product(spec, np.int64(-3), spec, 2) == ccps_inner_product(spec, 0, spec, 5)
+
+
 def test_generic_ccps_dispatch():
     np.testing.assert_array_equal(ccps(5, 2, COS, 5), ccps1(5, 2, 5))
     np.testing.assert_array_equal(ccps(5, 2, SIN, 5), ccps2(5, 2, 5))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -162,6 +163,53 @@ def test_validate_npm_passes():
     assert validate_npm(build_matrix(RPT, 16)).passed
     for family in FAMILIES:
         assert validate_npm(build_matrix(family, 12)).passed
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), "x", True, None])
+def test_validate_npm_rejects_a_bad_tolerance(tol):
+    """nan and -1.0 used to give passed=False, "x" a UFuncTypeError and
+    True a tolerance of 1.0."""
+    with pytest.raises(ValueError, match="tol must be finite and >= 0, got"):
+        validate_npm(build_matrix(OCCPT, 6), tol)
+
+
+def test_validation_report_derives_its_flags():
+    """to_dict() spells the stored and derived values of each block in the
+    order the report always wrote them; the flags follow the ranks."""
+    m = build_matrix(RPT, 12)
+    report = validate_npm(m, tol=0)
+    assert report.to_dict() == {
+        "N": 12, "family": RPT, "rank": 12, "full_rank": True, "passed": True,
+        "blocks": [{"p": p, "width": totient(p), "rank": totient(p), "rank_ok": True,
+                    "periodic_ok": True} for p in divisors(12)],
+    }
+    assert [b.p for b in report.blocks] == list(m.layout.blocks)
+    low = dataclasses.replace(report, rank=11)
+    assert not low.full_rank and not low.passed
+    block = dataclasses.replace(report.blocks[2], rank=1)
+    assert block.width == 2 and not block.rank_ok
+    assert not dataclasses.replace(report, blocks=(block,)).passed
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_layout_is_its_family_and_blocks(family):
+    """A layout compares, hashes and pickles by its family and blocks, and
+    replace() of the blocks works out the addresses anew."""
+    layout = column_layout(family, 12)
+    assert layout.blocks == (1, 2, 3, 4, 6, 12) and all(type(p) is int for p in layout.blocks)
+    other = dataclasses.replace(layout, blocks=(3, 4, 6))
+    want = block_layout(family, [3, 4, 6])
+    assert other == want and hash(other) == hash(want) and other is not want
+    assert len({other, want, layout}) == 2 and other != layout
+    for name in ("periods", "k", "kind", "shift"):
+        assert np.array_equal(getattr(other, name), getattr(want, name))
+        assert not getattr(other, name).flags.writeable
+    assert block_layout(family, np.array([3, 4, 6])) == want
+    assert pickle.loads(pickle.dumps(layout)) == layout
+    with pytest.raises(ValueError, match="block periods must be positive and ascending"):
+        dataclasses.replace(layout, blocks=(4, 3))
+    with pytest.raises(ValueError, match="unknown family"):
+        dataclasses.replace(layout, family="ccpt3")
 
 
 def test_validate_npm_catches_duplicate_column():

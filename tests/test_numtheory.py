@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,19 @@ def test_residue_sets_degenerate():
     assert residue_sets(1).half == (1,)
     assert residue_sets(1).full == (1,)
     assert residue_sets(2).full == (1,)
+
+
+def test_residue_sets_derive_from_n():
+    """The sets derive from n: replace(residue_sets(12), half=(5,)) used to
+    be accepted; n is checked as residue_sets checks it."""
+    rs = residue_sets(12)
+    assert (rs.full, rs.half, rs.complement) == ((1, 5, 7, 11), (1, 5), (7, 11))
+    assert (residue_sets(1).complement, residue_sets(2).complement) == ((), ())
+    assert replace(rs, n=9) == residue_sets(9) and hash(rs) == hash(residue_sets(12))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'half'"):
+        replace(rs, half=(5,))
+    with pytest.raises(ValueError, match="residue_sets requires n >= 1, an integer, got 0"):
+        replace(rs, n=0)
 
 
 def test_lcm_list_examples():

@@ -8,10 +8,11 @@ import pytest
 
 import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
-from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
-                           PeriodicBasisMatrix, SubspaceIndex, block_layout, build_matrix)
-from ccpt.numtheory import divisors, totient
-from ccpt.period import (FAREY, FrequencyComponent, build_dictionary,
+from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, BlockCheck, ColumnLayout,
+                           PeriodicBasisMatrix, SubspaceIndex, ValidationReport, block_layout,
+                           build_matrix, validate_npm)
+from ccpt.numtheory import ResidueSets, divisors, residue_sets, totient
+from ccpt.period import (FAREY, FrequencyComponent, GramFactor, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
                          frequency_components, min_data_length,
                          period_strengths)
@@ -366,19 +367,23 @@ def test_gram_condition_json_is_deterministic():
     JSON keeps 3 significant digits, and the attribute stays exact."""
     d = build_dictionary(54, 50, family=OCCPT)
     sol = dictionary_solve(make_x2().samples, d)
+    f = d.gram()
 
-    def with_condition(condition):
+    def with_diagonal(i, scale):
         # the condition is read from the dictionary's factor: give the
-        # solution a copy of d whose cached factor reports `condition`
+        # solution a copy of d whose cached factor has R[i, i] scaled
+        R = np.array(f.R, order="F")
+        R[i, i] *= scale
         other = replace(d)
-        object.__setattr__(other, "_qr", replace(d.gram(), condition=condition))
+        object.__setattr__(other, "_qr", GramFactor(f.Q, R))
         return replace(sol, dictionary=other)
 
-    near = with_condition(np.nextafter(sol.gram_condition, np.inf))
+    near = with_diagonal(0, 1 + 1e-12)
     assert near.gram_condition != sol.gram_condition
     assert near.to_dict() == sol.to_dict()
     assert sol.to_dict()["gram_condition"] == float(f"{sol.gram_condition:.3g}")
-    assert with_condition(np.inf).to_dict()["gram_condition"] is None
+    assert with_diagonal(-1, 0.0).to_dict()["gram_condition"] is None
+
 
 def test_dictionary_families_build():
     for family in (CCPT1, CCPT2, RPT, FAREY):
@@ -669,7 +674,7 @@ def test_candidate_basis_is_built_once(monkeypatch):
 
 def test_candidate_basis_is_read_only():
     d = period._candidate_dictionary((5, 8), OCCPT, 12)
-    assert d.layout._block_plan[0] == (1, 2, 4, 5, 8) and d.entries.shape == (12, 12)
+    assert d.layout.blocks == (1, 2, 4, 5, 8) and d.entries.shape == (12, 12)
     assert not d.entries.flags.writeable
     with pytest.raises(ValueError):
         d.entries[0, 0] = 1.0
@@ -779,6 +784,11 @@ STORED = {
     period.CandidateReport: ("candidates", "rank", "strengths"),
     period.PeriodReport: ("family", "strengths", "threshold", "normalized"),
     PeriodicBasisMatrix: ("entries", "layout"),
+    ColumnLayout: ("family", "blocks"),
+    period.GramFactor: ("Q", "R"),
+    ValidationReport: ("N", "family", "blocks", "rank"),
+    BlockCheck: ("p", "rank", "periodic_ok"),
+    ResidueSets: ("n",),
 }
 DERIVED = {
     period.PeriodicDictionary: ("entries", "p_max", "penalties"),
@@ -786,19 +796,43 @@ DERIVED = {
     period.CandidateReport: ("basis_periods", "width", "full_rank", "candidate_strengths"),
     period.PeriodReport: ("N", "significant", "estimated_period"),
     PeriodicBasisMatrix: ("N", "family"),
+    ColumnLayout: ("periods", "k", "kind", "shift"),
+    period.GramFactor: ("rank", "pinv", "condition"),
+    ValidationReport: ("full_rank", "passed"),
+    BlockCheck: ("width", "rank_ok"),
+    ResidueSets: ("full", "half", "complement"),
 }
 
 
 def test_values_store_each_fact_once():
-    """16 stored fields in all; a derived name given to replace() raises."""
+    """28 stored fields in all; a derived name given to replace() raises."""
     reports = _reports()
     sol = reports["DictionarySolution"]
+    validation = validate_npm(build_matrix(OCCPT, 12))
     values = [sol.dictionary, sol, reports["CandidateReport"], reports["PeriodReport"],
-              build_matrix(OCCPT, 12)]
-    assert sum(map(len, STORED.values())) == 16
+              build_matrix(OCCPT, 12), sol.dictionary.layout, sol.dictionary.gram(),
+              validation, validation.blocks[-1], residue_sets(12)]
+    assert sum(map(len, STORED.values())) == 28
+    assert set(map(type, values)) == STORED.keys() == DERIVED.keys()
     for value in values:
         cls = type(value)
         assert tuple(f.name for f in fields(cls)) == STORED[cls]
         for name in DERIVED[cls]:
             with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
                 replace(value, **{name: getattr(value, name)})
+
+
+def test_gram_factor_derives_its_rank_decision():
+    """replace(f, pinv=None) used to give a factor of rank 12 of 24 with no
+    pseudo-inverse and an infinite condition, which would have taken the
+    triangular solve. Rank, pinv and condition derive from R, so they
+    cannot be set, and a replaced factor makes the same decision."""
+    f = build_dictionary(24, 6).gram()
+    assert f.rank == 12 and f.pinv is not None and f.condition == np.inf
+    with pytest.raises(TypeError, match="unexpected keyword argument 'pinv'"):
+        replace(f, pinv=None)
+    g = replace(f)
+    assert g.rank == f.rank and g.condition == f.condition
+    assert np.array_equal(g.pinv, f.pinv) and not g.pinv.flags.writeable
+    full = build_dictionary(54, 50).gram()
+    assert full.rank == 54 and full.pinv is None and np.isfinite(full.condition)

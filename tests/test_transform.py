@@ -1,11 +1,10 @@
 import re
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from ccpt.ccps import COS, SIN, ccps1, ccps2, pair_scale
+from ccpt.ccps import COS, SIN, _pair_sums, ccps1, ccps2, pair_scale
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, build_columns,
                            column_layout)
 from ccpt.numtheory import divisors, positive_int, residue_sets
@@ -237,13 +236,16 @@ def test_coefficient_periodicity():
 @pytest.mark.parametrize("family", [OCCPT, CCPT1, CCPT2])
 @pytest.mark.parametrize("N", [1, 2, 7, 12, 54])
 def test_pair_sum_columns_are_periodic_in_the_residue(family, N):
-    """k*n is reduced mod p before scaling, so residue k + m*N gives the same
-    columns bit for bit: what coefficient_period_check compares is the set
-    against the pair sums of x, at any k_multiple."""
+    """k*n is reduced mod p before scaling, so the pair sums at residue
+    k + m*N, sample n minus the column's downshift, are the built columns
+    bit for bit: what coefficient_period_check compares is the set against
+    the pair sums of x, at any k_multiple."""
     layout = column_layout(family, N)
     want = build_columns(layout, N)
+    p, n = layout.periods, np.arange(N)[:, None] - layout.shift
     for m in (-3, -1, 1, 2, 5):
-        got = build_columns(replace(layout, k=layout.k + m * N), N)
+        k = layout.k + m * N
+        got = np.where(layout.kind == SIN, _pair_sums(p, k, n, SIN), _pair_sums(p, k, n, COS))
         np.testing.assert_array_equal(got, want, strict=True)
 
 
