@@ -16,8 +16,8 @@ exactly M-1 real multiplications and 2M-5 real additions for M >= 4, and
 1 multiplication and 2 additions for M = 2. The sine accumulators vanish
 identically at K = 0 and K = Q, so those butterflies reduce to the short
 branches below; products with twiddles 0/1/-1 still count, sign flips and
-dropped zero terms do not. Twiddle tables are precomputed per stage and
-never counted.
+dropped zero terms do not. At M = 2, Q = 0 and the K = 0 butterfly is the
+whole combine. Twiddle tables are precomputed per stage and never counted.
 """
 
 from __future__ import annotations
@@ -75,14 +75,6 @@ def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:
     L = M // 2
     h = B[:, :L]
     g = B[:, L:]
-    if M == 2:
-        t = 1.0 * g[:, 0]
-        ctr.real_mults += t.size
-        a = h[:, 0].copy()
-        B[:, 0] = a + t
-        B[:, 1] = a - t
-        ctr.real_adds += 2 * t.size
-        return
     Q = M // 4
     cosv, sinv = _twiddles(M)
     c, s = cosv[1:Q], sinv[1:Q]
@@ -103,11 +95,12 @@ def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:
     out[:, 1:Q] = hK + t1 - t2
     out[:, L - 1:L - Q:-1] = hK - t1 + t2
     ctr.real_adds += 4 * t1.size
-    # cosine side, K = Q: twiddle cos(pi/2) = 0
-    t = cosv[Q] * g[:, Q]
-    ctr.real_mults += t.size
-    out[:, Q] = h[:, Q] + t
-    ctr.real_adds += t.size
+    if Q:
+        # cosine side, K = Q: twiddle cos(pi/2) = 0
+        t = cosv[Q] * g[:, Q]
+        ctr.real_mults += t.size
+        out[:, Q] = h[:, Q] + t
+        ctr.real_adds += t.size
     # sine side, 1 <= K <= Q-1
     u1 = c * gLK
     u2 = s * gK
@@ -115,10 +108,11 @@ def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:
     out[:, M - 1:M - Q:-1] = hLK + u1 + u2
     out[:, L + 1:L + Q] = -hLK + u1 + u2
     ctr.real_adds += 4 * u1.size
-    # sine side, K = Q: twiddle sin(pi/2) = 1
-    t = sinv[Q] * g[:, Q]
-    ctr.real_mults += t.size
-    out[:, M - Q] = t
+    if Q:
+        # sine side, K = Q: twiddle sin(pi/2) = 1
+        t = sinv[Q] * g[:, Q]
+        ctr.real_mults += t.size
+        out[:, M - Q] = t
     B[:] = out
 
 

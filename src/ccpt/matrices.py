@@ -17,10 +17,13 @@ mean the same thing across runs.
 A `ColumnLayout` is a family and an ascending tuple of block periods
 (divisors of N, or 1..P_max for a dictionary): it stores those two and
 works out the column addresses, as read-only arrays, when it is made.
-`build_columns` is the one builder of entries for every basis. A
-`ValidationReport` stores the block checks and overall rank of a matrix,
-and a `BlockCheck` a block's rank and periodicity; their pass flags and
-widths derive from them.
+`build_columns` is the one builder of entries for every basis: it keeps one
+generator segment of p samples per block period p, and column (p, k,
+downshift s) reads its block's generator at k (n - s) mod p. A
+`PeriodicBasisMatrix` stores its entries and family, and its layout is the
+family's at its size. A `ValidationReport` stores the block checks and
+overall rank of a matrix, and a `BlockCheck` a block's rank and
+periodicity; their pass flags and widths derive from them.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class ColumnLayout(_ArrayValue):
 
     def __post_init__(self):
         _check_family(self.family)
-        p = np.array(self.blocks, dtype=int)
+        p = np.array([positive_int(b, "block period", low=None) for b in self.blocks], dtype=int)
         if p.size == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
             raise ValueError(f"block periods must be positive and ascending, got {p.tolist()}")
         arrays = _addresses(self.family, p)
@@ -263,40 +266,36 @@ def _addresses(family: str, periods: np.ndarray):
 
 def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
     """The layout's columns tiled (and truncated) to `length` samples,
-    complex for dft-npm. One period of every column is laid end to end in a
-    table, and sample n of a column with downshift s is its entry
-    (n - s) mod p. Columns share a segment where their patterns allow: the
-    first column of each run of downshifts (rpt's Ramanujan sum per period,
-    ccpt1/ccpt2's pair sum per residue) holds the segment its shifts read,
-    and occpt's sine column reads the sine half of its cosine's segment.
-    The pair-sum samples come from the one generator, `ccps._pair_sums`."""
-    p = layout.periods
-    # one table segment per pattern: every column for dft-npm, the first
-    # column of each cos/sin pair or run of downshifts otherwise
-    if layout.family == DFT_NPM:
-        first = np.ones(len(p), bool)
-    else:
-        first = layout.kind == COS if layout.family == OCCPT else layout.shift == 0
-    p_s, k_s = p[first], layout.k[first]
-    seg = np.cumsum(p_s) - p_s
-    start = seg[np.cumsum(first) - 1]
+    complex for dft-npm. Each block period p has one generator segment of p
+    samples in a table, laid out in the order of the layout's block plan:
+    rpt's Ramanujan sum c_p, ccpt1's or ccpt2's pair sum at residue 1,
+    occpt's cosine and sine pair sums at residue 1 (every sine segment
+    after every cosine one), dft-npm's exponential e^(2 pi j i / p). Sample
+    n of column (p, k, downshift s) is its segment's entry (k (n - s)) mod
+    p, the generator at residue k (rpt's k is 0, and its segment is already
+    the whole column pattern, so it reads entry (n - s) mod p). The
+    pair-sum samples come from the one generator, `ccps._pair_sums`, so
+    every sample is the generator at the reduced angle 2 pi r / p."""
+    blocks, index, _ = layout._block_plan
+    p = np.array(blocks)
+    seg = np.cumsum(p) - p
+    # per table entry: its block's period and its index i within that period
+    q = np.repeat(p, p)
+    i = np.arange(len(q)) - np.repeat(seg, p)
+    start = seg[index]
     if layout.family == RPT:
-        table = np.concatenate([ramanujan_sum(q) for q in p_s.tolist()])
+        table = np.concatenate([ramanujan_sum(b) for b in blocks])
+    elif layout.family == DFT_NPM:
+        table = np.exp(1j * ((2.0 * np.pi / q) * i))
+    elif layout.family == OCCPT:
+        table = np.concatenate([_pair_sums(q, 1, i, COS), _pair_sums(q, 1, i, SIN)])
+        start = np.where(layout.kind == SIN, start + len(q), start)
     else:
-        # per table entry: its segment's period and residue, and its index i
-        # within that period
-        p_t, k_t = np.repeat(p_s, p_s), np.repeat(k_s, p_s)
-        i = np.arange(len(p_t)) - np.repeat(seg, p_s)
-        if layout.family == DFT_NPM:
-            table = np.exp(2j * np.pi * k_t * i / p_t)
-        elif layout.family == OCCPT:
-            # the sine half follows the cosine half
-            table = np.concatenate([_pair_sums(p_t, k_t, i, COS), _pair_sums(p_t, k_t, i, SIN)])
-            start = np.where(layout.kind == SIN, start + len(p_t), start)
-        else:
-            table = _pair_sums(p_t, k_t, i, COS if layout.family == CCPT1 else SIN)
+        table = _pair_sums(q, 1, i, COS if layout.family == CCPT1 else SIN)
     idx = np.arange(length)[:, None] - layout.shift
-    idx %= p
+    if layout.family != RPT:
+        idx *= layout.k
+    idx %= layout.periods
     idx += start
     return table[idx]
 
@@ -322,25 +321,34 @@ def _column_layout(family: str, N: int) -> ColumnLayout:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicBasisMatrix(_ArrayValue):
-    """An N x N basis matrix and its column addresses.
+    """An N x N basis matrix of one family.
 
-    `entries` is dense (complex for dft-npm, real otherwise) and read-only;
-    `layout` addresses its columns. N (the rows of the entries) and the
-    family (the layout's) derive from them.
+    `entries` is dense (complex for dft-npm, real otherwise) and read-only,
+    a non-empty square 2-D array; `family` is one of FAMILIES. N (the rows
+    of the entries) and `layout`, the family's size-N `column_layout` that
+    addresses the columns, derive from them, so the two cannot disagree.
     """
 
     entries: np.ndarray
-    layout: ColumnLayout
+    family: str
 
     _arrays = ("entries",)
+
+    def __post_init__(self):
+        _check_family(self.family)
+        shape = getattr(self.entries, "shape", None)
+        if shape is None or len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise ValueError(f"basis entries must be a non-empty square 2-D array, "
+                             f"got shape {shape}")
+        super().__post_init__()
 
     @property
     def N(self) -> int:
         return self.entries.shape[0]
 
     @property
-    def family(self) -> str:
-        return self.layout.family
+    def layout(self) -> ColumnLayout:
+        return column_layout(self.family, self.N)
 
     def subspace_columns(self, p: int) -> range:
         """Contiguous column range of the period-p block: ValueError unless
@@ -360,8 +368,7 @@ def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
     N = _check_family_size(family, N)
     if N > MAX_DIRECT_N:
         raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
-    layout = column_layout(family, N)
-    return PeriodicBasisMatrix(entries=build_columns(layout, N), layout=layout)
+    return PeriodicBasisMatrix(entries=build_columns(column_layout(family, N), N), family=family)
 
 
 @lru_cache(maxsize=64)

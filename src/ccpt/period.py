@@ -25,7 +25,7 @@ dictionary, fat or square, comes from one constructor (farey names the
 dft-npm blocks). A dictionary is an immutable value that stores each fact
 once: its family, penalty name, length N and layout. p_max, the read-only
 penalties, the factor and the read-only entries (the blocks tiled to N,
-built on first read) derive from them, so `dataclasses.replace` gives a
+built only when read) derive from them, so `dataclasses.replace` gives a
 new, consistent dictionary that factors itself, and a derived name given
 to it raises. The report values store their independent facts the same
 way and derive the rest: a divisor report derives its length N (the last
@@ -36,15 +36,16 @@ program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
 
 Each dictionary is factored once, in real arithmetic, by an economic QR of
-a real M x N matrix A^T = Q R whose Gram A A^T is F T^-2 F^H. For the real
-families A is F T^-1, from the dictionary's own entries. A dft-npm (Farey)
-block is complex, but the occpt pair 2 cos, 2 sin of a residue k spans the
-same plane as e_k, e_(p-k): a 2cos + c 2sin = (a - jc) e_k + (a + jc)
-e_(p-k), whose weighted norm f(p)^2 (|a - jc|^2 + |a + jc|^2) is
+a real M x N matrix A^T = Q R whose Gram A A^T is F T^-2 F^H. The factor
+builds its columns with `build_columns` for the QR only, so no solve of
+any family builds or keeps the entries. For the real families A is F T^-1,
+the dictionary's own columns. A dft-npm (Farey) block is complex, but the
+occpt pair 2 cos, 2 sin of a residue k spans the same plane as e_k,
+e_(p-k): a 2cos + c 2sin = (a - jc) e_k + (a + jc) e_(p-k), whose
+weighted norm f(p)^2 (|a - jc|^2 + |a + jc|^2) is
 (sqrt(2) f(p))^2 (a^2 + c^2). So a Farey A is the occpt columns of the same
-blocks, built for the factor only and divided by sqrt(2) f(p) for p >= 3
-and f(p) for the shared columns of periods 1 and 2; a Farey solve never
-builds the complex entries. Then R^T R = F T^-2 F^H, so R is the Cholesky
+blocks, divided by sqrt(2) f(p) for p >= 3 and f(p) for the shared
+columns of periods 1 and 2. Then R^T R = F T^-2 F^H, so R is the Cholesky
 factor of the Gram and the Gram is never formed; a solve is one triangular
 solve and one product, u = Q R^-T x, and b = T^-1 u for the real families.
 A Farey solve divides u by its own scale, then maps each occpt pair (a, c)
@@ -64,11 +65,11 @@ with the truncated pseudo-inverse built once from that same SVD, the
 minimum-norm least-squares solution (the pair map from u to T b is
 unitary, so it keeps the norm minimal). Its rank, pseudo-inverse and
 condition derive from R that way, so they cannot disagree. The cached Q
-costs one more real M x N array per dictionary. The reported residual
-||F b - x|| is taken on the dictionary's own entries, complex for Farey,
+is the one real M x N array a factored dictionary holds. The reported
+residual ||F b - x|| is taken on the dictionary's own entries, complex for Farey,
 as an independent check of the solve. It costs a full N x M product, as
 much as the solve itself, so a solution computes it on first read and
-keeps it (building a Farey dictionary's entries then); its value is the
+keeps it (building the dictionary's entries then); its value is the
 same as if it had been computed during the solve. The solution holds a
 read-only copy of the signal and read-only coefficients, so the residual
 always belongs to the coefficients it returns.
@@ -378,8 +379,10 @@ class PeriodicDictionary(_ArrayValue):
     its columns. The entries, p_max (the last block period), the penalties
     and the factor derive from them and are built on first use; an N that
     is not an integer >= 1, a family that is not the layout's own and an
-    unknown penalty are rejected. A Farey factor and solve never build the
-    complex entries; the residual, export and tests read them."""
+    unknown penalty are rejected. The factor of every family builds its
+    own columns for the QR only, so a factor and a solve never build the
+    entries (complex for Farey); the residual, export and tests read
+    them."""
 
     family: str
     penalty_name: str
@@ -396,7 +399,7 @@ class PeriodicDictionary(_ArrayValue):
     @cached_property
     def entries(self) -> np.ndarray:
         """The blocks tiled to N (read-only), complex for dft-npm blocks;
-        built on first read and kept."""
+        built on first read and kept. The factor does not read them."""
         F = build_columns(self.layout, self.N)
         F.setflags(write=False)
         return F
@@ -447,9 +450,10 @@ class PeriodicDictionary(_ArrayValue):
     @cached_property
     def _qr(self) -> GramFactor:
         layout, scale = self._real_columns
-        F = self.entries if layout is self.layout else build_columns(layout, self.N)
-        # A^T comes out Fortran-ordered, so QR overwrites it in place
-        Q, R = qr(F.T / scale[:, None], mode="economic", overwrite_a=True)
+        F = build_columns(layout, self.N)
+        F /= scale
+        # A^T = F.T is Fortran-ordered, so QR overwrites it in place
+        Q, R = qr(F.T, mode="economic", overwrite_a=True)
         return GramFactor(Q, np.asfortranarray(R))
 
 

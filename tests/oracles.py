@@ -139,7 +139,7 @@ def block_entries(family, p, length):
     k = np.array([c[1] for c in meta])
     i = np.arange(p)[:, None]
     if family == "dft-npm":
-        patterns = np.exp(2j * np.pi * k * i / p)
+        patterns = np.exp(1j * ((2.0 * np.pi / p) * ((k * i) % p)))
     elif p <= 2:
         return np.where(m == 0, 1.0, -1.0)
     else:
@@ -156,7 +156,7 @@ def column_entries(family, p, k, kind, shift, length):
     if family == "rpt":
         pattern = ramanujan_sum(p)
     elif family == "dft-npm":
-        pattern = np.exp(2j * np.pi * k * i / p)
+        pattern = np.exp(1j * ((2.0 * np.pi / p) * ((k * i) % p)))
     elif p <= 2:
         pattern = np.where(i == 0, 1.0, -1.0)
     else:

@@ -166,14 +166,15 @@ def test_farey_candidate_strengths_match_the_oracle(cand):
         assert s == pytest.approx(sums[p], rel=1e-9, abs=1e-12 * sums.max())
 
 
-@pytest.mark.parametrize("family", ["farey", "dft-npm"])
+@pytest.mark.parametrize("family", ["occpt", "ccpt1", "ccpt2", "rpt", "farey", "dft-npm"])
 def test_farey_solve_builds_no_complex_entries(family):
-    """A solve and every answer but the residual read only the real factor;
-    the complex entries are built on the residual's first read."""
+    """A factor builds its columns for the QR only, so a solve and every
+    answer but the residual hold no entries; they are built on the
+    residual's first read."""
     d = build_dictionary(54, 50, family=family)
     d.gram()
     sol = dictionary_solve(make_x2().samples, d)
-    assert sol.estimated_period() == 40 and sol.strengths[8] > 0.0
+    assert sol.strengths[8] > 0.0
     assert "entries" not in vars(d)
     sol.residual
     assert "entries" in vars(d)

@@ -212,6 +212,38 @@ def test_layout_is_its_family_and_blocks(family):
         dataclasses.replace(layout, family="ccpt3")
 
 
+def test_basis_matrix_layout_is_its_family_at_its_size():
+    """The layout derives from the family and N, so it cannot address
+    another matrix (replace(m, layout=...) raises, as for every derived
+    name); an unknown family and entries that are not a square matrix are
+    rejected."""
+    m = build_matrix(OCCPT, 12)
+    assert m.layout is column_layout(OCCPT, 12)
+    with pytest.raises(ValueError, match="unknown family"):
+        dataclasses.replace(m, family="ccpt3")
+    for entries in (np.ones((12, 5)), np.ones(12), np.ones((2, 2, 2)), np.ones((0, 0)), [[1.0]]):
+        with pytest.raises(ValueError, match="non-empty square 2-D array"):
+            dataclasses.replace(m, entries=entries)
+    six = dataclasses.replace(m, entries=build_matrix(OCCPT, 6).entries)
+    assert six.N == 6 and six.layout.blocks == (1, 2, 3, 6)
+    assert validate_npm(six).to_dict() == validate_npm(build_matrix(OCCPT, 6)).to_dict()
+
+
+def test_dft_npm_entries_are_the_reduced_angle():
+    """Every dft-npm sample is e^(2 pi j r / p) at the reduced residue
+    r = k n mod p, within 2e-15 of a long-double reference."""
+    m = build_matrix(DFT_NPM, 1024)
+    cases = [(m.entries, m.layout)]
+    for N, P in ((54, 50), (360, 48), (512, 64)):
+        layout = block_layout(DFT_NPM, range(1, P + 1))
+        cases.append((build_columns(layout, N), layout))
+    for got, layout in cases:
+        r = (np.arange(len(got))[:, None] * layout.k) % layout.periods
+        angle = 2 * np.pi * np.longdouble(1) * r / layout.periods
+        assert np.max(np.abs(got.real - np.cos(angle))) <= 2e-15
+        assert np.max(np.abs(got.imag - np.sin(angle))) <= 2e-15
+
+
 def test_validate_npm_catches_duplicate_column():
     m = build_matrix(OCCPT, 6)
     entries = np.array(m.entries)
@@ -300,9 +332,9 @@ def test_layout_arrays_match_block_loop(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_build_columns_match_column_by_column_build(family):
-    """The shared-segment table gives every column bit for bit as building it
-    alone from its own period: dictionaries (54, 1..50) and (512, 1..64) and
-    a candidate set at N = 12."""
+    """The per-block generator table gives every column bit for bit as
+    building it alone from its own period: dictionaries (54, 1..50) and
+    (512, 1..64) and a candidate set at N = 12."""
     candidate = period._candidate_dictionary((5, 8), family, 12)
     cases = [(block_layout(family, range(1, 51)), 54, None),
              (block_layout(family, range(1, 65)), 512, None),
@@ -329,6 +361,10 @@ def test_block_layout_guards():
         block_layout("hadamard", [1, 2])
     for periods in ([], [0, 1], [2, 1], [1, 1]):
         with pytest.raises(ValueError, match="positive and ascending"):
+            block_layout(OCCPT, periods)
+    # a float, boolean or string period is rejected, not truncated
+    for periods in ([1.5, 2.7, 4.2], [1, 2.0], [True, 2], [1, "2"]):
+        with pytest.raises(ValueError, match="block period must be an integer"):
             block_layout(OCCPT, periods)
 
 

@@ -783,7 +783,7 @@ STORED = {
     period.DictionarySolution: ("b_hat", "dictionary", "_signal"),
     period.CandidateReport: ("candidates", "rank", "strengths"),
     period.PeriodReport: ("family", "strengths", "threshold", "normalized"),
-    PeriodicBasisMatrix: ("entries", "layout"),
+    PeriodicBasisMatrix: ("entries", "family"),
     ColumnLayout: ("family", "blocks"),
     period.GramFactor: ("Q", "R"),
     ValidationReport: ("N", "family", "blocks", "rank"),
@@ -795,7 +795,7 @@ DERIVED = {
     period.DictionarySolution: ("strengths", "gram_condition", "used_fallback", "residual"),
     period.CandidateReport: ("basis_periods", "width", "full_rank", "candidate_strengths"),
     period.PeriodReport: ("N", "significant", "estimated_period"),
-    PeriodicBasisMatrix: ("N", "family"),
+    PeriodicBasisMatrix: ("N", "layout"),
     ColumnLayout: ("periods", "k", "kind", "shift"),
     period.GramFactor: ("rank", "pinv", "condition"),
     ValidationReport: ("full_rank", "passed"),
