@@ -168,12 +168,14 @@ def test_farey_candidate_strengths_match_the_oracle(cand):
 
 @pytest.mark.parametrize("family", ["occpt", "ccpt1", "ccpt2", "rpt", "farey", "dft-npm"])
 def test_farey_solve_builds_no_complex_entries(family):
-    """A factor builds its columns for the QR only, so a solve and every
-    answer but the residual hold no entries; they are built on the
-    residual's first read."""
+    """For every dictionary family, not only Farey: a factor builds its
+    columns for the QR only, so a solve and every answer but the residual
+    hold no entries; they are built on the residual's first read. x2 reads
+    period 40 in every family but ccpt1, whose 54/50 dictionary answers 360."""
     d = build_dictionary(54, 50, family=family)
     d.gram()
     sol = dictionary_solve(make_x2().samples, d)
+    assert sol.estimated_period() == (360 if family == "ccpt1" else 40)
     assert sol.strengths[8] > 0.0
     assert "entries" not in vars(d)
     sol.residual

@@ -231,7 +231,8 @@ def test_basis_matrix_layout_is_its_family_at_its_size():
 
 def test_dft_npm_entries_are_the_reduced_angle():
     """Every dft-npm sample is e^(2 pi j r / p) at the reduced residue
-    r = k n mod p, within 2e-15 of a long-double reference."""
+    r = k n mod p, within 2e-15 of a reference computed in np.longdouble,
+    pi included."""
     m = build_matrix(DFT_NPM, 1024)
     cases = [(m.entries, m.layout)]
     for N, P in ((54, 50), (360, 48), (512, 64)):
@@ -239,7 +240,7 @@ def test_dft_npm_entries_are_the_reduced_angle():
         cases.append((build_columns(layout, N), layout))
     for got, layout in cases:
         r = (np.arange(len(got))[:, None] * layout.k) % layout.periods
-        angle = 2 * np.pi * np.longdouble(1) * r / layout.periods
+        angle = 2 * np.arccos(np.longdouble(-1)) * r / layout.periods
         assert np.max(np.abs(got.real - np.cos(angle))) <= 2e-15
         assert np.max(np.abs(got.imag - np.sin(angle))) <= 2e-15
 
