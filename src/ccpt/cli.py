@@ -9,7 +9,8 @@ reference signals).
 
 Input signals are single-column CSV files of decimal samples with an
 optional "value" header. Exit codes: 0 ok, 1 invalid arguments, 2 input
-parse error, 3 numeric failure.
+that cannot be read or parsed, or output that cannot be written, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -298,18 +299,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CsvParseError as exc:
+    # LinAlgError and UnicodeDecodeError subclass ValueError, so they come first
+    except (CsvParseError, OSError, UnicodeDecodeError) as exc:
         print(f"ccpt: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"ccpt: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, KeyError) as exc:
-        print(f"ccpt: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except np.linalg.LinAlgError as exc:
         print(f"ccpt: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, KeyError) as exc:
+        print(f"ccpt: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

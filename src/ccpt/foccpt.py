@@ -51,8 +51,12 @@ def _radix2(N: int) -> int | None:
 
 @lru_cache(maxsize=16)
 def _twiddles(M: int):
+    """cos and sin of 2*pi*K/M for K = 0..M/4 (read-only)."""
     K = np.arange(M // 4 + 1)
-    return np.cos(2 * np.pi * K / M), np.sin(2 * np.pi * K / M)
+    out = np.cos(2 * np.pi * K / M), np.sin(2 * np.pi * K / M)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -23,7 +23,7 @@ downshift s) reads its block's generator at k (n - s) mod p. A
 `PeriodicBasisMatrix` stores its entries and family, and its layout is the
 family's at its size. A `ValidationReport` stores the block checks and
 overall rank of a matrix, and a `BlockCheck` a block's rank and
-periodicity; their pass flags and widths derive from them.
+periodicity; their size, pass flags and widths derive from them.
 """
 
 from __future__ import annotations
@@ -412,13 +412,17 @@ class BlockCheck:
 @dataclass(frozen=True)
 class ValidationReport:
     """The block checks and overall rank of an N x N basis matrix of
-    `family`. Derived: `full_rank` (rank == N) and `passed`, full rank with
-    every block's rank and periodicity right."""
+    `family`. Derived: `N`, the last block's period, `full_rank`
+    (rank == N) and `passed`, full rank with every block's rank and
+    periodicity right."""
 
-    N: int
     family: str
     blocks: tuple[BlockCheck, ...]
     rank: int
+
+    @property
+    def N(self) -> int:
+        return self.blocks[-1].p
 
     @property
     def full_rank(self) -> bool:
@@ -454,8 +458,7 @@ def validate_npm(m: PeriodicBasisMatrix, tol: float = 1e-9) -> ValidationReport:
         periodic = bool(np.all(np.max(np.abs(block - block[n % p]), axis=0)
                                <= tol * np.maximum(1.0, np.max(np.abs(block), axis=0))))
         checks.append(BlockCheck(p=p, rank=matrix_rank(block), periodic_ok=periodic))
-    return ValidationReport(N=m.N, family=m.family, blocks=tuple(checks),
-                            rank=matrix_rank(m.entries))
+    return ValidationReport(family=m.family, blocks=tuple(checks), rank=matrix_rank(m.entries))
 
 
 def export_matrix_csv(m: PeriodicBasisMatrix, path) -> None:

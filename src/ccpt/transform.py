@@ -231,24 +231,6 @@ def _pair_angles(N: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _RptPlan:
-    """Index maps of the rpt analysis and synthesis at one N; see `_rpt_plan`.
-    The arrays are read-only."""
-
-    slots: int
-    tree: tuple[tuple[int, int, int, int], ...]
-    head: np.ndarray
-    tails: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def arrays(self):
-        yield self.head
-        for tail in self.tails:
-            yield from tail
-        yield from self.terms
-
-
 def _power_residues(r: int, count: int) -> np.ndarray:
     """phi x count integer table, phi = totient(r), whose column c holds the
     coefficients of z^(phi + c) mod Phi_r, constant term first."""
@@ -269,10 +251,11 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _rpt_plan(N: int) -> _RptPlan:
+def _rpt_plan(N: int):
     """Index maps of the rpt analysis and synthesis: O(N*d(N)) integers and
     an integer reduction table per radical of two or more primes, with no
-    FFT and no inverse.
+    FFT and no inverse. A tuple (slots, tree, head, tails, terms) of ints,
+    tuples and read-only arrays.
 
     Column j of block p is c_p(n - j). Let Y_p(z) be the polynomial of x
     folded modulo p, y_p[m] = sum of x[n] over n = m (mod p). At every
@@ -287,13 +270,16 @@ def _rpt_plan(N: int) -> _RptPlan:
     The remainder takes two steps. With q the smallest prime of p, Phi_p
     divides 1 + z^(p/q) + ... + z^((q-1)p/q), so subtracting the last of
     the q runs of p/q folded samples from the other runs leaves L = p - p/q
-    terms: `head` gives the slot each coefficient reads and the slot it
-    subtracts (the spare zero for p = 1). Prime powers stop there, as
-    L = phi(p). Otherwise, with r the radical of p and s = p/r,
-    Phi_p(z) = Phi_r(z^s): the terms form an (L/s) x s array, and rows
-    phi(r) onward fold onto the first phi(r) rows through the integer table
-    E_r of z^(phi(r) + c) mod Phi_r. The blocks of one radical share one
-    product in `tails`: (E_r, the slots read and subtracted, the columns).
+    head-reduced terms t (one for p = 1): `head` gives the slot each term
+    reads and the slot it subtracts (the spare zero for p = 1). The phi(p)
+    low terms of every block come first, in column order, so t[:N] are the
+    coefficients; each block's L - phi(p) extra terms follow. Prime powers
+    have none, as L = phi(p). Otherwise, with r the radical of p and
+    s = p/r, Phi_p(z) = Phi_r(z^s): the block's terms form an (L/s) x s
+    array, and rows phi(r) onward fold onto the first phi(r) rows through
+    the integer table E_r of z^(phi(r) + c) mod Phi_r. The blocks of one
+    radical share one product in `tails`: (E_r, the extra terms read, the
+    columns they add to).
 
     Synthesis expands c_p(n) = sum over d | gcd(n, p) of mobius(p/d)*d, so
     x = sum over d | N of w_d tiled, w_d[m] the sum of mobius(p/d)*d*a_(p,j)
@@ -314,9 +300,17 @@ def _rpt_plan(N: int) -> _RptPlan:
         tree.append((int(slot[i]), ds[i], int(slot[index[ds[i] * q]]), q))
 
     run = p // np.array([1] + [prime_factors(d)[0] for d in ds[1:]])
-    block, j = _segments(widths)
+    # each block's extra terms, and the position in t of its first one
+    extra = np.maximum(p - run, widths) - widths
+    start = N + np.cumsum(extra) - extra
+    block, j = _segments(widths + extra)
+    # the coefficient terms of every block, then the extra ones
+    order = np.argsort(j >= widths[block], kind="stable")
+    block, j = block[order], j[order]
     head = np.stack([slot[block] + j, (slot + p - run)[block] + j % run[block]])
     head[1, 0] = zero  # period 1 has no run to subtract
+    head.setflags(write=False)
+
     groups = {}
     for i, d in enumerate(ds[1:], 1):
         groups.setdefault(radical(d), []).append(i)
@@ -328,11 +322,14 @@ def _rpt_plan(N: int) -> _RptPlan:
         read, columns = [], []
         for i in group:
             s = ds[i] // r
-            k = np.arange(phi * s, length * s).reshape(length - phi, s)
-            read.append(np.stack([slot[i] + k, slot[i] + ds[i] - run[i] + k % run[i]]))
-            columns.append(first[i] + np.arange(phi * s).reshape(phi, s))
-        tails.append((_power_residues(r, length - phi).astype(float),
-                      np.concatenate(read, axis=2), np.concatenate(columns, axis=1)))
+            k = np.arange(length * s).reshape(length, s)
+            read.append(k[phi:] + (start[i] - phi * s))
+            columns.append(k[:phi] + first[i])
+        tail = (_power_residues(r, length - phi).astype(float),
+                np.concatenate(read, axis=1), np.concatenate(columns, axis=1))
+        for a in tail:
+            a.setflags(write=False)
+        tails.append(tail)
 
     # (block p, divisor d, mobius(p/d)*d) of each nonzero Moebius term
     mu = [mobius(d) for d in ds]
@@ -342,35 +339,31 @@ def _rpt_plan(N: int) -> _RptPlan:
     term, j = _segments(widths[blk])
     blk, sub = blk[term], sub[term]
     terms = first[blk] + j, slot[sub] + j % p[sub], weight[term].astype(float)
-
-    plan = _RptPlan(slots=zero + 1, tree=tuple(tree), head=head, tails=tuple(tails), terms=terms)
-    for a in plan.arrays():
+    for a in terms:
         a.setflags(write=False)
-    return plan
+    return zero + 1, tuple(tree), head, tuple(tails), terms
 
 
 def _rpt_analysis(x: np.ndarray) -> np.ndarray:
     """rpt coefficients in column order of a real signal (see _rpt_plan)."""
     N = len(x)
-    plan = _rpt_plan(N)
-    y = np.zeros(plan.slots)
+    slots, tree, head, tails, _ = _rpt_plan(N)
+    y = np.zeros(slots)
     y[-1 - N:-1] = x
-    for at, p, src, q in plan.tree:
+    for at, p, src, q in tree:
         np.add.reduce(y[src:src + q * p].reshape(q, p), 0, out=y[at:at + p])
-    a = y[plan.head[0]] - y[plan.head[1]]
-    for table, read, columns in plan.tails:
-        a[columns] += table @ (y[read[0]] - y[read[1]])
-    a /= N
-    return a
+    t = y[head[0]] - y[head[1]]
+    for table, read, columns in tails:
+        t[columns] += table @ t[read]
+    return t[:N] / N
 
 
 def _rpt_synthesis(a: np.ndarray) -> np.ndarray:
     """Real signal of real rpt coefficients a in column order."""
     N = len(a)
-    plan = _rpt_plan(N)
-    col, to, weight = plan.terms
-    w = np.bincount(to, a[col] * weight, plan.slots)
-    for at, p, src, q in reversed(plan.tree):
+    slots, tree, _, _, (col, to, weight) = _rpt_plan(N)
+    w = np.bincount(to, a[col] * weight, slots)
+    for at, p, src, q in reversed(tree):
         multiple = w[src:src + q * p].reshape(q, p)
         np.add(multiple, w[at:at + p], out=multiple)
     return w[-1 - N:-1]

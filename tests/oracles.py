@@ -9,6 +9,8 @@ accessors and applies the component formulas one subspace at a time, and
 `block_columns` and `block_entries` build addresses and entries one period
 block at a time, and `column_entries` one column at a time.
 `read_signal_csv_loop` parses a signal file one line at a time.
+`rpt_remainders` reduces an integer signal modulo each cyclotomic
+polynomial by long division in Python integers.
 `strengths_by_comprehension`, `period_report_by_generators`,
 `dictionary_significant_by_generators` and `components_by_where` keep the
 earlier expressions of the period answers, which the block-plan rewrite
@@ -24,7 +26,8 @@ from ccpt.ccps import ramanujan_sum
 from ccpt.cli import CsvParseError
 from ccpt.foccpt import OpCounter
 from ccpt.matrices import column_layout
-from ccpt.numtheory import divisors, half_residues, lcm_list, residue_sets, totient
+from ccpt.numtheory import (cyclotomic, divisors, half_residues, lcm_list, residue_sets,
+                            totient)
 
 
 def brute_dft(x):
@@ -187,6 +190,28 @@ def read_signal_csv_loop(path):
     if not values:
         raise CsvParseError(path, 1, "<empty file>")
     return np.array(values)
+
+
+def rpt_remainders(x):
+    """N times the rpt coefficients of an integer signal x, exactly, in
+    column order: for each divisor p of N ascending, x folded modulo p as a
+    polynomial in Python integers, divided by the monic Phi_p, and the
+    phi(p) low coefficients of the remainder."""
+    x = [int(v) for v in x]
+    out = []
+    for p in divisors(len(x)):
+        rem = [sum(x[m::p]) for m in range(p)]
+        phi = [int(c) for c in cyclotomic(p)]
+        deg = len(phi) - 1
+        # the leading term cancels rem[k], which is never read again
+        terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+        for k in range(p - 1, deg - 1, -1):
+            q = rem[k]
+            if q:
+                for i, c in terms:
+                    rem[k - deg + i] -= q * c
+        out.extend(rem[:deg])
+    return out
 
 
 def minimal_period(col, p, tol=1e-9):

@@ -222,6 +222,19 @@ def test_periods_fixture_x2_matrix_vs_dictionary(tmp_path):
     assert payload["method"] == "dictionary"
 
 
+def test_periods_dictionary_strengths_csv(tmp_path):
+    """Each CSV row of a dictionary answer is its JSON strength at 12
+    digits, in period order."""
+    path = _write(tmp_path, "x2.csv", make_x2().samples)
+    out, csv_out = tmp_path / "d.json", tmp_path / "d.csv"
+    assert main(["periods", "--input", path, "--method", "dictionary",
+                 "--out", str(out), "--strengths-csv", str(csv_out)]) == EXIT_OK
+    strengths = json.loads(out.read_text())["strengths"]
+    rows = csv_out.read_text().splitlines()
+    assert rows[0] == "period,strength"
+    assert rows[1:] == [f"{p},{format(strengths[str(p)], '.12g')}" for p in range(1, 51)]
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -297,6 +310,13 @@ def test_filter_band_rejects_bad_bands(tmp_path):
                  "--band", "1:2", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
 
 
+def test_filter_band_rejects_malformed_band(tmp_path, capsys):
+    path = _write(tmp_path, "x.csv", np.ones(8))
+    assert main(["filter-band", "--input", path, "--fs", "10",
+                 "--band", "1-2", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+    assert "ccpt: band must be LO:HI, got '1-2'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fs", ["nan", "inf", "0", "-1"])
 def test_filter_band_rejects_bad_sample_rate(tmp_path, capsys, fs):
     path = _write(tmp_path, "ecg.csv", synthetic_ecg().samples)
@@ -322,9 +342,16 @@ def test_benchmark_report(tmp_path):
 
 
 def test_fixture_command(tmp_path):
-    out = tmp_path / "x1.csv"
-    assert main(["fixture", "--name", "x1", "--out", str(out)]) == EXIT_OK
-    np.testing.assert_allclose(read_signal_csv(out), make_x1().samples, atol=1e-11)
+    """Each fixture, with its default seed and with --seed."""
+    out = tmp_path / "fixture.csv"
+    for name, make, seed_name in (("x1", make_x1, "noise_seed"), ("x2", make_x2, "noise_seed"),
+                                  ("ecg", synthetic_ecg, "seed")):
+        for seed in (None, 7):
+            extra = [] if seed is None else ["--seed", str(seed)]
+            assert main(["fixture", "--name", name, "--out", str(out), *extra]) == EXIT_OK
+            want = make() if seed is None else make(**{seed_name: seed})
+            np.testing.assert_allclose(read_signal_csv(out), want.samples, atol=1e-11,
+                                       err_msg=f"{name} seed {seed}")
 
 
 def test_cli_determinism(tmp_path):
@@ -337,6 +364,7 @@ def test_cli_determinism(tmp_path):
 
 def test_missing_input_and_bad_args(tmp_path):
     assert main(["transform", "--input", str(tmp_path / "missing.csv")]) == EXIT_PARSE
+    assert main(["transform", "--input", str(tmp_path)]) == EXIT_PARSE
     with pytest.raises(SystemExit) as exc_info:
         main(["transform", "--input", "x.csv", "--family", "walsh"])
     assert exc_info.value.code == EXIT_USAGE
@@ -358,3 +386,21 @@ def test_benchmark_rejects_sizes_that_are_not_integers(tmp_path, capsys, sizes):
     out = tmp_path / "bench.json"
     assert main(["benchmark", "--sizes", "8,,12", "--out", str(out)]) == EXIT_OK
     assert [e["N"] for e in json.loads(out.read_text())["benchmark"]] == [8, 12]
+
+
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys):
+    """Bytes that are not text exit 2, like any other input that cannot be
+    parsed, not 1 as an invalid argument."""
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"value\n\xff\xfe\n")
+    assert main(["transform", "--input", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("ccpt: ")
+
+
+def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(x, d):
+        raise np.linalg.LinAlgError("factor broke")
+    monkeypatch.setattr("ccpt.period.dictionary_solve", fail)
+    path = _write(tmp_path, "x2.csv", make_x2().samples)
+    assert main(["periods", "--input", path, "--method", "dictionary"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "ccpt: numeric failure: factor broke\n"

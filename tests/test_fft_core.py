@@ -20,7 +20,7 @@ from ccpt.transform import (CoefficientSet, _rpt_plan, analyze, band_filter,
                             parseval_energy, shift_coefficients, synthesize)
 
 from oracles import (band_filter_loop, brute_circular_convolution, brute_dft,
-                     direct_occpt_flat)
+                     direct_occpt_flat, rpt_remainders)
 
 SIZES = (1, 2, 3, 4, 5, 12, 54, 64, 625, 1025, 4096, 5000)
 TOL = 1e-12
@@ -235,6 +235,17 @@ def test_rpt_matches_dense_solve_at_every_size_to_128():
             assert _err(synthesize(CoefficientSet(N=N, family=RPT, flat=e)), F[:, j]) <= TOL * N, (N, j)
 
 
+@pytest.mark.parametrize("N", (54, 105, 210, 1155, 2310, 3003))
+def test_rpt_equals_exact_cyclotomic_remainders(N):
+    """On integer input every head and tail sum is an integer below 2^53,
+    so the rpt coefficients are the exact Python-integer remainders modulo
+    Phi_p divided by N, bit for bit; the radicals here carry one to four
+    odd primes, so every tail runs."""
+    x = np.random.default_rng(N).integers(-2**20, 2**20, N)
+    want = np.array([r / N for r in rpt_remainders(x)])
+    assert np.array_equal(analyze(x.astype(float), RPT).flat, want)
+
+
 @pytest.mark.parametrize("N", (8191, 65537))
 def test_rpt_at_prime_sizes(N):
     """At a prime N the period-N block has N - 1 columns: a round trip, and
@@ -250,7 +261,17 @@ def test_rpt_plan_stays_small(N, limit_mb):
     """The cached rpt plan is index maps and small reduction tables, not
     phi(p)-square blocks and their inverses."""
     analyze(np.ones(N), RPT)
-    assert sum(a.nbytes for a in _rpt_plan(N).arrays()) <= limit_mb * 1e6
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from arrays(v)
+
+    plan = list(arrays(_rpt_plan(N)))
+    assert not any(a.flags.writeable for a in plan)
+    assert sum(a.nbytes for a in plan) <= limit_mb * 1e6
 
 
 def test_band_filter_occpt_mask_shares_pairs():

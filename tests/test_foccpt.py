@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccpt.foccpt import (OpCounter, _bit_reversed, _combine, complexity_table,
+from ccpt.foccpt import (OpCounter, _bit_reversed, _combine, _twiddles, complexity_table,
                          foccpt, predicted_counts)
 from ccpt.matrices import CCPT1, CCPT2, DFT_NPM, OCCPT, RPT
 from ccpt.transform import occpt_analysis
@@ -83,6 +83,7 @@ def test_stages_reproduce_butterfly_reference():
         assert ctr == expected, N
     np.testing.assert_array_equal(_bit_reversed(8), [0, 4, 2, 6, 1, 5, 3, 7])
     assert not _bit_reversed(8).flags.writeable
+    assert not any(a.flags.writeable for a in _twiddles(8))
 
 
 @pytest.mark.parametrize("x", [

@@ -8,7 +8,7 @@ import pytest
 from ccpt.ccps import COS, SIN, ccps1, ccps2, ramanujan_sum
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                            SubspaceIndex, block_layout, build_columns,
-                           build_matrix, column_layout, export_matrix_csv,
+                           build_matrix, cached_matrix, column_layout, export_matrix_csv,
                            export_matrix_metadata, matrix_rank, validate_npm)
 from ccpt import period
 from ccpt.numtheory import divisors, residue_sets, totient
@@ -57,6 +57,17 @@ def test_rpt_examples():
     j = m.layout.column_index(4, 0, "ram", shift=0)
     np.testing.assert_allclose(m.entries[:, j], [2, 0, -2, 0], atol=1e-12)
     assert matrix_rank(build_matrix(RPT, 12).entries) == 12
+
+
+def test_matrix_rank_of_empty_and_zero_arrays():
+    assert matrix_rank(np.zeros((0, 3))) == 0
+    assert matrix_rank(np.zeros((4, 3))) == 0
+
+
+def test_cached_matrix_builds_each_matrix_once():
+    m = cached_matrix(OCCPT, 12)
+    assert cached_matrix(OCCPT, 12) is m
+    np.testing.assert_array_equal(m.entries, build_matrix(OCCPT, 12).entries)
 
 
 def test_rpt_entries_are_exact_integers():

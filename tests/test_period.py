@@ -240,6 +240,11 @@ def test_top_periods_rejects_negative_count():
         sol.top_periods(-1)
 
 
+def test_dictionary_solve_rejects_a_signal_of_another_length():
+    with pytest.raises(ValueError, match="signal length 11 does not match dictionary length 12"):
+        dictionary_solve(np.ones(11), build_dictionary(12, 5))
+
+
 def test_top_periods_names_only_periods_with_strength():
     """An all-zero signal has no strength anywhere: no top period, as no
     significant one. Used to return (2, 3)."""
@@ -443,6 +448,8 @@ def test_candidate_matrix_rejects_nonsquare_sets():
         candidate_matrix_solve(np.zeros(15), [5, 7, 9])
     with pytest.raises(ValueError):
         candidate_matrix_solve(np.zeros(11), [6, 8])
+    with pytest.raises(ValueError, match="need at least one candidate period"):
+        candidate_matrix_solve(np.zeros(12), [])
 
 
 @pytest.mark.parametrize("cand, bad", [([2.5, 8], "2.5"), ([0], "0"), ([-3, 4], "-3")],
@@ -786,7 +793,7 @@ STORED = {
     PeriodicBasisMatrix: ("entries", "family"),
     ColumnLayout: ("family", "blocks"),
     period.GramFactor: ("Q", "R"),
-    ValidationReport: ("N", "family", "blocks", "rank"),
+    ValidationReport: ("family", "blocks", "rank"),
     BlockCheck: ("p", "rank", "periodic_ok"),
     ResidueSets: ("n",),
 }
@@ -798,21 +805,21 @@ DERIVED = {
     PeriodicBasisMatrix: ("N", "layout"),
     ColumnLayout: ("periods", "k", "kind", "shift"),
     period.GramFactor: ("rank", "pinv", "condition"),
-    ValidationReport: ("full_rank", "passed"),
+    ValidationReport: ("N", "full_rank", "passed"),
     BlockCheck: ("width", "rank_ok"),
     ResidueSets: ("full", "half", "complement"),
 }
 
 
 def test_values_store_each_fact_once():
-    """28 stored fields in all; a derived name given to replace() raises."""
+    """27 stored fields in all; a derived name given to replace() raises."""
     reports = _reports()
     sol = reports["DictionarySolution"]
     validation = validate_npm(build_matrix(OCCPT, 12))
     values = [sol.dictionary, sol, reports["CandidateReport"], reports["PeriodReport"],
               build_matrix(OCCPT, 12), sol.dictionary.layout, sol.dictionary.gram(),
               validation, validation.blocks[-1], residue_sets(12)]
-    assert sum(map(len, STORED.values())) == 28
+    assert sum(map(len, STORED.values())) == 27
     assert set(map(type, values)) == STORED.keys() == DERIVED.keys()
     for value in values:
         cls = type(value)
