@@ -123,7 +123,7 @@ def _numbers_json(c: tr.CoefficientSet) -> tuple[list[str], list[str]]:
     `_nums(c.column_values())`, spelling each float once."""
     order = c.column_order().tolist()
     if not c.is_complex:
-        flat = _floats_json(c.flat.astype(float))
+        flat = _floats_json(c.flat)
         return flat, [flat[i] for i in order]
     pairs = list(zip(_floats_json(c.flat.imag), _floats_json(c.flat.real)))
     return [_COMPLEX_FLAT % v for v in pairs], [_COMPLEX_ROW % pairs[i] for i in order]

@@ -30,7 +30,7 @@ import numpy as np
 from .matrices import CCPT1, CCPT2, DFT_NPM, OCCPT, RPT
 from .numtheory import positive_int
 from .signals import _checked_samples
-from .transform import CoefficientSet
+from .transform import CoefficientSet, _by_parts
 
 __all__ = ["OpCounter", "foccpt", "predicted_counts", "complexity_table"]
 
@@ -121,8 +121,9 @@ def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:
 
 
 def _foccpt_real(x: np.ndarray, ctr: OpCounter) -> np.ndarray:
+    """Coefficients of a real float64 signal, counted on ctr."""
     N = len(x)
-    buf = np.asarray(x, dtype=float)[_bit_reversed(N)]
+    buf = x[_bit_reversed(N)]
     M = 2
     while M <= N:
         _combine(buf, M, ctr)
@@ -135,20 +136,16 @@ def foccpt(x):
 
     Returns (coefficients, counter); the coefficients equal occpt_analysis
     bit for bit up to rounding, the counter holds the exact butterfly
-    arithmetic (final 1/N scaling and twiddle tables excluded). Complex
-    input runs two real passes on one shared counter. x must be a finite
-    1-D signal.
+    arithmetic (final 1/N scaling and twiddle tables excluded). x must be
+    a finite 1-D signal; it is computed in float64, and complex input runs
+    two real passes on one shared counter (`transform._by_parts`).
     """
     x = _checked_samples(x, "fast transform")
     N = len(x)
     if _radix2(N) is None:
         raise ValueError(f"fast transform requires a power-of-two length >= 2, got {N}")
     ctr = OpCounter()
-    if np.iscomplexobj(x):
-        flat = _foccpt_real(x.real, ctr) + 1j * _foccpt_real(x.imag, ctr)
-    else:
-        flat = _foccpt_real(x, ctr)
-    return CoefficientSet(N=N, family=OCCPT, flat=flat), ctr
+    return CoefficientSet(N=N, family=OCCPT, flat=_by_parts(_foccpt_real, x, ctr)), ctr
 
 
 def predicted_counts(N: int, input_kind: str = "real") -> OpCounter:

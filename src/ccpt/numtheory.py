@@ -3,8 +3,8 @@
 Divisor subspaces are indexed by the divisors of the signal length and by
 residues coprime to each divisor, so everything downstream leans on these
 few functions. All of them are pure; the ones built on the factorization
-(`totient`, `mobius`, `radical`, `cyclotomic`) factor by trial division, so
-they stay cheap for any signal length.
+(`totient`, `mobius`, `radical`, `cyclotomic`, `divisors`) share one trial
+division, so they stay cheap for any signal length.
 """
 
 from __future__ import annotations
@@ -124,17 +124,12 @@ def cyclotomic(n: int) -> np.ndarray:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of the integer n >= 1, ascending."""
-    n = _checked_n(n, "divisors")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of the integer n >= 1, ascending: the products
+    of the prime powers of its factorization."""
+    ds = [1]
+    for q, e in _factorization(n, "divisors"):
+        ds = [d * q ** i for d in ds for i in range(e + 1)]
+    return sorted(ds)
 
 
 @dataclass(frozen=True)
@@ -167,12 +162,6 @@ class ResidueSets:
 
 def residue_sets(n: int) -> ResidueSets:
     return ResidueSets(n)
-
-
-def half_residues(n: int) -> tuple[int, ...]:
-    """Lower coprime residues of n; the (period, residue) pairs that index
-    one conjugate-pair subspace each."""
-    return residue_sets(n).half
 
 
 def lcm_list(xs) -> int:

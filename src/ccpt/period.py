@@ -51,7 +51,10 @@ solve and one product, u = Q R^-T x, and b = T^-1 u for the real families.
 A Farey solve divides u by its own scale, then maps each occpt pair (a, c)
 (`ColumnLayout.pairs`) onto the exponentials: b_k = a - jc at the residue
 k < p/2 and b_(p-k) = a + jc at its conjugate (`_conjugate_positions`), and
-b = a for periods 1 and 2.
+b = a for periods 1 and 2. Every solve is real: a signal enters as float64
+or complex128 (`signals._double`), and a complex one solves its real and
+imaginary parts in turn (`transform._by_parts`), so each part is one real
+triangular solve, or one real product with the pseudo-inverse below.
 
 A factor (`GramFactor`) stores only Q and R, and makes its one rank
 decision when it is made. Full row rank is certified without an SVD:
@@ -125,7 +128,7 @@ from .matrices import (DFT_NPM, FAMILIES, OCCPT, ColumnLayout, SubspaceIndex, _A
                        _require_orthogonal, _require_real, build_columns, column_layout)
 from .numtheory import divisors, positive_int, totient
 from .signals import _checked_real, _checked_samples
-from .transform import CoefficientSet
+from .transform import CoefficientSet, _by_parts
 
 FAREY = "farey"
 
@@ -240,7 +243,8 @@ class ComponentTable(_ArrayValue, Sequence):
     `freq`, `freq_hz` (None without a sample rate), `magnitude` and `phase`,
     one row per conjugate subspace.
 
-    The columns are read-only 1-D arrays of equal length. The table is also
+    The columns are read-only 1-D arrays of the length of `p` (freq_hz may
+    be None); any other shape raises ValueError. The table is also
     a sequence of `FrequencyComponent`: indexing and iteration build each
     record when it is read, with Python int, float and None fields, and
     `list(table)` gives them all. A slice is a table; `==` compares record
@@ -255,6 +259,12 @@ class ComponentTable(_ArrayValue, Sequence):
 
     __hash__ = None
     _arrays = FrequencyComponent._fields
+
+    def __post_init__(self):
+        shapes = {a.shape for a in self._columns() if a is not None}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"component columns must be 1-D of one length, got shapes {shapes}")
+        super().__post_init__()
 
     def _columns(self):
         return self.p, self.k, self.freq, self.freq_hz, self.magnitude, self.phase
@@ -573,22 +583,21 @@ class DictionarySolution(_ArrayValue):
         return sorted(self.strengths.items())
 
 
-@lru_cache(maxsize=32)
-def _trtrs(r_type: np.dtype, x_type: np.dtype):
-    """The LAPACK routine under solve_triangular, without its wrapper, for a
-    factor and a signal of these dtypes: picked from both, so a complex x
-    also solves against a real R. Looked up once per pair of dtypes."""
-    trtrs, = get_lapack_funcs(("trtrs",), (np.empty(0, r_type), np.empty(0, x_type)))
-    return trtrs
+# the real double LAPACK routine under solve_triangular, without its
+# wrapper: the one triangular solve of every dictionary, as R and each part
+# of a signal are float64
+_trtrs, = get_lapack_funcs(("trtrs",), dtype=np.float64)
 
 
-def _coefficients(f: GramFactor, x: np.ndarray, d: PeriodicDictionary) -> np.ndarray:
-    """Weighted minimum-norm coefficients b = T^-1 Q R^-T x from the factor f
-    of dictionary d, through the truncated pseudo-inverse without full row
-    rank; for dft-npm blocks Q R^-T x holds occpt pair coordinates, scaled
-    and then mapped onto the exponentials (module docstring)."""
+def _coefficients(x: np.ndarray, f: GramFactor, d: PeriodicDictionary) -> np.ndarray:
+    """Weighted minimum-norm coefficients b = T^-1 Q R^-T x of a real
+    float64 signal x from the factor f of dictionary d, through the
+    truncated pseudo-inverse without full row rank; for dft-npm blocks
+    Q R^-T x holds occpt pair coordinates, scaled and then mapped onto the
+    exponentials (module docstring). A complex signal solves part by part
+    (`transform._by_parts`)."""
     if f.pinv is None:
-        y, info = _trtrs(f.R.dtype, x.dtype)(f.R, x, lower=0, trans=2)
+        y, info = _trtrs(f.R, x, lower=0, trans=2)
         if info:
             raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
         u = f.Q @ y
@@ -641,7 +650,8 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
     x = _checked_samples(x, "dictionary_solve")
     if len(x) != d.N:
         raise ValueError(f"signal length {len(x)} does not match dictionary length {d.N}")
-    return DictionarySolution(b_hat=_coefficients(d.gram(), x, d), dictionary=d, _signal=x.copy())
+    return DictionarySolution(b_hat=_by_parts(_coefficients, x, d.gram(), d), dictionary=d,
+                              _signal=x.copy())
 
 
 def min_data_length(candidates) -> int:
@@ -733,4 +743,4 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
         warnings.warn(f"candidate basis for {cand} is rank deficient "
                       f"({f.rank}/{d.N}); falling back to least squares")
     return CandidateReport(candidates=cand, rank=f.rank,
-                           strengths=_strengths(d.layout, _coefficients(f, x, d)))
+                           strengths=_strengths(d.layout, _by_parts(_coefficients, x, f, d)))

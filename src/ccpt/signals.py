@@ -35,6 +35,10 @@ X2_NOISE_SEED = 10010
 
 ECG_SEED = 625
 
+# the working precision (`_double`), as dtypes: comparing with a type
+# converts it to a dtype on every call
+_FLOAT64, _COMPLEX128 = np.dtype(np.float64), np.dtype(np.complex128)
+
 
 @dataclass(frozen=True, eq=False)
 class Signal:
@@ -62,22 +66,34 @@ def samples_of(x) -> np.ndarray:
 
 def _checked_samples(x, caller: str) -> np.ndarray:
     """samples_of(x), required to be a nonempty, finite, numeric 1-D
-    sequence; the error names the caller."""
+    sequence, in the working precision (`_double`); the error names the
+    caller. A longdouble beyond the float64 range becomes inf, so it is
+    rejected as non-finite."""
     x = samples_of(x)
     if x.ndim != 1:
         raise ValueError(f"{caller} needs a 1-D signal, got shape {x.shape}")
     if x.size == 0:
         raise ValueError(f"{caller} needs at least one sample")
-    _check_numeric(x, caller)
+    x = _double(x, caller)
     if not np.isfinite(x).all():
         raise ValueError(f"{caller} needs finite samples; the signal has NaN or inf")
     return x
 
 
-def _check_numeric(x: np.ndarray, caller: str) -> None:
-    """Require a boolean, integer, real or complex dtype, naming the caller."""
-    if x.dtype.kind not in "biufc":
+def _double(x: np.ndarray, caller: str) -> np.ndarray:
+    """x as complex128 when it is complex and float64 otherwise, copied only
+    when its dtype differs: the package's one working precision, so every
+    path computes in double whatever the input dtype. x must have a
+    boolean, integer, real or complex dtype; the error names the caller."""
+    kind = x.dtype.kind
+    if kind not in "biufc":
         raise ValueError(f"{caller} needs numeric samples, got dtype {x.dtype}")
+    double = _COMPLEX128 if kind == "c" else _FLOAT64
+    if x.dtype != double:
+        # a longdouble beyond the float64 range becomes inf without a warning
+        with np.errstate(over="ignore"):
+            x = x.astype(double)
+    return x
 
 
 def _checked_real(value, name: str, low: float = 0.0, high: float = inf, *,

@@ -44,9 +44,13 @@ Periods 1 and 2 share their single column with the orthogonal family. No
 path builds the dense N x N basis, inverts a block or has a size cap; dense
 matrices serve only validation and export.
 
-Every family but dft-npm is a real map: a complex input runs it once on
-the real part and once on the imaginary part (`_by_parts`), and the
-coefficients come back as one complex flat array.
+Every array enters in one working precision: samples and coefficients are
+float64, or complex128 when complex, whatever their dtype
+(`signals._double`), so every family computes in double. Every family but
+dft-npm is a real map: a complex input runs it once on the real part and
+once on the imaginary part (`_by_parts`), and the coefficients come back as
+one complex flat array. The fast transform and the dictionary solves split
+complex input through the same function.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _ArrayValue, _c
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
 from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
-from .signals import _check_numeric, _checked_real, _checked_samples
+from .signals import _checked_real, _checked_samples, _double
 
 __all__ = [
     "CoefficientSet",
@@ -121,7 +125,9 @@ class CoefficientSet(_ArrayValue):
     For the orthogonal family `flat` is frequency-ordered (see module
     docstring); for the other families it follows the matrix column order.
     Both views read the same array. `flat` must be numeric, 1-D, of length
-    N; the set keeps a read-only view, so the caller's array stays writable.
+    N. It is stored as float64, or complex128 when complex (`_double`), so
+    the identities and the JSON run in double for any set; the set keeps a
+    read-only view, so the caller's array stays writable.
     """
 
     N: int
@@ -133,8 +139,7 @@ class CoefficientSet(_ArrayValue):
     def __post_init__(self):
         _check_family(self.family)
         object.__setattr__(self, "N", positive_int(self.N, "N"))
-        object.__setattr__(self, "flat", np.asarray(self.flat))
-        _check_numeric(self.flat, "CoefficientSet flat")
+        object.__setattr__(self, "flat", _double(np.asarray(self.flat), "CoefficientSet flat"))
         if self.flat.shape != (self.N,):
             raise ValueError(f"flat must be 1-D of length N={self.N}, got shape {self.flat.shape}")
         super().__post_init__()
@@ -369,13 +374,14 @@ def _rpt_synthesis(a: np.ndarray) -> np.ndarray:
     return w[-1 - N:-1]
 
 
-def _by_parts(f, v: np.ndarray, family: str) -> np.ndarray:
-    """f(v, family) of a real array v, or f of the real part plus 1j times f
-    of the imaginary part of a complex one: the one complex-input rule of the
-    real families."""
-    if np.iscomplexobj(v):
-        return f(v.real, family) + 1j * f(v.imag, family)
-    return f(v, family)
+def _by_parts(f, v: np.ndarray, *args) -> np.ndarray:
+    """f(v, *args) of a real array v, or f of the real part plus 1j times f
+    of the imaginary part of a complex one: the one complex split of every
+    real map, the real families, the fast transform and the dictionary
+    solves."""
+    if v.dtype.kind == "c":
+        return f(v.real, *args) + 1j * f(v.imag, *args)
+    return f(v, *args)
 
 
 def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
@@ -602,7 +608,7 @@ def band_filter(coeffs: CoefficientSet, fs: float, low_hz: float, high_hz: float
 def _nums(values: np.ndarray) -> list:
     if np.iscomplexobj(values):
         return [{"re": re, "im": im} for re, im in zip(values.real.tolist(), values.imag.tolist())]
-    return values.astype(float).tolist()
+    return values.tolist()
 
 
 def coefficients_to_dict(c: CoefficientSet) -> dict:

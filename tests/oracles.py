@@ -26,8 +26,7 @@ from ccpt.ccps import ramanujan_sum
 from ccpt.cli import CsvParseError
 from ccpt.foccpt import OpCounter
 from ccpt.matrices import column_layout
-from ccpt.numtheory import (cyclotomic, divisors, half_residues, lcm_list, residue_sets,
-                            totient)
+from ccpt.numtheory import cyclotomic, divisors, lcm_list, residue_sets, totient
 
 
 def brute_dft(x):
@@ -127,7 +126,7 @@ def block_columns(family, p):
         kind = "cos" if family == "ccpt1" else "sin"
         variants = ((kind, 0), (kind, 1))
     return [(p, k, kind, shift)
-            for k in half_residues(p)
+            for k in residue_sets(p).half
             for kind, shift in variants[:1 if p <= 2 else 2]]
 
 
@@ -317,13 +316,13 @@ def _butterfly_block(buf, base, M, ctr):
 
 def component_loop(pair, periods, fs=None, min_magnitude=1e-8):
     """(p, k, freq, freq_hz, magnitude, phase) tuples of every subspace
-    (p, k), p in `periods`, k in half_residues(p), whose magnitude reaches
+    (p, k), p in `periods`, k in residue_sets(p).half, whose magnitude reaches
     the floor, from the cosine/sine pair `pair(p, k)` one subspace at a
     time: the reference for `frequency_components` and
     `DictionarySolution.components`."""
     out = []
     for p in periods:
-        for k in half_residues(p):
+        for k in residue_sets(p).half:
             b0, b1 = pair(p, k)
             if p <= 2:
                 mag, phase = abs(b0), (0.0 if b0 >= 0 else np.pi)
@@ -347,7 +346,7 @@ def band_filter_loop(coeffs, fs, low_hz, high_hz):
     for i, (col, _) in zip(coeffs.column_order(), coeffs.items()):
         if col.kind == "ram":
             if col.p not in lines:
-                lines[col.p] = [k / col.p for k in half_residues(col.p)] if col.p > 1 else [0.0]
+                lines[col.p] = [k / col.p for k in residue_sets(col.p).half] if col.p > 1 else [0.0]
             ratios = lines[col.p]
         else:
             ratios = [0.0 if col.p == 1 else min(col.k, col.p - col.k) / col.p]

@@ -107,7 +107,7 @@ def test_candidate_strengths_are_the_earlier_expressions(family, cand):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         report = candidate_matrix_solve(x, cand, family=family)
-    b = period._coefficients(d.gram(), x, d)
+    b = period._coefficients(x, d.gram(), d)
     want = strengths_by_comprehension(d.periods, b, periods)
     assert list(report.strengths.items()) == list(want.items())
     assert report.candidate_strengths == {p: want[p] for p in cand}
@@ -192,7 +192,7 @@ def test_candidate_json_is_the_earlier_fields(family, cand):
         warnings.simplefilter("ignore", UserWarning)
         report = candidate_matrix_solve(x, cand, family=family)
     f = d.gram()
-    want = strengths_by_comprehension(d.periods, period._coefficients(f, x, d), periods)
+    want = strengths_by_comprehension(d.periods, period._coefficients(x, f, d), periods)
     assert json.dumps(report.to_dict()) == json.dumps({
         "candidates": list(cand), "basis_periods": list(periods), "width": d.N,
         "rank": f.rank, "full_rank": f.pinv is None,

@@ -6,7 +6,7 @@ import pytest
 from ccpt.ccps import (COS, SIN, CcpsSpec, ccps, ccps1, ccps2,
                        ccps_inner_product, ccps_spectrum, pair_scale,
                        ramanujan_sum)
-from ccpt.numtheory import half_residues, residue_sets
+from ccpt.numtheory import residue_sets
 
 from oracles import brute_dft, shifted_inner_products
 
@@ -121,7 +121,7 @@ def test_spectrum_residue_rule_is_the_lower_half():
         for l in range(1, 3 * L):
             if gcd(l, L) != 1:
                 continue
-            if L > 2 and l not in half_residues(L):
+            if L > 2 and l not in residue_sets(L).half:
                 with pytest.raises(ValueError, match="not in the lower coprime half"):
                     ccps_spectrum(L, l, COS)
             else:

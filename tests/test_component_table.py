@@ -162,3 +162,20 @@ def test_constructor_keeps_the_callers_arrays_writable():
 
 def test_table_is_exported():
     assert ccpt.ComponentTable is ComponentTable and "ComponentTable" in ccpt.period.__all__
+
+
+def test_constructor_rejects_ragged_and_2d_columns():
+    p, k, f, m, ph = np.array([3, 4]), np.array([1, 1]), np.full(2, 0.3), np.ones(2), np.zeros(2)
+    bad = [
+        (p, np.array([1]), np.array([0.3]), None, np.array([1.0, 2.0, 3.0]), np.array([0.0])),
+        (p, k, f, np.ones(3), m, ph),
+        (p, k, f, None, m, ph[:1]),
+        (p[:, None], k[:, None], f[:, None], None, m[:, None], ph[:, None]),
+        (p, k, f, None, np.ones((2, 2)), ph),
+        (np.array(3), np.array(1), np.array(0.3), None, np.array(1.0), np.array(0.0)),
+    ]
+    for cols in bad:
+        with pytest.raises(ValueError, match="1-D of one length"):
+            ComponentTable(*cols)
+    assert len(ComponentTable(p, k, f, 360 * f, m, ph)) == 2
+    assert len(ComponentTable(p, k, f, None, m, ph)[1:]) == 1

@@ -1,0 +1,131 @@
+"""A seeded conformance sweep of the input rule and the round trip.
+
+Sizes are drawn with weight on the shapes where the fast paths differ:
+primes, prime powers, powers of two and squarefree products of three to
+five primes, besides any small N. The properties:
+
+- `synthesize(analyze(x, family))` gives x back, real and complex;
+- every numeric dtype is computed in the working precision: the
+  coefficients of a bool, int32, float16, float32, longdouble or complex64
+  signal are float64 or complex128 and equal those of the same values in
+  float64 or complex128 bit for bit, for every family and the fast
+  transform;
+- a complex dictionary or candidate solve is the solve of its real part
+  plus 1j times the solve of its imaginary part, bit for bit;
+- `analyze` agrees with a dense solve against `build_matrix` for N <= 128.
+
+Tolerances are those of `test_fft_core`: absolute on the coefficient
+scale for the orthogonal and dft-npm families, relative to the largest
+coefficient for the others. The hypothesis profile is in `conftest.py`.
+"""
+
+import warnings
+from itertools import combinations
+from math import prod
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from ccpt import period
+from ccpt.foccpt import foccpt
+from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, build_matrix
+from ccpt.numtheory import divisors, totient
+from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
+from ccpt.transform import analyze, synthesize
+
+TOL = 1e-12
+RTOL = 1e-11
+
+PRIMES = [q for q in range(2, 400) if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+DTYPES = [np.bool_, np.int32, np.float16, np.float32, np.float64, np.longdouble,
+          np.complex64, np.complex128]
+
+
+def _sizes(limit):
+    """N in 1..limit, weighted towards primes, prime powers (powers of two
+    among them) and squarefree products of 3-5 primes."""
+    primes = [q for q in PRIMES if q <= limit]
+    powers = sorted({q ** e for q in primes for e in range(2, 13) if q ** e <= limit})
+    twos = [n for n in powers if n & (n - 1) == 0]
+    squarefree = sorted(n for r in (3, 4, 5) for qs in combinations(PRIMES[:8], r)
+                        if (n := prod(qs)) <= limit)
+    return st.one_of(st.integers(1, min(limit, 64)),
+                     *map(st.sampled_from, (primes, powers, twos, squarefree)))
+
+
+def _signal(seed, N, complex_):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(N)
+    return x + 1j * rng.standard_normal(N) if complex_ else x
+
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@given(N=_sizes(4096), seed=SEEDS, complex_=st.booleans())
+@example(N=1, seed=0, complex_=True)  # period 1 alone
+@example(N=2310, seed=0, complex_=True)  # five primes
+def test_round_trip(N, seed, complex_):
+    x = _signal(seed, N, complex_)
+    for family in FAMILIES:
+        c = analyze(x, family)
+        err = np.max(np.abs(synthesize(c) - x))
+        assert err <= RTOL * np.max(np.abs(x)), (family, N, err)
+
+
+@given(N=_sizes(1024), seed=SEEDS)
+@example(N=64, seed=0)  # the fast transform runs
+def test_every_dtype_computes_in_double(N, seed):
+    rng = np.random.default_rng(seed)
+    values = 4 * rng.standard_normal(N) + 4j * rng.standard_normal(N)
+    for dtype in DTYPES:
+        x = (values if np.dtype(dtype).kind == "c" else values.real).astype(dtype)
+        double = x.astype(np.complex128 if x.dtype.kind == "c" else np.float64)
+        pairs = [(analyze(x, family).flat, analyze(double, family).flat) for family in FAMILIES]
+        if N >= 2 and N & (N - 1) == 0:
+            pairs.append((foccpt(x)[0].flat, foccpt(double)[0].flat))
+        for got, want in pairs:
+            assert got.dtype in (np.float64, np.complex128) and got.dtype == want.dtype, dtype
+            assert np.array_equal(got, want), dtype
+
+
+@given(N=st.integers(1, 128), p_max=st.integers(1, 40), seed=SEEDS,
+       family=st.sampled_from([*FAMILIES, FAREY]), penalty=st.sampled_from(["p2", "phi"]))
+def test_complex_dictionary_solve_is_the_solve_of_its_parts(N, p_max, seed, family, penalty):
+    d = build_dictionary(N, min(p_max, N), family=family, penalty=penalty)
+    z = _signal(seed, N, True)
+    b = dictionary_solve(z, d).b_hat
+    parts = dictionary_solve(z.real, d).b_hat + 1j * dictionary_solve(z.imag, d).b_hat
+    assert np.array_equal(b, parts)
+
+
+@given(cand=st.sets(st.integers(1, 16), min_size=1, max_size=3), seed=SEEDS,
+       family=st.sampled_from([*FAMILIES, FAREY]))
+def test_complex_candidate_solve_is_the_solve_of_its_parts(cand, seed, family):
+    width = sum(map(totient, {d for p in cand for d in divisors(p)}))
+    z = _signal(seed, width, True)
+    d = period._candidate_dictionary(tuple(sorted(cand)), family, width)
+    with warnings.catch_warnings():
+        # a rank-deficient candidate basis warns on every solve
+        warnings.simplefilter("ignore", UserWarning)
+        report = candidate_matrix_solve(z, cand, family=family)
+        parts = dictionary_solve(z.real, d).b_hat + 1j * dictionary_solve(z.imag, d).b_hat
+    assert report.strengths == period._strengths(d.layout, parts)
+
+
+@given(N=_sizes(128), seed=SEEDS, complex_=st.booleans())
+@example(N=105, seed=0, complex_=True)  # three odd primes
+def test_analyze_agrees_with_the_dense_solve(N, seed, complex_):
+    x = _signal(seed, N, complex_)
+    for family in FAMILIES:
+        F = build_matrix(family, N).entries
+        if np.iscomplexobj(F):
+            want = np.linalg.solve(F, x)
+        else:
+            # a real basis solves the parts of a complex signal
+            want = np.linalg.solve(F, x.real) + 1j * np.linalg.solve(F, x.imag) if complex_ \
+                else np.linalg.solve(F, x)
+        got = analyze(x, family).column_values()
+        tol = TOL if family in (OCCPT, DFT_NPM) else RTOL * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= tol, (family, N)

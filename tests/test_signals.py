@@ -4,6 +4,7 @@ import pytest
 from ccpt.signals import (Signal, hidden_periodic_component, line_noise_sigma,
                           make_x1, make_x2, samples_of, synthetic_ecg, tone,
                           x1_clean, x2_clean)
+from ccpt.transform import CoefficientSet
 
 
 def test_signal_container():
@@ -21,6 +22,8 @@ def test_signal_container():
     ([], "Signal needs at least one sample"),
     (np.zeros((2, 2)), "Signal needs a 1-D signal"),
     (["a", "b"], "Signal needs numeric samples"),
+    # beyond the float64 range: inf in the working precision
+    (np.array([1.0, np.longdouble("1e400")], dtype=np.longdouble), "Signal needs finite samples"),
 ])
 def test_signal_rejects_non_signal_samples(bad, match):
     with pytest.raises(ValueError, match=match):
@@ -81,3 +84,19 @@ def test_synthetic_ecg():
     assert len(s) == 625 and s.sample_rate == 62.5
     assert np.max(s.samples) > 0.5          # R spikes present
     np.testing.assert_array_equal(s.samples, synthetic_ecg().samples)
+
+
+def test_samples_and_coefficients_are_double():
+    """Samples and coefficients are kept in the working precision, float64
+    or complex128, whatever their dtype; float64 and complex128 arrays are
+    kept as they are, without a copy."""
+    for values, want in (([True, False], np.float64), (np.arange(3, dtype=np.int32), np.float64),
+                         (np.ones(3, np.float16), np.float64),
+                         (np.ones(3, np.longdouble), np.float64),
+                         (np.ones(3, np.complex64), np.complex128),
+                         (np.ones(3, np.clongdouble), np.complex128)):
+        assert Signal(values).samples.dtype == want
+        assert CoefficientSet(N=len(values), family="occpt", flat=values).flat.dtype == want
+    for values in (np.ones(3), np.ones(3, complex)):
+        assert np.shares_memory(Signal(values).samples, values)
+        assert np.shares_memory(CoefficientSet(N=3, family="rpt", flat=values).flat, values)
