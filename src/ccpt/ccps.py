@@ -22,7 +22,7 @@ from math import cos, gcd, pi, sin
 
 import numpy as np
 
-from .numtheory import divisors, lcm_list, mobius, positive_int
+from .numtheory import divisors, mobius, positive_int
 
 COS = "cos"  # type-1, conjugate pair added
 SIN = "sin"  # type-2, conjugate pair subtracted
@@ -143,23 +143,23 @@ def ccps_spectrum(L: int, l: int, kind: str) -> np.ndarray:
 
 
 def ccps_inner_product(spec_a: CcpsSpec, shift_a: int, spec_b: CcpsSpec, shift_b: int) -> float:
-    """Closed-form dot product of two circularly shifted pair sums over one
-    common period L = lcm(L_a, L_b).
+    """Closed-form dot product of two circularly shifted pair sums over
+    their common period L, when the two specs share (L, k); sums whose
+    specs differ are orthogonal over any common period, so the product is 0.
 
-    Same-kind pairs: 2*L*M*cos(2*pi*k*(shift_a - shift_b)/L_a) when the two
-    specs share (L, k), else 0. Cross-kind pairs with L >= 3:
-    2*L*sin(2*pi*k*(shift_a - shift_b)/L_a) with the type-1 factor's shift
-    first; cross-kind with L <= 2 falls back to the same-kind form because
-    the two sums coincide there. The shifts are integers of either sign.
+    Same-kind pairs: 2*L*M*cos(2*pi*k*(shift_a - shift_b)/L). Cross-kind
+    pairs with L >= 3: 2*L*sin(2*pi*k*(shift_a - shift_b)/L) with the
+    type-1 factor's shift first; cross-kind with L <= 2 falls back to the
+    same-kind form because the two sums coincide there. The shifts are
+    integers of either sign.
     """
     shift_a, shift_b = (positive_int(s, "shift", low=None) for s in (shift_a, shift_b))
-    L = lcm_list([spec_a.L, spec_b.L])
     if spec_a.L != spec_b.L or spec_a.k != spec_b.k:
         return 0.0
-    Lc, k = spec_a.L, spec_a.k
+    L, k = spec_a.L, spec_a.k
     delta = shift_a - shift_b
-    if spec_a.kind == spec_b.kind or Lc <= 2:
-        return 2.0 * L * pair_scale(Lc) * cos(2.0 * pi * k * delta / Lc)
+    if spec_a.kind == spec_b.kind or L <= 2:
+        return 2.0 * L * pair_scale(L) * cos(2.0 * pi * k * delta / L)
     if spec_a.kind == COS:  # type-1 times type-2
-        return 2.0 * L * sin(2.0 * pi * k * delta / Lc)
-    return 2.0 * L * sin(2.0 * pi * k * (-delta) / Lc)
+        return 2.0 * L * sin(2.0 * pi * k * delta / L)
+    return 2.0 * L * sin(2.0 * pi * k * (-delta) / L)

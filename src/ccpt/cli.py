@@ -7,10 +7,10 @@ dictionary method), filter-band (band-limited reconstruction), benchmark
 route to the counting fast transform), and fixture (write the bundled
 reference signals).
 
-Input signals are single-column CSV files of decimal samples with an
-optional "value" header. Exit codes: 0 ok, 1 invalid arguments, 2 input
-that cannot be read or parsed, or output that cannot be written, 3 numeric
-failure.
+Input signals are single-column UTF-8 CSV files of decimal samples with an
+optional "value" header and an optional byte-order mark. Exit codes: 0 ok,
+1 invalid arguments, 2 input that cannot be read or parsed, or output that
+cannot be written, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -77,9 +77,11 @@ def _parse_lines(path, lines) -> np.ndarray:
 
 
 def read_signal_csv(path) -> np.ndarray:
-    """The samples of a single-column CSV file with an optional "value"
-    header, as a float array; CsvParseError names the first bad line."""
-    with open(path, "r") as fh:
+    """The samples of a single-column UTF-8 CSV file with an optional
+    "value" header, as a float array; CsvParseError names the first bad
+    line. A leading byte-order mark, which spreadsheet exports write, is
+    skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     if not lines[-1]:
         lines.pop()  # the text after the final newline
@@ -260,9 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periods", help="period strength report")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["matrix", "dictionary"], default="matrix")
-    p.add_argument("--threshold", type=float, default=0.2)
-    p.add_argument("--pmax", type=int, default=50)
-    p.add_argument("--penalty", choices=["p2", "phi"], default="p2")
+    p.add_argument("--threshold", type=float, default=0.2,
+                   help="matrix method: significant periods reach this fraction of the peak")
+    p.add_argument("--pmax", type=int, default=50, help="dictionary method: largest period")
+    p.add_argument("--penalty", choices=["p2", "phi"], default="p2",
+                   help="dictionary method: column penalty, p^2 or phi(p)")
     p.add_argument("--strengths-csv", default=None, help="also write period,strength rows")
     add_common(p)
     p.set_defaults(fn=cmd_periods)

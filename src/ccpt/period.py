@@ -21,16 +21,17 @@ call re-derives divisors or totients. Its mapping is read-only
 
 Non-divisor periods use a fat dictionary stacking the subspace bases of all
 candidate periods 1..P_max, addressed by their column layout. Every
-dictionary, fat or square, comes from one constructor (farey names the
-dft-npm blocks). A dictionary is an immutable value that stores each fact
-once: its family, penalty name, length N and layout. p_max, the read-only
-penalties, the factor and the read-only entries (the blocks tiled to N,
-built only when read) derive from them, so `dataclasses.replace` gives a
-new, consistent dictionary that factors itself, and a derived name given
-to it raises. The report values store their independent facts the same
-way and derive the rest: a divisor report derives its length N (the last
-divisor period) and significant set, a candidate report its width (the
-sum of phi(p) over the basis periods).
+dictionary, of periods 1..P_max or of a candidate set, comes from one
+constructor (farey names the dft-npm blocks). A dictionary is an immutable
+value that stores each fact once: its family, penalty name, length N and
+layout. p_max, the read-only penalties, the factor and the read-only
+entries (the blocks tiled to N, built only when read) derive from them,
+so `dataclasses.replace` gives a new, consistent dictionary that factors
+itself, and a derived name given to it raises. The report values store
+their independent facts the same way and derive the rest: a divisor
+report derives its length N (the last divisor period) and significant
+set, a candidate report its width (the sum of phi(p) over the basis
+periods).
 The representation x = F b is resolved by the weighted minimum-norm
 program min ||T b|| s.t. x = F b, whose closed form is
 b = T^-2 F^H (F T^-2 F^H)^-1 x with T = diag(f(p)) per column.
@@ -77,13 +78,15 @@ same as if it had been computed during the solve. The solution holds a
 read-only copy of the signal and read-only coefficients, so the residual
 always belongs to the coefficients it returns.
 
-Candidate-set scoring solves the same program over a square dictionary:
-the stacked blocks of every divisor of every candidate, with as many
-columns as samples. It goes through the same cached QR, rank cutoff and
-solve as any dictionary; with full rank the weighted minimum-norm solution
-is the unique one, so the penalty does not change it. Each candidate set's
-dictionary is built once per family and length (the 64 most recent sets);
-a rank-deficient one takes the least-squares branch and warns on every call.
+Candidate-set scoring solves the same program over the dictionary of the
+stacked blocks of every divisor of every candidate, tiled to any length n
+at least its width (the number of its columns). It goes through the same
+cached QR, rank cutoff and solve as any dictionary: at n = width the
+triangular solve, and past it the least-squares branch, which fits all n
+samples. With full column rank the least-squares solution is the unique
+one, so the penalty does not change it. Each candidate set's dictionary is
+built once per family and length (the 64 most recent sets); one without
+full column rank warns on every call.
 
 Frequency components come as a `ComponentTable`, one row per conjugate
 subspace above a magnitude floor: read-only columns p, k, freq, freq_hz
@@ -383,16 +386,16 @@ class GramFactor(_ArrayValue):
 @dataclass(frozen=True, eq=False)
 class PeriodicDictionary(_ArrayValue):
     """Stacked subspace bases tiled to N: the fat dictionary of periods
-    1..p_max, or the square basis of a candidate set (`p_max` its largest
-    candidate). An immutable value of four fields: its family (farey names
-    the dft-npm blocks), penalty name, length N and the layout addressing
-    its columns. The entries, p_max (the last block period), the penalties
-    and the factor derive from them and are built on first use; an N that
-    is not an integer >= 1, a family that is not the layout's own and an
-    unknown penalty are rejected. The factor of every family builds its
-    own columns for the QR only, so a factor and a solve never build the
-    entries (complex for Farey); the residual, export and tests read
-    them."""
+    1..p_max, or the basis of a candidate set at any N >= its width
+    (`p_max` its largest candidate). An immutable value of four fields: its
+    family (farey names the dft-npm blocks), penalty name, length N and the
+    layout addressing its columns. The entries, p_max (the last block
+    period), the penalties and the factor derive from them and are built on
+    first use; an N that is not an integer >= 1, a family that is not the
+    layout's own and an unknown penalty are rejected. The factor of every
+    family builds its own columns for the QR only, so a factor and a solve
+    never build the entries (complex for Farey); the residual, export and
+    tests read them."""
 
     family: str
     penalty_name: str
@@ -666,7 +669,7 @@ def min_data_length(candidates) -> int:
 @dataclass(frozen=True)
 class CandidateReport:
     """Strengths (a read-only mapping) of the basis periods of a candidate
-    set's square dictionary, with its rank. The basis periods (the strength
+    set's dictionary, with its column rank. The basis periods (the strength
     keys), the width (the sum of their phi(p)), full rank (rank == width)
     and the candidates' own strengths derive from them. Compares and hashes
     by value."""
@@ -707,31 +710,29 @@ class CandidateReport:
 
 @lru_cache(maxsize=64)
 def _candidate_dictionary(cand: tuple[int, ...], family: str, n: int) -> PeriodicDictionary:
-    """Square dictionary of a sorted candidate set for data length n, whose
-    blocks are every divisor of every candidate, ascending; it caches its
-    factor on the first solve. A length other than the
-    dictionary's width is rejected before anything is built, and the error
-    is not cached."""
+    """Dictionary of a sorted candidate set for data length n, whose blocks
+    are every divisor of every candidate, ascending; it caches its factor on
+    the first solve. A length below the dictionary's width is rejected
+    before anything is built, and the error is not cached."""
     periods = tuple(sorted({d for p in cand for d in divisors(p)}))
     width = sum(map(totient, periods))
-    if n != width:
-        raise ValueError(
-            f"data length {n} does not match the basis dimension {width} "
-            f"of candidate set {cand}; this construction needs a square system")
-    return _dictionary(width, periods, family, "p2")
+    if n < width:
+        raise ValueError(f"data length {n} is below the basis width {width} of candidates {cand}")
+    return _dictionary(n, periods, family, "p2")
 
 
 def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateReport:
-    """Square-system period scoring over an explicit candidate set.
+    """Period scoring over an explicit candidate set.
 
     The basis stacks the family's subspace blocks for every divisor of every
-    candidate (including non-divisors of the data length). The construction
-    is square exactly when the total dimension of those subspaces equals the
-    data length, as with the minimum data length of a two-candidate set;
-    other candidate sets are rejected. `family` is a dictionary family
-    (farey for the dft-npm blocks). The square basis is solved as a
-    dictionary (`PeriodicDictionary.gram`), so a rank-deficient one takes
-    the least-squares branch.
+    candidate (including non-divisors of the data length), tiled to the
+    data length n, which must be at least the basis width (the total
+    dimension of those subspaces, which for two candidates is their minimum
+    data length). `family` is a dictionary family (farey for the
+    dft-npm blocks). The basis is solved as a dictionary
+    (`PeriodicDictionary.gram`): the least-squares fit of all n samples,
+    exact at n = width, and a basis without full column rank warns and
+    takes the minimum-norm least-squares solution.
     """
     x = _checked_samples(x, "candidate_matrix_solve")
     cand = tuple(sorted({positive_int(p, "candidate period") for p in candidates}))
@@ -739,8 +740,8 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
         raise ValueError("need at least one candidate period")
     d = _candidate_dictionary(cand, family, len(x))
     f = d.gram()
-    if f.pinv is not None:
+    if f.rank < d.n_columns:
         warnings.warn(f"candidate basis for {cand} is rank deficient "
-                      f"({f.rank}/{d.N}); falling back to least squares")
+                      f"({f.rank}/{d.n_columns}); falling back to least squares")
     return CandidateReport(candidates=cand, rank=f.rank,
                            strengths=_strengths(d.layout, _by_parts(_coefficients, x, f, d)))

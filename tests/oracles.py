@@ -169,10 +169,11 @@ def column_entries(family, p, k, kind, shift, length):
 
 def read_signal_csv_loop(path):
     """A signal CSV read one line at a time: blank lines and a "value"
-    header on line 1 are skipped, and the first unparsable or non-finite
-    line raises CsvParseError naming it."""
+    header on line 1 are skipped, as is a byte-order mark opening the file,
+    and the first unparsable or non-finite line raises CsvParseError naming
+    it."""
     values = []
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text:

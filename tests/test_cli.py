@@ -87,6 +87,10 @@ CSV_CASES = {
     "underscore-and-spaces": b"value\n1_000\n 2.5 \n\t-3\t\n",
     "bad-value": b"value\n1.0\n1,2\n3\n",
     "blank-then-nan": b"value\n\nnan\n",
+    "bom-header": b"\xef\xbb\xbfvalue\n1.0\n-2\n",
+    "bom-bare": b"\xef\xbb\xbf1.0\n-2\n",
+    "bom-then-bad": b"\xef\xbb\xbfvalue\n1,2\n",
+    "bom-on-line-2": b"value\n\xef\xbb\xbf1.0\n",
     **dict(_non_finite_files()),
 }
 
@@ -103,6 +107,18 @@ def _per_line_csv(path, samples):
         fh.write("value\n")
         for v in np.asarray(samples):
             fh.write(format(float(v), ".12g") + "\n")
+
+
+@pytest.mark.parametrize("content", [b"\xef\xbb\xbfvalue\n1.0\n-2.5\n",
+                                     b"\xef\xbb\xbf1.0\n-2.5\n"], ids=["header", "bare"])
+def test_csv_skips_a_byte_order_mark(tmp_path, content):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(content)
+    assert read_signal_csv(path).tolist() == [1.0, -2.5]
+    out = tmp_path / "coeffs.json"
+    assert main(["transform", "--input", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["N"] == 2
 
 
 @pytest.mark.parametrize("length", [625, 4096])
@@ -258,6 +274,15 @@ def test_periods_dictionary_singular_gram(tmp_path):
     payload = _strict_json(out.read_text())
     assert payload["used_fallback"] is False
     assert 1.0 <= payload["gram_condition"] < 1e12
+
+
+def test_periods_help_names_the_method_of_each_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["periods", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, method in [("--threshold", "matrix"), ("--pmax", "dictionary"),
+                         ("--penalty", "dictionary")]:
+        assert f"{method} method:" in text.split(flag)[-1].split(" --")[0], flag
 
 
 def test_periods_constant_input(tmp_path):

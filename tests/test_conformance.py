@@ -12,11 +12,19 @@ five primes, besides any small N. The properties:
   transform;
 - a complex dictionary or candidate solve is the solve of its real part
   plus 1j times the solve of its imaginary part, bit for bit;
-- `analyze` agrees with a dense solve against `build_matrix` for N <= 128.
+- `analyze` agrees with a dense solve against `build_matrix` for N <= 128;
+- a candidate solve at any length n in [width, 8 width] is the
+  least-squares fit of `lstsq` on the candidate dictionary's entries, and
+  n = width - 1 raises;
+- a dictionary solve on the full-row-rank branch is the weighted
+  minimum-norm solution of `oracles.weighted_min_norm`, within a tolerance
+  derived from its `gram_condition`.
 
-Tolerances are those of `test_fft_core`: absolute on the coefficient
-scale for the orthogonal and dft-npm families, relative to the largest
-coefficient for the others. The hypothesis profile is in `conftest.py`.
+Tolerances of the transform properties are those of `test_fft_core`:
+absolute on the coefficient scale for the orthogonal and dft-npm families,
+relative to the largest coefficient for the others. The candidate solve
+holds to 1e-12 of its largest strength, and the dictionary solve states
+its tolerance where it checks it. The hypothesis profile is in `conftest.py`.
 """
 
 import warnings
@@ -24,7 +32,8 @@ from itertools import combinations
 from math import prod
 
 import numpy as np
-from hypothesis import example, given
+import pytest
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ccpt import period
@@ -33,6 +42,8 @@ from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, build_matrix
 from ccpt.numtheory import divisors, totient
 from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
 from ccpt.transform import analyze, synthesize
+
+from oracles import weighted_min_norm
 
 TOL = 1e-12
 RTOL = 1e-11
@@ -129,3 +140,41 @@ def test_analyze_agrees_with_the_dense_solve(N, seed, complex_):
         got = analyze(x, family).column_values()
         tol = TOL if family in (OCCPT, DFT_NPM) else RTOL * np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= tol, (family, N)
+
+
+@given(cand=st.sets(st.integers(2, 16), min_size=1, max_size=3), seed=SEEDS,
+       family=st.sampled_from([*FAMILIES, FAREY]), complex_=st.booleans(), data=st.data())
+def test_candidate_solve_at_any_length_is_least_squares(cand, seed, family, complex_, data):
+    width = sum(map(totient, {d for p in cand for d in divisors(p)}))
+    n = data.draw(st.integers(width, 8 * width), label="n")
+    x = _signal(seed, n, complex_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no drawn basis is rank deficient
+        report = candidate_matrix_solve(x, cand, family=family)
+    d = period._candidate_dictionary(tuple(sorted(cand)), family, n)
+    b = np.linalg.lstsq(d.entries, x, rcond=None)[0]
+    sums = np.bincount(d.periods, weights=np.abs(b) ** 2)
+    peak = max(report.strengths.values())
+    assert report.full_rank
+    assert all(abs(s - sums[p]) <= 1e-12 * peak for p, s in report.strengths.items())
+    with pytest.raises(ValueError, match=f"below the basis width {width} "):
+        candidate_matrix_solve(x[:width - 1], cand, family=family)
+
+
+@given(N=st.integers(1, 128), p_max=st.integers(1, 40), seed=SEEDS,
+       family=st.sampled_from([*FAMILIES, FAREY]), penalty=st.sampled_from(["p2", "phi"]))
+def test_full_rank_dictionary_solve_is_the_weighted_min_norm(N, p_max, seed, family, penalty):
+    d = build_dictionary(N, min(p_max, N), family=family, penalty=penalty)
+    sol = dictionary_solve(_signal(seed, N, False), d)
+    assume(not sol.used_fallback)
+    want = weighted_min_norm(d.entries, d.penalties, sol._signal)
+    # Both solves are backward stable, and the minimum-norm solution of a
+    # full-row-rank A = F T^-1 has condition kappa(A) to first order, so in
+    # the weighted norm ||T b|| each is within a small multiple of
+    # max(M, N) * eps * kappa(A) of the exact solution. gram_condition is
+    # trcon's estimate of kappa_1(R)^2, the square of a 1-norm condition
+    # within a small factor of kappa(A); the 16 covers both factors.
+    kappa = np.sqrt(sol.gram_condition)
+    tol = 16 * max(d.n_columns, N) * np.finfo(float).eps * kappa
+    T = d.penalties
+    assert np.linalg.norm(T * (sol.b_hat - want)) <= tol * np.linalg.norm(T * want)
