@@ -59,16 +59,11 @@ def _twiddles(M: int):
     return out
 
 
-@lru_cache(maxsize=16)
 def _bit_reversed(N: int) -> np.ndarray:
-    """Bit-reversal permutation of 0..N-1 for N = 2^v (read-only)."""
-    v = _radix2(N)
-    i = np.arange(N)
-    out = np.zeros(N, dtype=np.intp)
-    for b in range(v):
-        out |= ((i >> b) & 1) << (v - 1 - b)
-    out.setflags(write=False)
-    return out
+    """Bit-reversal permutation of 0..N-1 for N = 2^v: index i, written as
+    v binary digits, read as an array of shape (2,) * v, transposed so the
+    digits come in reverse order."""
+    return np.arange(N).reshape((2,) * _radix2(N)).T.ravel()
 
 
 def _combine(buf: np.ndarray, M: int, ctr: OpCounter) -> None:

@@ -50,8 +50,6 @@ FAMILIES = (DFT_NPM, RPT, CCPT1, CCPT2, OCCPT)
 EXP = "exp"
 RAM = "ram"
 
-MAX_DIRECT_N = 4096
-
 __all__ = [
     "DFT_NPM", "RPT", "CCPT1", "CCPT2", "OCCPT", "FAMILIES",
     "SubspaceIndex", "ColumnLayout", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
@@ -300,18 +298,13 @@ def build_columns(layout: ColumnLayout, length: int) -> np.ndarray:
     return table[idx]
 
 
-def _check_family_size(family: str, N: int) -> int:
-    """N as an int, for a known family and N >= 1."""
-    _check_family(family)
-    return positive_int(N, "matrix size")
-
-
 def column_layout(family: str, N: int) -> ColumnLayout:
     """Column addresses of the size-N matrix of `family`: the blocks of the
-    divisors of N, ascending. Builds no entries, so it has no size cap. N is
-    checked before the cached lookup, so a float N is rejected whatever was
-    cached before."""
-    return _column_layout(family, _check_family_size(family, N))
+    divisors of N, ascending. The family and N (an integer >= 1) are checked
+    before the cached lookup, so a float N is rejected whatever was cached
+    before."""
+    _check_family(family)
+    return _column_layout(family, positive_int(N, "matrix size"))
 
 
 @lru_cache(maxsize=64)
@@ -365,10 +358,9 @@ class PeriodicBasisMatrix(_ArrayValue):
 
 
 def build_matrix(family: str, N: int) -> PeriodicBasisMatrix:
-    N = _check_family_size(family, N)
-    if N > MAX_DIRECT_N:
-        raise ValueError(f"direct builders are capped at N={MAX_DIRECT_N}, got {N}")
-    return PeriodicBasisMatrix(entries=build_columns(column_layout(family, N), N), family=family)
+    layout = column_layout(family, N)
+    # the last block period of a size-N layout is N
+    return PeriodicBasisMatrix(entries=build_columns(layout, layout.blocks[-1]), family=family)
 
 
 @lru_cache(maxsize=64)

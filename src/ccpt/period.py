@@ -203,10 +203,6 @@ class PeriodReport:
             "estimated_period": self.estimated_period,
         }
 
-    def strength_rows(self):
-        """(period, strength) rows for the plot-ready CSV."""
-        return sorted(self.strengths.items())
-
 
 def period_strengths(c: CoefficientSet, threshold: float = 0.2,
                      normalized: bool = False) -> PeriodReport:
@@ -467,7 +463,9 @@ class PeriodicDictionary(_ArrayValue):
         F /= scale
         # A^T = F.T is Fortran-ordered, so QR overwrites it in place
         Q, R = qr(F.T, mode="economic", overwrite_a=True)
-        return GramFactor(Q, np.asfortranarray(R))
+        # a tall basis's M x M Q is a view of LAPACK's M x N work array;
+        # a fat or square one is its own buffer
+        return GramFactor(Q.copy() if self.n_columns < self.N else Q, np.asfortranarray(R))
 
 
 def build_dictionary(N: int, p_max: int, family: str = OCCPT, penalty="p2") -> PeriodicDictionary:
@@ -582,9 +580,6 @@ class DictionarySolution(_ArrayValue):
             "used_fallback": self.used_fallback,
         }
 
-    def strength_rows(self):
-        return sorted(self.strengths.items())
-
 
 # the real double LAPACK routine under solve_triangular, without its
 # wrapper: the one triangular solve of every dictionary, as R and each part
@@ -659,7 +654,13 @@ def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:
 
 def min_data_length(candidates) -> int:
     """Minimum samples needed to separate a set of candidate integer
-    periods: the max of Pi + Pj - gcd(Pi, Pj) over candidate pairs."""
+    periods: the max of Pi + Pj - gcd(Pi, Pj) over candidate pairs.
+
+    For two candidates this is the width of their basis in
+    `candidate_matrix_solve` (the sum of phi(d) over the divisors d of
+    either), the length it needs. For three or more the basis can be wider
+    than every pair: (5, 7, 9) needs 19 samples and (4, 6, 9) needs 14,
+    where this gives 15 and 12."""
     P = [positive_int(p, "candidate period") for p in candidates]
     if len(P) < 2:
         raise ValueError("need at least two candidate periods")
@@ -727,9 +728,11 @@ def candidate_matrix_solve(x, candidates, family: str = OCCPT) -> CandidateRepor
     The basis stacks the family's subspace blocks for every divisor of every
     candidate (including non-divisors of the data length), tiled to the
     data length n, which must be at least the basis width (the total
-    dimension of those subspaces, which for two candidates is their minimum
-    data length). `family` is a dictionary family (farey for the
-    dft-npm blocks). The basis is solved as a dictionary
+    dimension of those subspaces). For two candidates the width is their
+    minimum data length (`min_data_length`); for three or more it can
+    exceed it, as (5, 7, 9) has width 19 and minimum data length 15, and
+    a length below the width raises. `family` is a dictionary family
+    (farey for the dft-npm blocks). The basis is solved as a dictionary
     (`PeriodicDictionary.gram`): the least-squares fit of all n samples,
     exact at n = width, and a basis without full column rank warns and
     takes the minimum-norm least-squares solution.

@@ -104,15 +104,6 @@ def _dft_bins(N: int) -> np.ndarray:
     return bins
 
 
-@lru_cache(maxsize=64)
-def _identity_order(N: int) -> np.ndarray:
-    """0..N-1 (read-only): the column order of the families whose flat
-    layout is already column order."""
-    order = np.arange(N)
-    order.setflags(write=False)
-    return order
-
-
 def _pair_count(N: int) -> int:
     """Number of (K, N-K) slot pairs: the subspaces with period >= 3."""
     return (N - 1) // 2
@@ -179,7 +170,10 @@ class CoefficientSet(_ArrayValue):
         """Flat index of each coefficient in matrix column order (read-only)."""
         if self.family == OCCPT:
             return _occpt_slots(self.N)
-        return _identity_order(self.N)
+        # the other families' flat layout is already column order
+        order = np.arange(self.N)
+        order.setflags(write=False)
+        return order
 
     def column_values(self) -> np.ndarray:
         """Coefficients rearranged into matrix column order; the read-only

@@ -18,7 +18,16 @@ five primes, besides any small N. The properties:
   n = width - 1 raises;
 - a dictionary solve on the full-row-rank branch is the weighted
   minimum-norm solution of `oracles.weighted_min_norm`, within a tolerance
-  derived from its `gram_condition`.
+  derived from its `gram_condition`;
+- `ColumnLayout.pair_columns` and `ColumnLayout.pairs` agree with a loop
+  over `layout.columns` on any ascending orthogonal block set;
+- the input rule of every entry point that takes samples (`analyze` for
+  each family, `occpt_analysis`, `foccpt`, `dictionary_solve`,
+  `candidate_matrix_solve` and `Signal`): NaN or inf, a 2-D shape, no
+  samples or a non-numeric dtype raise `ValueError`, and bool and integer
+  samples give the answer of the same values in float64, bit for bit;
+- `foccpt._bit_reversed(2**v)` reverses the v binary digits of each index,
+  for v = 1 to 20.
 
 Tolerances of the transform properties are those of `test_fft_core`:
 absolute on the coefficient scale for the orthogonal and dft-npm families,
@@ -28,6 +37,7 @@ its tolerance where it checks it. The hypothesis profile is in `conftest.py`.
 """
 
 import warnings
+from dataclasses import replace
 from itertools import combinations
 from math import prod
 
@@ -37,11 +47,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ccpt import period
-from ccpt.foccpt import foccpt
-from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, build_matrix
+from ccpt.ccps import COS, SIN
+from ccpt.foccpt import _bit_reversed, foccpt
+from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, block_layout, build_matrix
 from ccpt.numtheory import divisors, totient
 from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
-from ccpt.transform import analyze, synthesize
+from ccpt.signals import Signal
+from ccpt.transform import analyze, occpt_analysis, synthesize
 
 from oracles import weighted_min_norm
 
@@ -178,3 +190,92 @@ def test_full_rank_dictionary_solve_is_the_weighted_min_norm(N, p_max, seed, fam
     tol = 16 * max(d.n_columns, N) * np.finfo(float).eps * kappa
     T = d.penalties
     assert np.linalg.norm(T * (sol.b_hat - want)) <= tol * np.linalg.norm(T * want)
+
+
+@given(blocks=st.sets(st.integers(1, 60), min_size=1, max_size=12), seed=SEEDS)
+@example(blocks={1, 2}, seed=0)  # degenerate pairs only
+def test_pair_lookups_agree_with_a_loop_over_the_columns(blocks, seed):
+    layout = block_layout(OCCPT, sorted(blocks))
+    values = np.random.default_rng(seed).standard_normal(len(layout.periods))
+    position = {c: i for i, c in enumerate(layout.columns)}
+    want = []
+    for i, c in enumerate(layout.columns):
+        if c.kind == COS:
+            j = position.get(replace(c, kind=SIN))
+            assert (j is None) == (c.p <= 2)
+            assert layout.pair_columns(c.p, c.k) == (i, j)
+            want.append((c.p, c.k, values[i], 0.0 if j is None else values[j]))
+    got = layout.pairs(values)
+    for g, w in zip(got, zip(*want)):
+        assert np.array_equal(g, np.array(w))
+
+
+def _foccpt_answer(x):
+    c, ctr = foccpt(x)
+    return c.flat, np.array([ctr.real_mults, ctr.real_adds])
+
+
+# each entry point that takes samples: the length its signal gets for a
+# drawn N >= 1 (a power of two for foccpt, at least the width 12 of the
+# (5, 8) candidate basis), and its answer as arrays
+_ENTRY_POINTS = {
+    **{f"analyze-{family}": (lambda N: N, lambda x, family=family: (analyze(x, family).flat,))
+       for family in FAMILIES},
+    "occpt_analysis": (lambda N: N, lambda x: (occpt_analysis(x).flat,)),
+    "foccpt": (lambda N: 2 ** N.bit_length(), _foccpt_answer),
+    "dictionary_solve": (lambda N: N, lambda x: (
+        dictionary_solve(x, build_dictionary(len(x), min(len(x), 12))).b_hat,)),
+    "candidate_matrix_solve": (lambda N: N + 11, lambda x: (
+        np.array(list(candidate_matrix_solve(x, (5, 8)).strengths.values())),)),
+    "Signal": (lambda N: N, lambda x: (Signal(x).samples,)),
+}
+_BAD = ["nan", "inf", "-inf", "2-D", "column", "empty", "str", "object", "datetime"]
+
+
+def _spoiled(x, how, i):
+    """x made invalid in the way `how` names; a non-finite value lands at
+    position i of the real part, or of the imaginary part of a complex x at
+    odd i."""
+    if how in ("nan", "inf", "-inf"):
+        y = x.copy()
+        if np.iscomplexobj(y) and i % 2:
+            y.imag[i % len(y)] = float(how)
+        else:
+            y.real[i % len(y)] = float(how)
+        return y
+    return {"2-D": lambda: np.stack([x, x]), "column": lambda: x[:, None],
+            "empty": lambda: x[:0], "str": lambda: x.astype(str),
+            "object": lambda: x.astype(object),
+            "datetime": lambda: np.arange(len(x)).astype("datetime64[s]")}[how]()
+
+
+@given(N=_sizes(256), how=st.sampled_from(_BAD), i=st.integers(0, 2 ** 16),
+       seed=SEEDS, complex_=st.booleans())
+def test_invalid_samples_raise_value_error(N, how, i, seed, complex_):
+    for entry, (length, answer) in _ENTRY_POINTS.items():
+        x = _spoiled(_signal(seed, length(N), complex_), how, i)
+        try:
+            answer(x)
+        except ValueError:
+            continue
+        pytest.fail(f"{entry} accepted {how} samples")
+
+
+@given(N=_sizes(256), dtype=st.sampled_from([np.bool_, np.int8, np.int16, np.int32, np.int64,
+                                              np.uint8, np.uint16, np.uint64]), seed=SEEDS)
+@example(N=1, dtype=np.bool_, seed=0)
+def test_bool_and_integer_samples_give_the_float64_answer(N, dtype, seed):
+    info = np.iinfo(dtype) if dtype is not np.bool_ else None
+    low, high = (0, 2) if info is None else (max(info.min, -1000), min(info.max, 1000) + 1)
+    rng = np.random.default_rng(seed)
+    for entry, (length, answer) in _ENTRY_POINTS.items():
+        x = rng.integers(low, high, length(N)).astype(dtype)
+        for got, want in zip(answer(x), answer(x.astype(np.float64))):
+            assert got.dtype == want.dtype and np.array_equal(got, want), (entry, dtype)
+
+
+@given(v=st.integers(1, 20))
+def test_bit_reversal_reverses_the_binary_digits(v):
+    i = np.arange(2 ** v)
+    want = sum(((i >> b) & 1) << (v - 1 - b) for b in range(v))
+    assert np.array_equal(_bit_reversed(2 ** v), want)

@@ -291,6 +291,18 @@ def test_dictionary_solve_rejects_bad_input(p_max, bad, match):
         dictionary_solve(bad, d)
 
 
+@pytest.mark.parametrize("n", [13, 4000])
+def test_tall_factor_holds_only_its_own_q(n):
+    """A tall basis's M x M Q comes from LAPACK as a view of an M x n work
+    array; the factor keeps a copy, so its cached Q holds M x M floats."""
+    d = period._candidate_dictionary((5, 8), "occpt", n)
+    Q = d.gram().Q
+    root = Q
+    while root.base is not None:
+        root = root.base
+    assert Q.shape == (12, 12) and root.nbytes == Q.nbytes
+
+
 def test_replaced_dictionary_factors_itself():
     """A dictionary is a value: replace() after a solve gives a new one whose
     factor comes from its own fields, equal to a freshly built one."""

@@ -414,8 +414,6 @@ def test_builder_guards():
         build_matrix("hadamard", 4)
     with pytest.raises(ValueError):
         build_matrix(OCCPT, 0)
-    with pytest.raises(ValueError):
-        build_matrix(OCCPT, 4097)
 
 
 @pytest.mark.parametrize("periods", [range(1, 49), divisors(360), [1, 2], [7]])

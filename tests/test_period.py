@@ -417,6 +417,20 @@ def test_min_data_length_examples():
     assert min_data_length([5, 7, 9]) == 15
 
 
+@pytest.mark.parametrize("cand,n_min,width", [((6, 8), 12, 12), ((5, 7, 9), 15, 19),
+                                               ((4, 6, 9), 12, 14)])
+def test_min_data_length_reaches_the_basis_width_only_for_two_candidates(cand, n_min, width):
+    """The paper's minimum separates each pair of candidates; the candidate
+    basis stacks every divisor of every candidate, so for three or more its
+    width can exceed that minimum, and the solve needs the width."""
+    assert min_data_length(cand) == n_min
+    x = np.random.default_rng(0).standard_normal(width)
+    assert candidate_matrix_solve(x, cand).width == width
+    if n_min < width:
+        with pytest.raises(ValueError, match=f"data length {n_min} is below the basis width {width}"):
+            candidate_matrix_solve(x[:n_min], cand)
+
+
 def test_min_data_length_properties():
     assert min_data_length([8, 6]) == min_data_length([6, 8])
     assert min_data_length([5, 7, 9, 9, 5]) == min_data_length([5, 7, 9])
