@@ -10,7 +10,8 @@ reference signals).
 Input signals are single-column UTF-8 CSV files of decimal samples with an
 optional "value" header and an optional byte-order mark. Exit codes: 0 ok,
 1 invalid arguments, 2 input that cannot be read or parsed, or output that
-cannot be written, 3 numeric failure.
+cannot be written, 3 numeric failure: a singular factor, or a result that
+is not finite, which no writer spells; nothing is written then.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from functools import lru_cache
 from itertools import chain, islice
 
 import numpy as np
@@ -98,21 +98,23 @@ def read_signal_csv(path) -> np.ndarray:
     return values
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, refused with a FloatingPointError naming `what` unless all
+    are finite: no writer spells nan or infinity."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} are not finite")
+    return values
+
+
 def write_signal_csv(path, samples) -> None:
-    values = np.asarray(samples, dtype=float).tolist()
+    values = _finite(np.asarray(samples, dtype=float), "samples").tolist()
     with open(path, "w") as fh:
         fh.write("value\n" + ("%.12g\n" * len(values)) % tuple(values))
 
 
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _floats_json(values: np.ndarray) -> list[str]:
-    """json.dumps's spelling of each float of a real array."""
-    out = list(map(float.__repr__, values.tolist()))
-    if not np.all(np.isfinite(values)):
-        out = [_NONFINITE_JSON.get(v, v) for v in out]
-    return out
+    """json.dumps's spelling of each float of a finite real array."""
+    return list(map(float.__repr__, values.tolist()))
 
 
 # complex entries as json.dumps indents them in the flat list and in a row
@@ -122,7 +124,9 @@ _COMPLEX_ROW = '{\n        "im": %s,\n        "re": %s\n      }'
 
 def _numbers_json(c: tr.CoefficientSet) -> tuple[list[str], list[str]]:
     """json.dumps's text of each entry of `_nums(c.flat)` and of
-    `_nums(c.column_values())`, spelling each float once."""
+    `_nums(c.column_values())`, spelling each float once; the coefficients
+    must be finite."""
+    _finite(c.flat, "coefficients")
     order = c.column_order().tolist()
     if not c.is_complex:
         flat = _floats_json(c.flat)
@@ -159,7 +163,11 @@ def _emit(text, path) -> None:
 
 
 def _dump_json(obj, path) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2), path)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a nan or an infinity, which JSON cannot spell
+        raise FloatingPointError("results are not finite") from None
+    _emit(text, path)
 
 
 def _write_strength_csv(rows, path) -> None:
@@ -200,8 +208,6 @@ def _parse_band(text):
 
 
 def cmd_filter_band(args) -> int:
-    if args.fs is None:
-        raise ValueError("filter-band requires --fs")
     lo, hi = _parse_band(args.band)
     x = read_signal_csv(args.input)
     coeffs = tr.analyze(x, args.family)
@@ -233,19 +239,20 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+# each fixture's generator and the keyword that seeds its noise
+_FIXTURES = {"x1": (sig.make_x1, "noise_seed"), "x2": (sig.make_x2, "noise_seed"),
+             "ecg": (sig.synthetic_ecg, "seed")}
+
+
 def cmd_fixture(args) -> int:
-    if args.name == "x1":
-        s = sig.make_x1() if args.seed is None else sig.make_x1(noise_seed=args.seed)
-    elif args.name == "x2":
-        s = sig.make_x2() if args.seed is None else sig.make_x2(noise_seed=args.seed)
-    else:
-        s = sig.synthetic_ecg() if args.seed is None else sig.synthetic_ecg(seed=args.seed)
+    make, seed = _FIXTURES[args.name]
+    s = make(**({} if args.seed is None else {seed: args.seed}))
     write_signal_csv(args.out or f"{args.name}.csv", s.samples)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ccpt", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="ccpt", description="Command-line front end.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_family=True):
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter-band", help="band-limited reconstruction")
     p.add_argument("--input", required=True)
-    p.add_argument("--fs", type=float, default=None)
+    p.add_argument("--fs", type=float, required=True)
     p.add_argument("--band", required=True, help="LO:HI in Hz")
     add_common(p)
     p.set_defaults(fn=cmd_filter_band)
@@ -283,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("fixture", help="write a bundled reference signal")
-    p.add_argument("--name", choices=["x1", "x2", "ecg"], required=True)
+    p.add_argument("--name", choices=list(_FIXTURES), required=True)
     p.add_argument("--seed", type=int, default=None)
     add_common(p, with_family=False)
     p.set_defaults(fn=cmd_fixture)
@@ -291,21 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser unchanged, so one serves every call
-    return build_parser()
+# parse_args leaves the parser unchanged, so one serves every call
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow shows as a non-finite result, which every writer refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     # LinAlgError and UnicodeDecodeError subclass ValueError, so they come first
     except (CsvParseError, OSError, UnicodeDecodeError) as exc:
         print(f"ccpt: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"ccpt: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:

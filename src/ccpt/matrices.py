@@ -53,7 +53,7 @@ RAM = "ram"
 __all__ = [
     "DFT_NPM", "RPT", "CCPT1", "CCPT2", "OCCPT", "FAMILIES",
     "SubspaceIndex", "ColumnLayout", "PeriodicBasisMatrix", "ValidationReport", "BlockCheck",
-    "block_layout", "build_columns", "column_layout", "build_matrix",
+    "build_columns", "column_layout", "build_matrix",
     "cached_matrix", "build_occpt", "validate_npm", "matrix_rank",
     "export_matrix_csv", "matrix_metadata", "export_matrix_metadata",
 ]
@@ -228,12 +228,6 @@ def _require_real(what: str, values: np.ndarray) -> None:
     and period checks."""
     if np.iscomplexobj(values):
         raise ValueError(f"{what} requires real coefficients")
-
-
-def block_layout(family: str, periods) -> ColumnLayout:
-    """The layout of `family` over the blocks of `periods` (positive,
-    ascending): ColumnLayout(family, periods)."""
-    return ColumnLayout(family, periods)
 
 
 def _addresses(family: str, periods: np.ndarray):

@@ -44,18 +44,10 @@ def positive_int(n, name: str, low: int | None = 1) -> int:
     return value
 
 
-def _checked_n(n, name: str) -> int:
-    """positive_int(n), the ValueError naming the calling function."""
-    try:
-        return positive_int(n, "n")
-    except ValueError:
-        raise ValueError(f"{name} requires n >= 1, an integer, got {n!r}") from None
-
-
 def _factorization(n: int, name: str) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of an integer n >= 1, primes ascending, by
     trial division; the ValueError names the calling function."""
-    n = _checked_n(n, name)
+    n = positive_int(n, f"{name} n")
     factors = []
     q = 2
     while q * q <= n:
@@ -145,7 +137,7 @@ class ResidueSets:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _checked_n(self.n, "residue_sets"))
+        object.__setattr__(self, "n", positive_int(self.n, "residue_sets n"))
 
     @property
     def full(self) -> tuple[int, ...]:

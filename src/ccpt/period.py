@@ -631,8 +631,9 @@ def _strengths(layout: ColumnLayout, b: np.ndarray, normalized=False) -> Mapping
 
 
 def _strengths_json(strengths) -> dict:
-    """JSON spelling of a strengths mapping: string keys, ascending."""
-    return {str(p): float(s) for p, s in sorted(strengths.items())}
+    """JSON spelling of a strengths mapping, which `_strengths` builds
+    ascending: string keys, in the mapping's order."""
+    return {str(p): float(s) for p, s in strengths.items()}
 
 
 def dictionary_solve(x, d: PeriodicDictionary) -> DictionarySolution:

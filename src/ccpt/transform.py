@@ -65,7 +65,7 @@ from .matrices import (CCPT2, DFT_NPM, OCCPT, RPT, ColumnLayout, _ArrayValue, _c
                        _require_orthogonal, _require_real, column_layout)
 # unused here; the benchmark's tracer wraps this module attribute by name
 from .matrices import cached_matrix  # noqa: F401
-from .numtheory import cyclotomic, divisors, mobius, positive_int, prime_factors, radical, totient
+from .numtheory import cyclotomic, mobius, positive_int, prime_factors, radical, totient
 from .signals import _checked_real, _checked_samples, _double
 
 __all__ = [
@@ -285,9 +285,9 @@ def _rpt_plan(N: int):
     over the columns (p, j) with d | p and j = m (mod d). `terms` holds the
     (column, slot, weight) triples of that sum, and `tree`, run ascending,
     tiles each w_p onto its multiple."""
-    ds = divisors(N)
-    p = np.array(ds)
-    widths = np.array([totient(d) for d in ds])
+    # the rpt layout's blocks and widths, so each block's first column is the layout's
+    ds, _, widths = column_layout(RPT, N)._block_plan
+    p, widths = np.array(ds), np.array(widths)
     slot = np.cumsum(p) - p
     first = np.cumsum(widths) - widths
     zero = int(p.sum())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccpt
 from ccpt.cli import (EXIT_NUMERIC, EXIT_OK, EXIT_PARSE, EXIT_USAGE, CsvParseError,
                       _coefficients_json, band_filter, main, read_signal_csv,
                       write_signal_csv)
@@ -130,11 +135,16 @@ def test_write_signal_csv_matches_per_line_writer(tmp_path, length):
 
 
 def test_write_signal_csv_special_values(tmp_path):
-    x = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 123456789012.5, 1e-5, 2]
+    x = [-0.0, 5e-324, 1e300, 123456789012.5, 1e-5, 2]
     for samples in (x, [], [7.0]):
         write_signal_csv(tmp_path / "a.csv", samples)
         _per_line_csv(tmp_path / "b.csv", samples)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # a nan or an infinity is refused, and no file is written
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(FloatingPointError, match="^samples are not finite$"):
+            write_signal_csv(tmp_path / "c.csv", [*x, bad])
+        assert not (tmp_path / "c.csv").exists()
 
 
 def _dumps(c):
@@ -150,12 +160,21 @@ def test_coefficients_json_equals_json_dumps(family):
         assert _coefficients_json(c) == _dumps(c), N
         c = analyze(x + 1j * rng.standard_normal(N), family)
         assert _coefficients_json(c) == _dumps(c), N
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, 1e300, -2.5])
+    special = np.array([-0.0, 5e-324, 1.0, 1e300, -2.5, 0.1, -1e-300, 7.0])
     mixed = np.empty(8, dtype=complex)
     mixed.real, mixed.imag = special, special[::-1]
     for flat in (special, mixed, np.arange(8)):
         c = CoefficientSet(N=8, family=family, flat=flat)
         assert _coefficients_json(c) == _dumps(c)
+    # JSON has no nan or infinity: a coefficient set holding one, in either
+    # part of a complex entry, is refused
+    for bad in (np.nan, np.inf, -np.inf):
+        real, re, im = special.copy(), mixed.copy(), mixed.copy()
+        real[3], re.real[3], im.imag[5] = bad, bad, bad
+        for flat in (real, re, im):
+            c = CoefficientSet(N=8, family=family, flat=flat)
+            with pytest.raises(FloatingPointError, match="^coefficients are not finite$"):
+                _coefficients_json(c)
 
 
 @pytest.mark.parametrize("name, samples", [
@@ -331,8 +350,11 @@ def test_filter_band_rejects_bad_bands(tmp_path):
     path = _write(tmp_path, "x.csv", np.ones(8))
     assert main(["filter-band", "--input", path, "--fs", "10",
                  "--band", "2:9", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
-    assert main(["filter-band", "--input", path,
-                 "--band", "1:2", "--out", str(tmp_path / "o.csv")]) == EXIT_USAGE
+    # --fs is required, as --input and --band are
+    with pytest.raises(SystemExit) as exc_info:
+        main(["filter-band", "--input", path, "--band", "1:2", "--out", str(tmp_path / "o.csv")])
+    assert exc_info.value.code == EXIT_USAGE
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_filter_band_rejects_malformed_band(tmp_path, capsys):
@@ -429,3 +451,40 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "x2.csv", make_x2().samples)
     assert main(["periods", "--input", path, "--method", "dictionary"]) == EXIT_NUMERIC
     assert capsys.readouterr().err == "ccpt: numeric failure: factor broke\n"
+
+
+@pytest.mark.parametrize("value, argv", [
+    ("1e308", ["transform"]),
+    ("1e308", ["periods", "--strengths-csv", "s.csv"]),
+    ("1e308", ["periods", "--method", "dictionary", "--pmax", "4", "--strengths-csv", "s.csv"]),
+    ("1e308", ["filter-band", "--fs", "4", "--band", "0:2"]),
+    ("1e200", ["periods", "--strengths-csv", "s.csv"]),
+    ("1e200", ["periods", "--method", "dictionary", "--pmax", "4", "--strengths-csv", "s.csv"]),
+], ids=["transform", "periods", "dictionary", "filter-band", "periods-1e200", "dictionary-1e200"])
+def test_non_finite_results_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, value, argv):
+    """Four samples of 1e308 (or 1e200) are finite and read, but their
+    coefficients or strengths overflow. JSON and the CSV writer have no
+    spelling of nan or infinity, so the command exits 3 and writes nothing,
+    with or without --out, and NumPy's overflow warning does not escape."""
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv("big.csv", [float(value)] * 4)
+    for out in (["--out", "out"], []):
+        assert main([*argv, "--input", "big.csv", *out]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ccpt: numeric failure: ") and not captured.out
+        assert os.listdir() == ["big.csv"]
+
+
+def test_cli_runs_without_docstrings(tmp_path):
+    """python -OO strips docstrings; the parser's description does not come
+    from one, so the CLI runs and its --help is unchanged."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ccpt.__file__).parents[1]))
+    out = tmp_path / "x1.csv"
+    run = subprocess.run([sys.executable, "-OO", "-m", "ccpt.cli", "fixture", "--name", "x1",
+                          "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert main(["fixture", "--name", "x1", "--out", str(tmp_path / "in.csv")]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "in.csv").read_bytes()
+    run = subprocess.run([sys.executable, "-OO", "-m", "ccpt.cli", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == EXIT_OK and "\nCommand-line front end.\n" in run.stdout

@@ -49,7 +49,7 @@ from hypothesis import strategies as st
 from ccpt import period
 from ccpt.ccps import COS, SIN
 from ccpt.foccpt import _bit_reversed, foccpt
-from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, block_layout, build_matrix
+from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, ColumnLayout, build_matrix
 from ccpt.numtheory import divisors, totient
 from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
 from ccpt.signals import Signal
@@ -195,7 +195,7 @@ def test_full_rank_dictionary_solve_is_the_weighted_min_norm(N, p_max, seed, fam
 @given(blocks=st.sets(st.integers(1, 60), min_size=1, max_size=12), seed=SEEDS)
 @example(blocks={1, 2}, seed=0)  # degenerate pairs only
 def test_pair_lookups_agree_with_a_loop_over_the_columns(blocks, seed):
-    layout = block_layout(OCCPT, sorted(blocks))
+    layout = ColumnLayout(OCCPT, sorted(blocks))
     values = np.random.default_rng(seed).standard_normal(len(layout.periods))
     position = {c: i for i, c in enumerate(layout.columns)}
     want = []

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import solve_triangular, svdvals
 
 import ccpt.period as period
-from ccpt.matrices import block_layout
+from ccpt.matrices import ColumnLayout
 from ccpt.numtheory import divisors, totient
 from ccpt.period import build_dictionary, dictionary_solve
 from ccpt.signals import hidden_periodic_component, make_x2
@@ -210,7 +210,7 @@ def _pair_map(u, d):
     for periods 1 and 2, and the occpt pair (b0, b1) of residue k is
     b_k = b0 - j b1 at the column of k and b_(p-k) = b0 + j b1 at that of
     p - k."""
-    occpt = block_layout("occpt", np.unique(d.periods))
+    occpt = ColumnLayout("occpt", np.unique(d.periods))
     b = np.zeros(len(u), complex)
     for i, c in enumerate(occpt.columns):
         f = d.penalties[i] * (np.sqrt(2) if c.p >= 3 else 1.0)

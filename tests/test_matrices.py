@@ -7,7 +7,7 @@ import pytest
 
 from ccpt.ccps import COS, SIN, ccps1, ccps2, ramanujan_sum
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
-                           SubspaceIndex, block_layout, build_columns,
+                           ColumnLayout, SubspaceIndex, build_columns,
                            build_matrix, cached_matrix, column_layout, export_matrix_csv,
                            export_matrix_metadata, matrix_rank, validate_npm)
 from ccpt import period
@@ -209,13 +209,13 @@ def test_layout_is_its_family_and_blocks(family):
     layout = column_layout(family, 12)
     assert layout.blocks == (1, 2, 3, 4, 6, 12) and all(type(p) is int for p in layout.blocks)
     other = dataclasses.replace(layout, blocks=(3, 4, 6))
-    want = block_layout(family, [3, 4, 6])
+    want = ColumnLayout(family, [3, 4, 6])
     assert other == want and hash(other) == hash(want) and other is not want
     assert len({other, want, layout}) == 2 and other != layout
     for name in ("periods", "k", "kind", "shift"):
         assert np.array_equal(getattr(other, name), getattr(want, name))
         assert not getattr(other, name).flags.writeable
-    assert block_layout(family, np.array([3, 4, 6])) == want
+    assert ColumnLayout(family, np.array([3, 4, 6])) == want
     assert pickle.loads(pickle.dumps(layout)) == layout
     with pytest.raises(ValueError, match="block periods must be positive and ascending"):
         dataclasses.replace(layout, blocks=(4, 3))
@@ -247,7 +247,7 @@ def test_dft_npm_entries_are_the_reduced_angle():
     m = build_matrix(DFT_NPM, 1024)
     cases = [(m.entries, m.layout)]
     for N, P in ((54, 50), (360, 48), (512, 64)):
-        layout = block_layout(DFT_NPM, range(1, P + 1))
+        layout = ColumnLayout(DFT_NPM, range(1, P + 1))
         cases.append((build_columns(layout, N), layout))
     for got, layout in cases:
         r = (np.arange(len(got))[:, None] * layout.k) % layout.periods
@@ -295,7 +295,7 @@ def test_column_lookup_examples():
 
 
 def test_subspace_block_tiling_and_truncation():
-    layout = block_layout(OCCPT, [8])
+    layout = ColumnLayout(OCCPT, [8])
     block, meta = build_columns(layout, 54), layout.columns
     assert block.shape == (54, totient(8))
     for j, c in enumerate(meta):
@@ -313,7 +313,7 @@ def test_layout_arrays_match_block_loop(family):
     the one builder's entries equal the per-period blocks bit for bit."""
     period_sets = [divisors(N) for N in LAYOUT_SIZES] + [range(1, 51), (1, 2, 4, 5, 8)]
     for periods in period_sets:
-        layout = block_layout(family, periods)
+        layout = ColumnLayout(family, periods)
         want = [a for p in periods for a in block_columns(family, p)]
         rows = zip(layout.periods.tolist(), layout.k.tolist(), layout.kind.tolist(),
                    layout.shift.tolist())
@@ -332,11 +332,11 @@ def test_layout_arrays_match_block_loop(family):
     for periods in period_sets[-2:]:
         for length in (54, 512):
             want = np.hstack([block_entries(family, p, length) for p in periods])
-            got = build_columns(block_layout(family, periods), length)
+            got = build_columns(ColumnLayout(family, periods), length)
             np.testing.assert_array_equal(got, want, strict=True)
     for p in range(1, 80):
         for length in (p, 54, 512):
-            layout = block_layout(family, [p])
+            layout = ColumnLayout(family, [p])
             block, cols = build_columns(layout, length), layout.columns
             np.testing.assert_array_equal(block, block_entries(family, p, length), strict=True)
             assert cols == tuple(SubspaceIndex(*a) for a in block_columns(family, p))
@@ -348,8 +348,8 @@ def test_build_columns_match_column_by_column_build(family):
     building it alone from its own period: dictionaries (54, 1..50) and
     (512, 1..64) and a candidate set at N = 12."""
     candidate = period._candidate_dictionary((5, 8), family, 12)
-    cases = [(block_layout(family, range(1, 51)), 54, None),
-             (block_layout(family, range(1, 65)), 512, None),
+    cases = [(ColumnLayout(family, range(1, 51)), 54, None),
+             (ColumnLayout(family, range(1, 65)), 512, None),
              (candidate.layout, 12, candidate.entries)]
     for layout, length, built in cases:
         want = np.column_stack([column_entries(family, *a, length) for a in zip(
@@ -368,16 +368,16 @@ def test_column_layout_size_check_ignores_cache():
     assert column_layout(OCCPT, np.int64(12)) is column_layout(OCCPT, 12)
 
 
-def test_block_layout_guards():
+def test_column_layout_block_guards():
     with pytest.raises(ValueError, match="unknown family"):
-        block_layout("hadamard", [1, 2])
+        ColumnLayout("hadamard", [1, 2])
     for periods in ([], [0, 1], [2, 1], [1, 1]):
         with pytest.raises(ValueError, match="positive and ascending"):
-            block_layout(OCCPT, periods)
+            ColumnLayout(OCCPT, periods)
     # a float, boolean or string period is rejected, not truncated
     for periods in ([1.5, 2.7, 4.2], [1, 2.0], [True, 2], [1, "2"]):
         with pytest.raises(ValueError, match="block period must be an integer"):
-            block_layout(OCCPT, periods)
+            ColumnLayout(OCCPT, periods)
 
 
 def test_matrix_export_roundtrip(tmp_path):
@@ -418,7 +418,7 @@ def test_builder_guards():
 
 @pytest.mark.parametrize("periods", [range(1, 49), divisors(360), [1, 2], [7]])
 def test_dft_npm_conjugate_positions_pair_k_with_p_minus_k(periods):
-    layout = block_layout(DFT_NPM, periods)
+    layout = ColumnLayout(DFT_NPM, periods)
     lower, upper = layout._conjugate_positions
     p, k = layout.periods, layout.k
     np.testing.assert_array_equal(p[upper], p[lower])

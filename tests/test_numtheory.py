@@ -80,7 +80,7 @@ def test_residue_sets_derive_from_n():
     assert replace(rs, n=9) == residue_sets(9) and hash(rs) == hash(residue_sets(12))
     with pytest.raises(TypeError, match="unexpected keyword argument 'half'"):
         replace(rs, half=(5,))
-    with pytest.raises(ValueError, match="residue_sets requires n >= 1, an integer, got 0"):
+    with pytest.raises(ValueError, match="^residue_sets n must be an integer >= 1, got 0$"):
         replace(rs, n=0)
 
 
@@ -96,7 +96,7 @@ def test_lcm_list_empty_rejected():
 
 
 def test_residue_sets_and_lcm_list_reject_non_integers():
-    with pytest.raises(ValueError, match="residue_sets requires n >= 1, an integer, got 12.0"):
+    with pytest.raises(ValueError, match="^residue_sets n must be an integer >= 1, got 12.0$"):
         residue_sets(12.0)
     for bad in ([2.5, 3], [0, 3], [4, "6"]):
         with pytest.raises(ValueError, match="lcm_list value must be an integer >= 1"):
@@ -175,7 +175,7 @@ def test_cyclotomic_vanishes_at_primitive_roots():
 @pytest.mark.parametrize("f", [totient, mobius, radical, prime_factors, cyclotomic, divisors])
 def test_factorization_functions_reject_nonpositive(f):
     for n in (0, 12.0):
-        with pytest.raises(ValueError, match="requires n >= 1"):
+        with pytest.raises(ValueError, match=f"^[a-z_]+ n must be an integer >= 1, got {n!r}$"):
             f(n)
 
 

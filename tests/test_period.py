@@ -9,8 +9,8 @@ import pytest
 import ccpt.period as period
 from ccpt.ccps import COS, SIN, ccps1, ccps2
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT, BlockCheck, ColumnLayout,
-                           PeriodicBasisMatrix, SubspaceIndex, ValidationReport, block_layout,
-                           build_matrix, validate_npm)
+                           PeriodicBasisMatrix, SubspaceIndex, ValidationReport, build_matrix,
+                           validate_npm)
 from ccpt.numtheory import ResidueSets, divisors, residue_sets, totient
 from ccpt.period import (FAREY, FrequencyComponent, GramFactor, build_dictionary,
                          candidate_matrix_solve, dictionary_solve,
@@ -717,7 +717,7 @@ def test_dictionary_significance_peak_is_taken_by_period():
     """The 1% floor is taken from the peak over periods >= 2, wherever the
     layout starts: one whose first block is period 3 used to skip it and
     call every period significant."""
-    d = replace(build_dictionary(24, 6), layout=block_layout(OCCPT, [3, 4, 6]))
+    d = replace(build_dictionary(24, 6), layout=ColumnLayout(OCCPT, [3, 4, 6]))
     sol = dictionary_solve(np.cos(2 * np.pi * np.arange(24) / 3), d)
     assert sol.strengths[3] == pytest.approx(0.25)
     assert sol.significant_periods() == (3,) and sol.estimated_period() == 3
