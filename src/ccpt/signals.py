@@ -20,6 +20,8 @@ from math import inf, isfinite
 
 import numpy as np
 
+from .numtheory import positive_int
+
 __all__ = [
     "Signal", "samples_of",
     "X1_COMPONENT_SEED", "X1_NOISE_SEED", "X2_COMPONENT_SEED", "X2_NOISE_SEED",
@@ -100,33 +102,46 @@ def _checked_real(value, name: str, low: float = 0.0, high: float = inf, *,
                   open_low: bool = False) -> float:
     """value as a float, required to be a finite real number, not a boolean,
     from low (excluded when open_low) to high: the one number rule of sample
-    rates, thresholds, floors, tolerances and band edges."""
+    rates, thresholds, floors, tolerances, band edges and the generators'
+    amplitudes, frequencies and phases."""
     try:
         valid = (not isinstance(value, (bool, np.bool_)) and isfinite(value)
                  and (low < value if open_low else low <= value) and value <= high)
     except (TypeError, OverflowError):
         valid = False
     if not valid:
-        bound = (f"{'>' if open_low else '>='} {low:g}" if high == inf
-                 else f"in {'(' if open_low else '['}{low:g}, {high:g}]")
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+        if high < inf:
+            bound = f" and in {'(' if open_low else '['}{low:g}, {high:g}]"
+        else:
+            bound = "" if low == -inf else f" and {'>' if open_low else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return float(value)
 
 
 def hidden_periodic_component(period: int, length: int, seed: int) -> np.ndarray:
-    """One period of standard-normal data, tiled (and truncated) to length."""
+    """One period of standard-normal data, tiled (and truncated) to length;
+    period and length are integers >= 1."""
+    period, length = positive_int(period, "period"), positive_int(length, "length")
     one = np.random.default_rng(seed).standard_normal(period)
     reps = -(-length // period)
     return np.tile(one, reps)[:length]
 
 
 def tone(amplitude: float, freq_hz: float, fs: float, length: int, phase: float = 0.0) -> np.ndarray:
-    n = np.arange(length)
+    """length samples at rate fs > 0 of a cosine of the given amplitude,
+    frequency and phase, all finite."""
+    for value, name in ((amplitude, "amplitude"), (freq_hz, "freq_hz"), (phase, "phase")):
+        _checked_real(value, name, -inf)
+    _checked_real(fs, "sample rate fs", open_low=True)
+    n = np.arange(positive_int(length, "length"))
     return amplitude * np.cos(2 * np.pi * freq_hz * n / fs + phase)
 
 
 def line_noise_sigma(amplitude: float, snr_db: float) -> float:
-    """Noise standard deviation for the line-power SNR convention."""
+    """Noise standard deviation for the line-power SNR convention, of a
+    probe amplitude >= 0 at a finite snr_db."""
+    amplitude = _checked_real(amplitude, "amplitude")
+    snr_db = _checked_real(snr_db, "snr_db", -inf)
     return float((amplitude / 2.0) * 10 ** (-snr_db / 20.0))
 
 
@@ -166,7 +181,10 @@ def make_x2(noise_seed: int = X2_NOISE_SEED, snr_db: float = 6.0,
 def synthetic_ecg(seed: int = ECG_SEED, length: int = 625, fs: float = 62.5) -> Signal:
     """ECG-like fixture: QRS-shaped spikes every 48 samples plus P/T bumps,
     slow baseline wander and a little noise. Stands in for a recorded lead
-    in the band-filter workflow tests."""
+    in the band-filter workflow tests. length is an integer >= 1 and fs a
+    finite rate > 0."""
+    length = positive_int(length, "length")
+    fs = _checked_real(fs, "sample rate fs", open_low=True)
     rng = np.random.default_rng(seed)
     t = np.arange(length)
     x = 0.15 * np.sin(2 * np.pi * 0.35 * t / fs) + 0.05 * np.sin(2 * np.pi * 0.12 * t / fs + 1.0)

@@ -10,7 +10,14 @@ Each conjugate subspace (p, k) owns the cosine slot N*k/p and, for p >= 3,
 the sine slot N - N*k/p. Analysis and synthesis are therefore one
 rfft/irfft plus O(N) packing at any N, and the identities (DFT bridge,
 circular shift, convolution, energy, band masks) are O(N) array operations
-on the (K, N-K) slot pairs.
+on the (K, N-K) slot pairs. The DFT bridge writes its bins in place, into
+one complex array.
+
+Every angle of the shift and of the ccpt1/ccpt2 pair maps is a multiple of
+2*pi/N, so both read one read-only rotation table per N, cos and sin of
+(2*pi/N)*j for j = 0..N-1 (`_rotations`: 16*N bytes per cached size, up to
+64 sizes), and call no trig: the shift gathers the table at K*delay mod N,
+and the pair maps read cached views of its entries 1..(N-1)//2.
 
 The dft-npm column (p, k) is the complex exponential of DFT bin k*N/p, so
 its analysis is the FFT scaled by 1/N and gathered into column order, and
@@ -221,13 +228,16 @@ def occpt_synthesis(c: CoefficientSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _pair_angles(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of theta = 2*pi*K/N for the slot pairs K = 1..(N-1)//2."""
-    theta = (2 * np.pi / N) * np.arange(1, _pair_count(N) + 1)
-    out = np.cos(theta), np.sin(theta)
-    for a in out:
-        a.setflags(write=False)
-    return out
+def _rotations(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one per-N trig table, read-only: cos and sin of 2*pi*j/N for
+    j = 0..N-1, then their views at the slot pairs K = 1..(N-1)//2. Every
+    angle of the shift and the pair maps is one of these, 16*N bytes."""
+    theta = (2 * np.pi / N) * np.arange(N)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cos_t.setflags(write=False)
+    sin_t.setflags(write=False)
+    m = _pair_count(N)
+    return cos_t, sin_t, cos_t[1:m + 1], sin_t[1:m + 1]
 
 
 def _power_residues(r: int, count: int) -> np.ndarray:
@@ -382,7 +392,7 @@ def _from_packed(b: np.ndarray, family: str) -> np.ndarray:
     """ccpt1/ccpt2 coefficients in column order from packed orthogonal
     coefficients b, which the map overwrites."""
     N = len(b)
-    cos_t, sin_t = _pair_angles(N)
+    _, _, cos_t, sin_t = _rotations(N)
     b0, b1 = _pairs(b)
     if family == CCPT2:
         # a ccpt2 pair is a ccpt1 pair turned a quarter: undo the turn
@@ -400,7 +410,7 @@ def _to_packed(a: np.ndarray, family: str) -> np.ndarray:
     N = len(a)
     b = np.empty(N)
     b[_occpt_slots(N)] = a
-    cos_t, sin_t = _pair_angles(N)
+    _, _, cos_t, sin_t = _rotations(N)
     a0, a1 = _pairs(b)
     a0 += a1 * cos_t
     a1 *= sin_t
@@ -471,11 +481,27 @@ def dft_from_occpt(c: CoefficientSet) -> np.ndarray:
     """
     _require_orthogonal("dft_from_occpt", c.family)
     N, flat = c.N, c.flat
-    X = N * flat.astype(complex)
+    X = np.empty(N, dtype=complex)
+    X[0] = N * flat[0]
+    if N % 2 == 0:
+        X[N // 2] = N * flat[N // 2]
     b0, b1 = _pairs(flat)
-    lo, hi = _pairs(X)
-    lo[:] = N * (b0 - 1j * b1)
-    hi[:] = N * (b0 + 1j * b1)
+    lo_re, hi_re = _pairs(X.real)
+    lo_im, hi_im = _pairs(X.imag)
+    if c.is_complex:
+        # N*(b0 -+ j*b1) part by part, each sum taken before the scaling
+        (r0, i0), (r1, i1) = (b0.real, b0.imag), (b1.real, b1.imag)
+        np.add(r0, i1, out=lo_re)
+        np.subtract(i0, r1, out=lo_im)
+        np.subtract(r0, i1, out=hi_re)
+        np.add(i0, r1, out=hi_im)
+        for part in (lo_re, lo_im, hi_re, hi_im):
+            part *= N
+    else:
+        np.multiply(N, b0, out=lo_re)
+        hi_re[:] = lo_re
+        np.multiply(N, b1, out=hi_im)
+        np.negative(hi_im, out=lo_im)
     return X
 
 
@@ -489,9 +515,10 @@ def shift_coefficients(c: CoefficientSet, m: int) -> CoefficientSet:
     _require_orthogonal("shift_coefficients", c.family)
     m = positive_int(m, "shift m", low=None)
     N = c.N
-    K = np.arange(N // 2 + 1)
-    theta = (2 * np.pi / N) * ((K * ((-m) % N)) % N)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # the angle of slot K is entry K*delay mod N of the rotation table
+    j = (np.arange(N // 2 + 1) * ((-m) % N)) % N
+    cos_n, sin_n, _, _ = _rotations(N)
+    cos_t, sin_t = cos_n[j], sin_n[j]
     out = np.empty_like(c.flat)
     out[:N // 2 + 1] = cos_t * c.flat[:N // 2 + 1]
     b0, b1 = _pairs(c.flat)

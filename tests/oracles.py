@@ -14,7 +14,11 @@ polynomial by long division in Python integers.
 `strengths_by_comprehension`, `period_report_by_generators`,
 `dictionary_significant_by_generators` and `components_by_where` keep the
 earlier expressions of the period answers, which the block-plan rewrite
-must reproduce bit for bit.
+must reproduce bit for bit. `shift_by_trig` and `dft_bridge_by_astype` keep
+the earlier circular shift, with its own cos and sin on every call, and the
+earlier DFT bridge, through a complex copy of the coefficients: the shift
+read from the rotation table must match the first bit for bit, and the
+bridge written in place must match the second in value.
 """
 
 import math
@@ -425,3 +429,39 @@ def components_by_where(layout, values, fs=None, min_magnitude=1e-8):
     freq_hz = [None] * len(i) if fs is None else (freq[i] * fs).tolist()
     return list(zip(p[i].tolist(), k[i].tolist(), freq[i].tolist(), freq_hz,
                     mag[i].tolist(), phase[i].tolist()))
+
+
+def _slot_pairs(flat):
+    """Cosine slots K and sine slots N-K, K = 1..(N-1)//2, entry i of both
+    belonging to one subspace."""
+    m = (len(flat) - 1) // 2
+    return flat[1:m + 1], flat[len(flat) - m:][::-1]
+
+
+def shift_by_trig(flat, m):
+    """Flat coefficients of the signal delayed by m samples: slot K turns by
+    the angle 2*pi/N times K*((-m) mod N) mod N, its cos and sin evaluated
+    here."""
+    N = len(flat)
+    theta = (2 * np.pi / N) * ((np.arange(N // 2 + 1) * ((-m) % N)) % N)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    out = np.empty_like(flat)
+    out[:N // 2 + 1] = cos_t * flat[:N // 2 + 1]
+    b0, b1 = _slot_pairs(flat)
+    lo, hi = _slot_pairs(out)
+    cos_p, sin_p = cos_t[1:len(b0) + 1], sin_t[1:len(b0) + 1]
+    lo[:] = cos_p * b0 + sin_p * b1
+    hi[:] = cos_p * b1 - sin_p * b0
+    return out
+
+
+def dft_bridge_by_astype(flat):
+    """DFT bins of flat orthogonal coefficients: N times a complex copy,
+    then N*(b0 - j*b1) and N*(b0 + j*b1) for each slot pair."""
+    N = len(flat)
+    X = N * flat.astype(complex)
+    b0, b1 = _slot_pairs(flat)
+    lo, hi = _slot_pairs(X)
+    lo[:] = N * (b0 - 1j * b1)
+    hi[:] = N * (b0 + 1j * b1)
+    return X

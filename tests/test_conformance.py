@@ -27,7 +27,16 @@ five primes, besides any small N. The properties:
   samples or a non-numeric dtype raise `ValueError`, and bool and integer
   samples give the answer of the same values in float64, bit for bit;
 - `foccpt._bit_reversed(2**v)` reverses the v binary digits of each index,
-  for v = 1 to 20.
+  for v = 1 to 20;
+- the circular shift, read from the per-N rotation table, equals
+  `oracles.shift_by_trig` bit for bit, and synthesizes to `np.roll` of the
+  signal; the DFT bridge, written in place, equals
+  `oracles.dft_bridge_by_astype` in value, and bit for bit on random sets
+  (on structured ones an exact zero may change sign); for N in 1..700, m in
+  [-3N, 3N] or beyond 2**40, and random, constant, zero and +-1 signals,
+  real and complex;
+- the rotation table and its slot-pair views are read-only, and the views
+  share the table's memory.
 
 Tolerances of the transform properties are those of `test_fft_core`:
 absolute on the coefficient scale for the orthogonal and dft-npm families,
@@ -53,9 +62,10 @@ from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, ColumnLayout, build_matrix
 from ccpt.numtheory import divisors, totient
 from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
 from ccpt.signals import Signal
-from ccpt.transform import analyze, occpt_analysis, synthesize
+from ccpt.transform import (_rotations, analyze, dft_from_occpt, occpt_analysis,
+                            occpt_synthesis, shift_coefficients, synthesize)
 
-from oracles import weighted_min_norm
+from oracles import dft_bridge_by_astype, shift_by_trig, weighted_min_norm
 
 TOL = 1e-12
 RTOL = 1e-11
@@ -279,3 +289,56 @@ def test_bit_reversal_reverses_the_binary_digits(v):
     i = np.arange(2 ** v)
     want = sum(((i >> b) & 1) << (v - 1 - b) for b in range(v))
     assert np.array_equal(_bit_reversed(2 ** v), want)
+
+
+PATTERNS = ("random", "ones", "zeros", "signs")
+
+
+def _patterned(pattern, seed, N, complex_):
+    """A random signal, or a structured one: constant, zero, or a seeded
+    pattern of +1 and -1 (times 1 - 1j when complex)."""
+    if pattern == "random":
+        return _signal(seed, N, complex_)
+    if pattern == "ones":
+        x = np.ones(N)
+    elif pattern == "zeros":
+        x = np.zeros(N)
+    else:
+        x = np.random.default_rng(seed).choice([-1.0, 1.0], N)
+    return x * (1 - 1j) if complex_ else x
+
+
+@st.composite
+def _size_and_shift(draw):
+    N = draw(st.integers(1, 700))
+    return N, draw(st.one_of(st.integers(-3 * N, 3 * N), st.just(2 ** 41 + 5)))
+
+
+@given(size_shift=_size_and_shift(), seed=SEEDS, pattern=st.sampled_from(PATTERNS),
+       complex_=st.booleans())
+@example(size_shift=(625, 2 ** 41 + 5), seed=0, pattern="random", complex_=True)
+@example(size_shift=(2, -7), seed=0, pattern="signs", complex_=False)
+def test_shift_and_bridge_match_the_trig_oracles(size_shift, seed, pattern, complex_):
+    N, m = size_shift
+    x = _patterned(pattern, seed, N, complex_)
+    c = occpt_analysis(x)
+    shifted = shift_coefficients(c, m)
+    want = shift_by_trig(c.flat, m)
+    assert shifted.flat.dtype == want.dtype and shifted.flat.tobytes() == want.tobytes(), (N, m)
+    err = np.max(np.abs(occpt_synthesis(shifted) - np.roll(x, m)))
+    assert err <= RTOL * np.max(np.abs(x)), (N, m, err)
+    X, want = dft_from_occpt(c), dft_bridge_by_astype(c.flat)
+    assert X.dtype == want.dtype and np.array_equal(X, want), N
+    if pattern == "random":
+        assert X.tobytes() == want.tobytes(), N
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 54, 625, 4096])
+def test_rotation_table_is_read_only(N):
+    cos_t, sin_t, cos_p, sin_p = _rotations(N)
+    assert cos_t.shape == sin_t.shape == (N,)
+    assert cos_p.shape == sin_p.shape == ((N - 1) // 2,)
+    assert not any(a.flags.writeable for a in (cos_t, sin_t, cos_p, sin_p))
+    assert np.shares_memory(cos_p, cos_t) or N < 3
+    assert np.shares_memory(sin_p, sin_t) or N < 3
+    assert _rotations(N)[2] is cos_p  # cached: the same views on every call

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,49 @@ def test_hidden_component_is_periodic_and_seeded():
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a[:9], a[9:18])
     assert len(hidden_periodic_component(5, 54, 1)) == 54
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: hidden_periodic_component(0, 10, 1), "^period must be an integer >= 1, got 0$"),
+    (lambda: hidden_periodic_component(5, -3, 1), "^length must be an integer >= 1, got -3$"),
+    (lambda: hidden_periodic_component(5, 2.5, 1), "^length must be an integer >= 1, got 2.5$"),
+    (lambda: hidden_periodic_component(5, True, 1), "^length must be an integer >= 1, got True$"),
+    (lambda: tone(1.0, 1.0, 0.0, 4), r"^sample rate fs must be finite and > 0, got 0.0$"),
+    (lambda: tone(1.0, 1.0, np.inf, 4), r"^sample rate fs must be finite and > 0, got inf$"),
+    (lambda: tone(1.0, 1.0, 8.0, -1), "^length must be an integer >= 1, got -1$"),
+    (lambda: tone(1.0, 1.0, 8.0, 0), "^length must be an integer >= 1, got 0$"),
+    (lambda: tone(np.nan, 1.0, 8.0, 4), "^amplitude must be finite, got nan$"),
+    (lambda: tone(1.0, np.inf, 8.0, 4), "^freq_hz must be finite, got inf$"),
+    (lambda: tone(1.0, 1.0, 8.0, 4, "0"), "^phase must be finite, got '0'$"),
+    (lambda: synthetic_ecg(length=-5), "^length must be an integer >= 1, got -5$"),
+    (lambda: synthetic_ecg(fs=0.0), r"^sample rate fs must be finite and > 0, got 0.0$"),
+    (lambda: line_noise_sigma(np.nan, 3.0), "^amplitude must be finite and >= 0, got nan$"),
+    (lambda: line_noise_sigma(-0.6, 3.0), "^amplitude must be finite and >= 0, got -0.6$"),
+    (lambda: line_noise_sigma(0.6, np.inf), "^snr_db must be finite, got inf$"),
+], ids=["period-0", "length-negative", "length-float", "length-bool", "tone-fs-0", "tone-fs-inf",
+        "tone-length-negative", "tone-length-0", "tone-amplitude-nan", "tone-freq-inf",
+        "tone-phase-str", "ecg-length-negative", "ecg-fs-0", "sigma-amplitude-nan",
+        "sigma-amplitude-negative", "sigma-snr-inf"])
+def test_generators_reject_bad_arguments(call, match):
+    """Each generator raises a ValueError naming the bad argument, with no
+    NumPy warning on the way, where it returned NaN or empty samples or
+    failed inside NumPy."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_generators_take_numpy_integers_and_reals():
+    """NumPy integers and reals are valid arguments and give the samples of
+    the same Python values."""
+    np.testing.assert_array_equal(hidden_periodic_component(np.int64(5), np.int32(12), 3),
+                                  hidden_periodic_component(5, 12, 3))
+    np.testing.assert_array_equal(tone(np.float64(0.6), np.int64(2), np.int64(8), np.uint8(9)),
+                                  tone(0.6, 2.0, 8.0, 9))
+    np.testing.assert_array_equal(synthetic_ecg(length=np.int64(100)).samples,
+                                  synthetic_ecg(length=100).samples)
+    assert line_noise_sigma(np.float64(0.6), np.int64(6)) == line_noise_sigma(0.6, 6.0)
 
 
 def test_line_noise_sigma():
