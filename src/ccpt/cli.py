@@ -82,13 +82,11 @@ def read_signal_csv(path) -> np.ndarray:
     line. A leading byte-order mark, which spreadsheet exports write, is
     skipped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text after the final newline
+        lines = fh.read().rstrip().split("\n")
     # float() strips the same whitespace as str.strip(), so a well-formed
     # file converts in one pass; a blank line, a bad value or a non-finite
     # one sends it to the line loop, which finds and names the line
-    start = 1 if lines and lines[0].strip().lower() == "value" else 0
+    start = 1 if lines[0].strip().lower() == "value" else 0
     try:
         values = np.array(list(map(float, islice(lines, start, None))))
     except ValueError:

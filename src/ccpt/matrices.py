@@ -17,6 +17,9 @@ mean the same thing across runs.
 A `ColumnLayout` is a family and an ascending tuple of block periods
 (divisors of N, or 1..P_max for a dictionary): it stores those two and
 works out the column addresses, as read-only arrays, when it is made.
+The arrays are its one copy of the addresses: a column is found by binary
+search on them, and the `SubspaceIndex` records of `columns` are built
+from them on each read.
 `build_columns` is the one builder of entries for every basis: it keeps one
 generator segment of p samples per block period p, and column (p, k,
 downshift s) reads its block's generator at k (n - s) mod p. A
@@ -109,7 +112,9 @@ class ColumnLayout(_ArrayValue):
     values into pairs. It also owns, built on first use and kept, the
     block plan that every period answer reads (the block periods, each
     column's block index and each block's width phi(p)) and the pair
-    frequencies k/p of its conjugate subspaces."""
+    frequencies k/p of its conjugate subspaces. It keeps no per-column
+    object: `column_index` searches the arrays, and `columns` builds its
+    records on each read, so read it once outside a loop."""
 
     family: str
     blocks: tuple[int, ...]
@@ -127,26 +132,27 @@ class ColumnLayout(_ArrayValue):
     def _rows(self):
         return self.periods.tolist(), self.k.tolist(), self.kind.tolist(), self.shift.tolist()
 
-    @cached_property
+    @property
     def columns(self) -> tuple[SubspaceIndex, ...]:
-        """The addresses as SubspaceIndex objects, built on first use."""
+        """The addresses as SubspaceIndex objects, built from the arrays on
+        each read and not kept: read it once, outside a loop."""
         return tuple(map(SubspaceIndex, *self._rows()))
-
-    @cached_property
-    def _position(self) -> dict:
-        return {address: i for i, address in enumerate(zip(*self._rows()))}
 
     def column_index(self, p: int, k: int, kind: str, shift: int = 0) -> int:
         """0-based position of the column addressed by (p, k, kind, shift):
         ValueError unless p, k and shift are integers (shift >= 0), KeyError
-        if the layout has no such column."""
+        if the layout has no such column (or `kind` is not a str)."""
         p, k = positive_int(p, "p", low=None), positive_int(k, "k", low=None)
         shift = positive_int(shift, "shift", low=0)
-        try:
-            return self._position[p, k, kind, shift]
-        except KeyError:
-            raise KeyError(f"no column {SubspaceIndex(p, k, kind, shift)} "
-                           f"in this {self.family} layout") from None
+        # canonical order sorts the columns by (p, k, shift), so a binary
+        # search on each narrows them to at most an occpt cos and sin
+        lo, hi = 0, len(self.periods)
+        for a, v in ((self.periods, p), (self.k, k), (self.shift, shift)):
+            lo, hi = (lo + a[lo:hi].searchsorted([v, v + 1])).tolist()
+        kinds = self.kind[lo:hi].tolist()
+        if isinstance(kind, str) and kind in kinds:
+            return lo + kinds.index(kind)
+        raise KeyError(f"no column {SubspaceIndex(p, k, kind, shift)} in this {self.family} layout")
 
     @cached_property
     def _block_plan(self):
@@ -463,7 +469,7 @@ def matrix_metadata(m: PeriodicBasisMatrix) -> dict:
         "N": m.N,
         "family": m.family,
         "columns": [
-            {"p": c.p, "k": c.k, "kind": c.kind, "shift": c.shift} for c in m.layout.columns
+            {"p": p, "k": k, "kind": kind, "shift": s} for p, k, kind, s in zip(*m.layout._rows())
         ],
     }
 

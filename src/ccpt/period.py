@@ -434,6 +434,8 @@ class PeriodicDictionary(_ArrayValue):
 
     @property
     def columns(self) -> tuple[SubspaceIndex, ...]:
+        """The column addresses (`ColumnLayout.columns`), built on each
+        read: read them once, outside a loop."""
         return self.layout.columns
 
     @property

@@ -26,7 +26,8 @@ its synthesis the inverse.
 Column order itself is decided in one place, `matrices.column_layout`. This
 module keeps only the packed-format rule above: the slot of each orthogonal
 column and the bin of each dft-npm column are computed from the layout's
-(p, k, kind) arrays, once per N.
+(p, k, kind) arrays, once per N. What each cached size holds, in bytes
+per sample, is stated once, in the README's "Per-N caches".
 
 The ccpt1 and ccpt2 columns span the same period-p subspaces as the
 orthogonal ones, and in canonical column order each of their columns sits
@@ -634,13 +635,13 @@ def _nums(values: np.ndarray) -> list:
 
 def coefficients_to_dict(c: CoefficientSet) -> dict:
     """JSON-ready view carrying both layouts."""
-    columns = column_layout(c.family, c.N).columns
+    rows = column_layout(c.family, c.N)._rows()
     return {
         "N": c.N,
         "family": c.family,
         "flat": _nums(c.flat),
         "indexed": [
-            {"p": idx.p, "k": idx.k, "kind": idx.kind, "shift": idx.shift, "value": v}
-            for idx, v in zip(columns, _nums(c.column_values()))
+            {"p": p, "k": k, "kind": kind, "shift": s, "value": v}
+            for p, k, kind, s, v in zip(*rows, _nums(c.column_values()))
         ],
     }

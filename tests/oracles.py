@@ -19,6 +19,10 @@ the earlier circular shift, with its own cos and sin on every call, and the
 earlier DFT bridge, through a complex copy of the coefficients: the shift
 read from the rotation table must match the first bit for bit, and the
 bridge written in place must match the second in value.
+`coefficients_dict_by_columns` and `matrix_metadata_by_columns` keep the
+earlier rows of `coefficients_to_dict` and `matrix_metadata`, read from one
+`SubspaceIndex` per column of `layout.columns`, which the rows built from
+the layout's arrays must equal.
 """
 
 import math
@@ -465,3 +469,34 @@ def dft_bridge_by_astype(flat):
     lo[:] = N * (b0 - 1j * b1)
     hi[:] = N * (b0 + 1j * b1)
     return X
+
+
+def _nums_by_element(values):
+    if np.iscomplexobj(values):
+        return [{"re": float(v.real), "im": float(v.imag)} for v in values]
+    return [float(v) for v in values]
+
+
+def coefficients_dict_by_columns(c):
+    """coefficients_to_dict(c) with its rows read from layout.columns."""
+    columns = column_layout(c.family, c.N).columns
+    return {
+        "N": c.N,
+        "family": c.family,
+        "flat": _nums_by_element(c.flat),
+        "indexed": [
+            {"p": idx.p, "k": idx.k, "kind": idx.kind, "shift": idx.shift, "value": v}
+            for idx, v in zip(columns, _nums_by_element(c.column_values()))
+        ],
+    }
+
+
+def matrix_metadata_by_columns(m):
+    """matrix_metadata(m) with its rows read from layout.columns."""
+    return {
+        "N": m.N,
+        "family": m.family,
+        "columns": [
+            {"p": c.p, "k": c.k, "kind": c.kind, "shift": c.shift} for c in m.layout.columns
+        ],
+    }

@@ -107,6 +107,26 @@ def test_csv_reader_matches_line_loop(tmp_path, content):
     assert _read_outcome(read_signal_csv, path) == _read_outcome(read_signal_csv_loop, path)
 
 
+@pytest.mark.parametrize("ending", ["\n\n", "\n \n", "\r\n\r\n"], ids=["lf", "space", "crlf"])
+def test_csv_trailing_blank_line_keeps_the_one_pass_read(tmp_path, monkeypatch, ending):
+    """A file that ends in a blank line reads as the clean file does, in
+    one pass, without the line loop."""
+    x = np.random.default_rng(5).standard_normal(64)
+    clean = _write(tmp_path, "clean.csv", x)
+    want = read_signal_csv(clean)
+    text = Path(clean).read_text()
+    if ending.startswith("\r"):
+        text = text.replace("\n", "\r\n")
+    path = tmp_path / "blank.csv"
+    path.write_bytes((text.rstrip("\r\n") + ending).encode())
+
+    def loop(path, lines):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr("ccpt.cli._parse_lines", loop)
+    np.testing.assert_array_equal(read_signal_csv(path), want)
+
+
 def _per_line_csv(path, samples):
     with open(path, "w") as fh:
         fh.write("value\n")

@@ -21,6 +21,11 @@ five primes, besides any small N. The properties:
   derived from its `gram_condition`;
 - `ColumnLayout.pair_columns` and `ColumnLayout.pairs` agree with a loop
   over `layout.columns` on any ascending orthogonal block set;
+- `ColumnLayout.column_index` finds every column of `oracles.block_columns`
+  for every family, on the divisors of any size and on any ascending block
+  set; a neighbouring address (k +- 1, shift + 1, the other kind, an absent
+  period) finds that column or raises `KeyError`, and so does any kind that
+  is not a str;
 - the input rule of every entry point that takes samples (`analyze` for
   each family, `occpt_analysis`, `foccpt`, `dictionary_solve`,
   `candidate_matrix_solve` and `Signal`): NaN or inf, a 2-D shape, no
@@ -58,14 +63,15 @@ from hypothesis import strategies as st
 from ccpt import period
 from ccpt.ccps import COS, SIN
 from ccpt.foccpt import _bit_reversed, foccpt
-from ccpt.matrices import DFT_NPM, FAMILIES, OCCPT, ColumnLayout, build_matrix
+from ccpt.matrices import (DFT_NPM, EXP, FAMILIES, OCCPT, RAM, RPT, ColumnLayout,
+                           build_matrix)
 from ccpt.numtheory import divisors, totient
 from ccpt.period import FAREY, build_dictionary, candidate_matrix_solve, dictionary_solve
 from ccpt.signals import Signal
 from ccpt.transform import (_rotations, analyze, dft_from_occpt, occpt_analysis,
                             occpt_synthesis, shift_coefficients, synthesize)
 
-from oracles import dft_bridge_by_astype, shift_by_trig, weighted_min_norm
+from oracles import block_columns, dft_bridge_by_astype, shift_by_trig, weighted_min_norm
 
 TOL = 1e-12
 RTOL = 1e-11
@@ -218,6 +224,38 @@ def test_pair_lookups_agree_with_a_loop_over_the_columns(blocks, seed):
     got = layout.pairs(values)
     for g, w in zip(got, zip(*want)):
         assert np.array_equal(g, np.array(w))
+
+
+# an ascending block set: the divisors of a drawn size, or any periods
+_BLOCKS = st.one_of(_sizes(720).map(divisors),
+                    st.sets(st.integers(1, 80), min_size=1, max_size=12).map(sorted))
+_OTHER_KIND = {EXP: COS, RAM: EXP, COS: SIN, SIN: COS}
+
+
+@given(family=st.sampled_from(FAMILIES), blocks=_BLOCKS)
+@example(family=OCCPT, blocks=[1, 2])  # degenerate pairs only
+@example(family=RPT, blocks=[3, 4, 6])  # no divisor layout
+def test_column_index_finds_every_column_and_misses_its_neighbours(family, blocks):
+    layout = ColumnLayout(family, blocks)
+    want = [a for p in blocks for a in block_columns(family, p)]
+    position = {a: i for i, a in enumerate(want)}
+    assert [layout.column_index(*a) for a in want] == list(range(len(want)))
+    absent = next(q for q in range(1, blocks[-1] + 2) if q not in blocks)
+    for p, k, kind, shift in want:
+        # a neighbouring address is another column's or none
+        for a in ((p, k - 1, kind, shift), (p, k + 1, kind, shift), (p, k, kind, shift + 1),
+                  (p, k, _OTHER_KIND[kind], shift), (absent, k, kind, shift)):
+            if a in position:
+                assert layout.column_index(*a) == position[a]
+            else:
+                with pytest.raises(KeyError, match=f"no column .* in this {family} layout"):
+                    layout.column_index(*a)
+    # a kind that is not a str misses, though a one-element array compares
+    # equal to a kind
+    p, k, kind, shift = want[-1]
+    for bad in (None, kind.encode(), [kind], np.array([kind]), 3):
+        with pytest.raises(KeyError):
+            layout.column_index(p, k, bad, shift)
 
 
 def _foccpt_answer(x):

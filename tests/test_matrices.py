@@ -9,12 +9,14 @@ from ccpt.ccps import COS, SIN, ccps1, ccps2, ramanujan_sum
 from ccpt.matrices import (CCPT1, CCPT2, DFT_NPM, FAMILIES, OCCPT, RPT,
                            ColumnLayout, SubspaceIndex, build_columns,
                            build_matrix, cached_matrix, column_layout, export_matrix_csv,
-                           export_matrix_metadata, matrix_rank, validate_npm)
+                           export_matrix_metadata, matrix_metadata, matrix_rank,
+                           validate_npm)
 from ccpt import period
 from ccpt.numtheory import divisors, residue_sets, totient
 from ccpt.transform import analyze
 
-from oracles import block_columns, block_entries, column_entries, minimal_period, tile_to
+from oracles import (block_columns, block_entries, column_entries, matrix_metadata_by_columns,
+                     minimal_period, tile_to)
 
 
 def test_dft_npm_column_periods_n4():
@@ -454,3 +456,14 @@ def test_column_lookups_take_integers_only(bad):
     assert m.subspace_columns(four) == m.subspace_columns(4) == range(4, 6)
     assert m.layout.column_index(four, one, COS, np.int64(0)) == m.layout.column_index(4, 1, COS)
     assert c.pair(four, one) == c.pair(4, 1) and sol.pair(four, one) == sol.pair(4, 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 54, 625])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_matrix_metadata_rows_match_the_column_objects(family, N):
+    """The rows built from the layout's arrays equal those read from one
+    SubspaceIndex per column, key order included."""
+    m = build_matrix(family, N)
+    got, want = matrix_metadata(m), matrix_metadata_by_columns(m)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)

@@ -1,3 +1,4 @@
+import json
 import re
 from functools import partial
 
@@ -15,7 +16,8 @@ from ccpt.transform import (CoefficientSet, analyze, band_filter, coefficient_pe
                             dft_from_occpt, occpt_analysis, occpt_synthesis,
                             parseval_energy, shift_coefficients, synthesize)
 
-from oracles import brute_circular_convolution, brute_dft, tile_to
+from oracles import (brute_circular_convolution, brute_dft, coefficients_dict_by_columns,
+                     tile_to)
 
 
 def test_occpt_analysis_dc():
@@ -379,6 +381,20 @@ def test_coefficients_to_dict_views_agree():
     for entry in d["indexed"]:
         assert entry["value"] == pytest.approx(
             float(c.value(entry["p"], entry["k"], entry["kind"], entry["shift"])))
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 54, 625])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_coefficients_to_dict_rows_match_the_column_objects(family, N):
+    """The rows built from the layout's arrays equal those read from one
+    SubspaceIndex per column, key order included, real and complex."""
+    rng = np.random.default_rng(N)
+    x = rng.standard_normal(N)
+    for signal in (x, x + 1j * rng.standard_normal(N)):
+        c = analyze(signal, family)
+        got, want = coefficients_to_dict(c), coefficients_dict_by_columns(c)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_coefficient_set_keeps_a_read_only_view():
